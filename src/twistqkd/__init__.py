@@ -3,8 +3,8 @@ qubit signal states.
 
 The pipeline reconstructs the measurement node's Gram matrix from detection
 statistics, optimizes the phase error rates over virtual twisting
-operations with two small semidefinite programs, and evaluates the
-six-state key rate formula."""
+operations in closed form (a trace norm per error rate, by Uhlmann's
+theorem), and evaluates the six-state key rate formula."""
 
 from . import errors
 from .channel import (
@@ -32,12 +32,10 @@ from .qmath import (
     eig2_hermitian,
     kron,
     psd_project,
-    real_embed_hermitian,
     solve_linear,
     unvec_rowmajor,
     vec_rowmajor,
 )
-from .sdp import SdpProblem, SdpSolution, solve_sdp
 from .states import (
     ModelParams,
     QubitState,
@@ -54,8 +52,6 @@ from .twist import (
     PhaseErrors,
     TwistProblem,
     ancilla_gram_block,
-    build_eminus_problem,
-    build_eplus_problem,
     naive_phase_errors,
     naive_twist_gram,
     optimize_phase_errors,
@@ -74,15 +70,11 @@ __all__ = [
     "QubitState",
     "ScanConfig",
     "ScanRow",
-    "SdpProblem",
-    "SdpSolution",
     "SignalEnsemble",
     "TwistProblem",
     "ancilla_gram_block",
     "bell_pass_prob",
     "binary_entropy",
-    "build_eminus_problem",
-    "build_eplus_problem",
     "build_gamma",
     "detection_stats",
     "eig2_hermitian",
@@ -99,14 +91,12 @@ __all__ = [
     "phase_randomized_coherent",
     "photon_loss",
     "psd_project",
-    "real_embed_hermitian",
     "scan",
     "scan_to_csv",
     "single_photon_project",
     "six_state_rate",
     "solve_eve",
     "solve_linear",
-    "solve_sdp",
     "stats_index",
     "stokes",
     "tetrahedron_check",

@@ -8,7 +8,7 @@ Subcommands:
 * ``check-states`` tetrahedron diagnostics and state-matrix conditioning
 
 Exit codes: 0 success, 2 invalid configuration, 3 singular or unphysical
-inputs, 4 solver failure.
+inputs, 4 phase errors outside the rate formula's domain.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from .errors import (
     InvalidParamsError,
     InvalidPhaseError,
     NoDetectionsError,
-    NumericalTroubleError,
     QkdError,
-    SdpInfeasibleError,
     SingularGammaError,
     UnphysicalStatsError,
 )
@@ -34,7 +32,7 @@ from .states import ModelParams, model_states, tetrahedron_check
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
-EXIT_SOLVER = 4
+EXIT_PHASE = 4
 
 
 def _parse_priors(text: str):
@@ -183,9 +181,9 @@ def main(argv=None) -> int:
     except (SingularGammaError, UnphysicalStatsError, NoDetectionsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (SdpInfeasibleError, NumericalTroubleError, InvalidPhaseError) as exc:
+    except InvalidPhaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return EXIT_PHASE
     except QkdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

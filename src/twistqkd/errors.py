@@ -34,14 +34,6 @@ class NoDetectionsError(QkdError):
     """The key-basis detection probability is (numerically) zero."""
 
 
-class SdpInfeasibleError(QkdError):
-    """A semidefinite program was reported infeasible."""
-
-
-class NumericalTroubleError(QkdError):
-    """A semidefinite program failed to converge to tolerance."""
-
-
 class DomainError(QkdError):
     """Argument outside the mathematical domain of a function."""
 

@@ -18,7 +18,13 @@ import numpy as np
 from scipy.special import entr
 
 from .channel import ChannelParams, DetectionStats, build_gamma, detection_stats
-from .errors import DomainError, InvalidParamsError, InvalidPhaseError, SingularGammaError
+from .errors import (
+    DomainError,
+    InvalidParamsError,
+    InvalidPhaseError,
+    QkdError,
+    SingularGammaError,
+)
 from .evegram import key_basis_stats, solve_eve
 from .states import (
     ModelParams,
@@ -97,7 +103,7 @@ class KeyRateResult:
 
     Rates are clamped at zero for reporting; the raw (possibly negative)
     formula values live in ``diagnostics`` together with condition numbers,
-    the PSD repair magnitude and the solver statuses.
+    the PSD repair magnitude and the unclamped twist bounds.
     """
 
     p_det00: float
@@ -116,7 +122,6 @@ def keyrate_point(
     channel: ChannelParams,
     f: float = 1.0,
     stats: DetectionStats | None = None,
-    sdp_tol: float = 1e-8,
 ) -> KeyRateResult:
     """Run the full pipeline for one parameter point.
 
@@ -141,7 +146,7 @@ def keyrate_point(
     problem = TwistProblem.from_key_states(
         alice.key_states(), bob.key_states(), eve, p_det00, e_z
     )
-    optimized = optimize_phase_errors(problem, tol=sdp_tol)
+    optimized = optimize_phase_errors(problem)
     naive = naive_phase_errors(alice.key_states(), bob.key_states(), eve, p_det00)
 
     raw_twisted = _six_state_raw(p_det00, e_z, optimized.e_minus, optimized.e_plus, f)
@@ -172,8 +177,8 @@ def keyrate_point(
             "clipped_mass": eve.clipped_mass,
             "tetra_alice_det": tetra_a.determinant,
             "tetra_bob_det": tetra_b.determinant,
-            "sdp_status_minus": optimized.status_minus,
-            "sdp_status_plus": optimized.status_plus,
+            "twist_bound_minus": optimized.bound_minus,
+            "twist_bound_plus": optimized.bound_plus,
             "rate_twisted_raw": raw_twisted,
             "rate_naive_raw": raw_naive,
             "naive_e_minus_signed": naive.e_minus,
@@ -208,9 +213,12 @@ class ScanConfig:
     out: str | None = None
 
     def __post_init__(self):
-        self.deltas = [float(d) for d in np.atleast_1d(self.deltas)]
-        self.depols = [float(p) for p in np.atleast_1d(self.depols)]
-        self.distances = np.atleast_1d(np.asarray(self.distances, dtype=float))
+        try:
+            self.deltas = [float(d) for d in np.atleast_1d(self.deltas)]
+            self.depols = [float(p) for p in np.atleast_1d(self.depols)]
+            self.distances = np.atleast_1d(np.asarray(self.distances, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise InvalidParamsError(f"scan grid values must be numbers: {exc}") from exc
         if not (len(self.deltas) and len(self.depols) and self.distances.size):
             raise InvalidParamsError("scan grid must be nonempty")
 
@@ -230,16 +238,17 @@ class ScanConfig:
         if not isinstance(doc, dict):
             raise InvalidParamsError("config document must be a JSON object")
         try:
-            eta = float(doc["eta"])
-            p_dark = float(doc["p_dark"])
-            distance = doc["distance"]
+            return cls._from_doc(doc)
         except KeyError as exc:
             raise InvalidParamsError(f"config missing required field {exc}") from exc
+        except (TypeError, ValueError, IndexError) as exc:
+            raise InvalidParamsError(f"config field of the wrong type or form: {exc}") from exc
+
+    @classmethod
+    def _from_doc(cls, doc: dict) -> "ScanConfig":
+        distance = doc["distance"]
         if isinstance(distance, dict):
-            try:
-                lo, hi, step = (float(distance[k]) for k in ("min", "max", "step"))
-            except KeyError as exc:
-                raise InvalidParamsError(f"distance range missing field {exc}") from exc
+            lo, hi, step = (float(distance[k]) for k in ("min", "max", "step"))
             if step <= 0 or hi < lo:
                 raise InvalidParamsError("distance range needs step > 0 and max >= min")
             distances = np.arange(lo, hi + step / 2.0, step)
@@ -270,8 +279,8 @@ class ScanConfig:
             deltas=doc.get("delta", 0.0),
             depols=doc.get("depol", 0.0),
             distances=distances,
-            eta=eta,
-            p_dark=p_dark,
+            eta=float(doc["eta"]),
+            p_dark=float(doc["p_dark"]),
             atten_db_per_km=float(doc.get("atten_db_per_km", 0.2)),
             atten_divisor=float(doc.get("atten_divisor", 20.0)),
             priors_alice=priors_a,
@@ -312,13 +321,18 @@ class ScanConfig:
 
 @dataclass
 class ScanRow:
-    """One grid point of a scan; ``result`` is None when the point errored."""
+    """One grid point of a scan.
+
+    ``status`` is ``"ok"`` or the class name of the error the point raised;
+    then ``result`` is None and ``error`` holds the error message.
+    """
 
     delta: float
     depol: float
     distance_km: float
     result: KeyRateResult | None
     status: str
+    error: str = ""
 
 
 SCAN_COLUMNS = (
@@ -340,35 +354,28 @@ def scan(config: ScanConfig) -> list[ScanRow]:
     """Evaluate the pipeline over the whole grid.
 
     Grid points are independent and evaluated in deterministic order
-    (delta, then depol, then distance).  Errors at a point are recorded in
-    its row and the scan continues.
+    (delta, then depol, then distance).  A point that raises a
+    :class:`~twistqkd.errors.QkdError` is recorded in its row and the scan
+    continues; any other exception propagates.
     """
     rows = []
     for delta in config.deltas:
         for depol in config.depols:
             alice, bob = config.ensembles_for(delta, depol)
             for distance in config.distances:
+                row = ScanRow(delta, depol, float(distance), result=None, status="ok")
                 try:
-                    result = keyrate_point(
+                    row.result = keyrate_point(
                         alice,
                         bob,
                         config.channel_for(distance),
                         f=config.f,
                         stats=config.stats,
                     )
-                    status = "ok"
-                except Exception as exc:  # noqa: BLE001 - per-row error capture
-                    result = None
-                    status = type(exc).__name__
-                rows.append(
-                    ScanRow(
-                        delta=delta,
-                        depol=depol,
-                        distance_km=float(distance),
-                        result=result,
-                        status=status,
-                    )
-                )
+                except QkdError as exc:
+                    row.status = type(exc).__name__
+                    row.error = str(exc)
+                rows.append(row)
     return rows
 
 

@@ -134,16 +134,3 @@ def psd_project(M, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, float]:
     M_psd = 0.5 * (M_psd + M_psd.conj().T)
     return M_psd, clipped_mass
 
-
-def real_embed_hermitian(C, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Embed an n x n Hermitian matrix as a 2n x 2n real symmetric one.
-
-    The embedding ``[[Re C, -Im C], [Im C, Re C]]`` is PSD exactly when C is
-    PSD, carries each eigenvalue of C twice, and doubles the trace.
-    """
-    C = require_hermitian(C, tol=tol)
-    re, im = C.real, C.imag
-    top = np.hstack([re, -im])
-    bot = np.hstack([im, re])
-    out = np.vstack([top, bot])
-    return 0.5 * (out + out.T)

@@ -14,8 +14,11 @@ scalar nonnegative slacks adjoined as extra diagonal entries of the PSD
 variable.  Problem sizes here never exceed n = 64, so every linear-algebra
 step is dense.
 
-Complex Hermitian problems enter this module through the real symmetric
-embedding in :mod:`twistqkd.qmath`.
+Complex Hermitian problems enter through the real symmetric embedding
+``[[Re C, -Im C], [Im C, Re C]]``.  The key-rate pipeline does not use this
+module: the phase-error optimizations have a closed form
+(:mod:`twistqkd.twist`).  It is kept as the certified reference solver that
+checks that closed form.
 """
 
 from __future__ import annotations

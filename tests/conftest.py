@@ -1,8 +1,11 @@
-"""Shared helpers for building random and degenerate test ensembles."""
+"""Shared helpers: random and degenerate test ensembles, and the two
+independent oracles for the phase-error optimization (sampled twists and
+the dense semidefinite program)."""
 
 import numpy as np
 
-from twistqkd.qmath import PAULI
+from twistqkd.qmath import HERMITIAN_TOL, PAULI, require_hermitian
+from twistqkd.sdp import SdpProblem, solve_sdp
 from twistqkd.states import QubitState, SignalEnsemble
 
 
@@ -73,6 +76,108 @@ def sampled_twist_values(alice_key, bob_key, eve, p00, n_samples, seed):
     e_minus_samples = -2.0 / p00 * values((0, 1), (1, 0))
     e_plus_samples = 1.0 - 2.0 / p00 * values((0, 0), (1, 1))
     return e_minus_samples, e_plus_samples
+
+
+def real_embed_hermitian(C, tol=HERMITIAN_TOL):
+    """Embed an n x n Hermitian matrix as a 2n x 2n real symmetric one.
+
+    The embedding ``[[Re C, -Im C], [Im C, Re C]]`` is PSD exactly when C is
+    PSD, carries each eigenvalue of C twice, and doubles the trace.
+    """
+    C = require_hermitian(C, tol=tol)
+    re, im = C.real, C.imag
+    top = np.hstack([re, -im])
+    bot = np.hstack([im, re])
+    out = np.vstack([top, bot])
+    return 0.5 * (out + out.T)
+
+
+def _elem(dim, a, b):
+    E = np.zeros((dim, dim))
+    E[a, b] += 0.5
+    E[b, a] += 0.5
+    return E
+
+
+def build_twist_sdp(W_left, W_right, eve4, p_det00, lo, hi, affine, sense):
+    """Oracle: one phase-error optimization as a real-embedded SDP.
+
+    The variable is the Gram matrix ``G`` of the two key pairs' ancilla
+    vectors, restricted to the support of its pinned diagonal blocks.  The
+    objective value equals ``e - affine`` where
+    ``e = affine - (2/p_det00) * sum Re(E[a,b] * G[a, r1+b])`` over the
+    off-diagonal block; the scalar bounds ``lo <= e <= hi`` enter as two
+    linear inequalities.
+    """
+    from twistqkd.twist import _reduce_block
+
+    lam1, V1 = _reduce_block(W_left, "left")
+    lam2, V2 = _reduce_block(W_right, "right")
+    r1, r2 = len(lam1), len(lam2)
+    nc = r1 + r2
+
+    # Pairing matrix in the reduced basis, then the Hermitian coefficient
+    # matrix Phi with Tr(Phi G) = sum Re(Ehat[c,d] G[c, r1+d]).
+    Ehat = V1.T @ eve4 @ V2.conj()
+    Phi = np.zeros((nc, nc), dtype=complex)
+    Phi[:r1, r1:] = Ehat.conj() / 2.0
+    Phi[r1:, :r1] = Ehat.T / 2.0
+    scale = -2.0 / p_det00
+    C = (scale / 2.0) * real_embed_hermitian(Phi)
+
+    equalities = []
+    dim = 2 * nc
+    # Tie the two copies of the real embedding together so the solution is a
+    # valid Hermitian matrix: Y = [[P, -Q], [Q, P]] with P symmetric and Q
+    # antisymmetric.
+    for a in range(nc):
+        for b in range(a, nc):
+            equalities.append((_elem(dim, a, b) - _elem(dim, nc + a, nc + b), 0.0))
+            if a == b:
+                equalities.append((_elem(dim, nc + a, a), 0.0))
+            else:
+                equalities.append((_elem(dim, nc + a, b) + _elem(dim, nc + b, a), 0.0))
+    # Pin the diagonal blocks (diagonal in the reduced eigenbasis).
+    for off, lam in ((0, lam1), (r1, lam2)):
+        for c in range(len(lam)):
+            for d in range(c, len(lam)):
+                value = float(lam[c]) if c == d else 0.0
+                equalities.append((_elem(dim, off + c, off + d), value))
+                if c != d:
+                    equalities.append((_elem(dim, nc + off + c, off + d), 0.0))
+
+    inequalities = [(-C, affine - lo), (C, hi - affine)]
+    return SdpProblem(
+        dim=dim,
+        objective=C,
+        equalities=equalities,
+        inequalities=inequalities,
+        sense=sense,
+    )
+
+
+def twist_sdps(problem):
+    """The (e_minus, e_plus) programs of a :class:`TwistProblem`.  The
+    e_minus optimum is ``e_minus``; the e_plus optimum is ``e_plus - 1``."""
+    blocks, E, p00, e_z = problem.blocks, problem.eve_gram.e_matrix, problem.p_det00, problem.e_z
+    minus = build_twist_sdp(
+        blocks[(0, 1)], blocks[(1, 0)], E, p00, lo=0.0, hi=e_z, affine=0.0, sense="max"
+    )
+    plus = build_twist_sdp(
+        blocks[(0, 0)], blocks[(1, 1)], E, p00, lo=e_z, hi=1.0, affine=1.0, sense="min"
+    )
+    return minus, plus
+
+
+def sdp_phase_errors(problem, tol=1e-8):
+    """Oracle: ``(e_minus, e_plus)`` from the interior-point solver, or None
+    when either program fails to converge to ``tol``."""
+    sol_minus, sol_plus = (solve_sdp(p, tol=tol) for p in twist_sdps(problem))
+    if sol_minus.status != "optimal" or sol_plus.status != "optimal":
+        return None
+    e_minus = min(max(sol_minus.objective_value, 0.0), problem.e_z)
+    e_plus = min(max(1.0 + sol_plus.objective_value, problem.e_z), 1.0)
+    return e_minus, e_plus
 
 
 def random_density_matrix(rng, dim=2):

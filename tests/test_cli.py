@@ -38,7 +38,8 @@ class TestKeyrateCommand:
         doc = json.loads(out)
         assert doc["rate_twisted"] > 0
         assert doc["rate_twisted"] >= doc["rate_naive"] - 1e-7
-        assert doc["diagnostics"]["sdp_status_plus"] == "optimal"
+        assert doc["diagnostics"]["twist_bound_minus"] >= doc["e_minus"]
+        assert doc["diagnostics"]["twist_bound_plus"] <= doc["e_plus"]
 
     def test_priors_flag(self, capsys):
         code, out, _ = run_main(
@@ -108,6 +109,17 @@ class TestScanCommand:
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code, _, _ = run_main(["scan", "--config", str(tmp_path / "none.json"), "--out", "x.csv"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"priors": {"alice": [0.25, 0.25, 0.25, 0.25]}}, {"delta": "x"}],
+    )
+    def test_malformed_config_exit_2(self, tmp_path, capsys, overrides):
+        config = write_config(tmp_path, **overrides)
+        code, _, err = run_main(["scan", "--config", str(config), "--out", "x.csv"], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

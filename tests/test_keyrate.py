@@ -119,8 +119,8 @@ class TestKeyratePoint:
         assert res.e_z == pytest.approx(0.0, abs=1e-12)
         assert res.rate_twisted == pytest.approx(1.0 / 16.0, abs=1e-6)
         assert res.rate_naive == pytest.approx(1.0 / 16.0, abs=1e-6)
-        assert res.diagnostics["sdp_status_minus"] == "optimal"
-        assert res.diagnostics["sdp_status_plus"] == "optimal"
+        assert res.diagnostics["twist_bound_minus"] >= res.e_minus
+        assert res.diagnostics["twist_bound_plus"] <= res.e_plus
 
     @pytest.mark.parametrize("delta", [0.0, 0.05, 0.2])
     def test_no_gain_for_pure_states(self, delta):
@@ -215,6 +215,22 @@ class TestScanConfig:
         with pytest.raises(InvalidParamsError):
             ScanConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"priors": {"alice": [0.25, 0.25, 0.25, 0.25]}},
+            {"delta": "x"},
+            {"depol": [0.01, None]},
+            {"eta": "half"},
+            {"distance": {"min": 0.0, "max": 10.0}},
+            {"priors": 0.25},
+            {"alice_states": {"priors": [0.25] * 4, "rhos": [[[1]]] * 4}},
+        ],
+    )
+    def test_malformed_fields_are_typed(self, overrides):
+        with pytest.raises(InvalidParamsError):
+            ScanConfig.from_dict(base_config(**overrides))
+
     def test_bad_step(self):
         with pytest.raises(InvalidParamsError):
             ScanConfig.from_dict(base_config(distance={"min": 0, "max": 10, "step": 0}))
@@ -271,6 +287,33 @@ class TestScan:
         assert len(rows) == 3
         assert all(r.status == "SingularGammaError" for r in rows)
         assert all(r.result is None for r in rows)
+        assert all("tetrahedron" in r.error for r in rows)
+
+    def test_error_message_recorded(self, monkeypatch):
+        import twistqkd.keyrate as keyrate_module
+
+        def decline(*args, **kwargs):
+            raise InvalidPhaseError("e_plus = 1.5 > 1")
+
+        monkeypatch.setattr(keyrate_module, "keyrate_point", decline)
+        rows = scan(ScanConfig.from_dict(base_config(distance=10.0)))
+        assert [(r.status, r.error, r.result) for r in rows] == [
+            ("InvalidPhaseError", "e_plus = 1.5 > 1", None)
+        ]
+
+    def test_untyped_error_propagates(self, monkeypatch):
+        import twistqkd.keyrate as keyrate_module
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(keyrate_module, "keyrate_point", broken)
+        with pytest.raises(RuntimeError, match="bug"):
+            scan(ScanConfig.from_dict(base_config(distance=10.0)))
+
+    def test_ok_rows_have_no_error(self):
+        rows = scan(ScanConfig.from_dict(base_config(distance=10.0)))
+        assert [(r.status, r.error) for r in rows] == [("ok", "")]
 
     def test_deterministic_ordering(self):
         cfg = ScanConfig.from_dict(

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import random_hermitian, real_embed_hermitian
 from twistqkd.errors import NotHermitianError, SingularMatrixError
 from twistqkd.qmath import (
     PAULI,
     eig2_hermitian,
     kron,
     psd_project,
-    real_embed_hermitian,
     solve_linear,
     unvec_rowmajor,
     vec_rowmajor,
@@ -155,6 +154,8 @@ class TestPsdProject:
 
 
 class TestRealEmbed:
+    """The real symmetric embedding of the SDP oracle in ``conftest``."""
+
     def test_real_symmetric_duplicates(self):
         C = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
         out = real_embed_hermitian(C)

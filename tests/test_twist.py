@@ -1,35 +1,47 @@
+import itertools
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import twistqkd.twist as twist_module
+from conftest import (
+    random_ensemble,
+    sampled_twist_values,
+    sdp_phase_errors,
+    twist_sdps,
+)
 from twistqkd.channel import ChannelParams, build_gamma, detection_stats
-from twistqkd.errors import InvalidParamsError, NumericalTroubleError, SdpInfeasibleError
+from twistqkd.errors import InvalidParamsError
 from twistqkd.evegram import EveGram, key_basis_stats, solve_eve
 from twistqkd.sdp import solve_sdp
 from twistqkd.states import ModelParams, QubitState, model_states
 from twistqkd.twist import (
-    PhaseErrors,
     TwistProblem,
-    _require_solved,
     ancilla_gram_block,
-    build_eminus_problem,
-    build_eplus_problem,
     naive_phase_errors,
     naive_twist_gram,
     optimize_phase_errors,
 )
 
 
+def pair_inputs(alice, bob, channel):
+    stats = detection_stats(alice, bob, channel)
+    eve = solve_eve(build_gamma(alice, bob), stats)
+    p00, e_z = key_basis_stats(stats)
+    return eve, p00, e_z
+
+
 def pipeline_inputs(delta, depol, eta=0.5, p_dark=1e-5, distance=0.0):
     ens = model_states(ModelParams(delta=delta, depol=depol))
     ch = ChannelParams(eta=eta, p_dark=p_dark, distance_km=distance)
-    stats = detection_stats(ens, ens, ch)
-    gamma = build_gamma(ens, ens)
-    eve = solve_eve(gamma, stats)
-    p00, e_z = key_basis_stats(stats)
-    return ens, eve, p00, e_z
+    return (ens, *pair_inputs(ens, ens, ch))
 
 
-from conftest import sampled_twist_values
+def model_problem(delta, depol, distance=0.0):
+    ens, eve, p00, e_z = pipeline_inputs(delta, depol, distance=distance)
+    return TwistProblem.from_key_states(ens.key_states(), ens.key_states(), eve, p00, e_z)
 
 
 class TestIdealCase:
@@ -49,12 +61,14 @@ class TestIdealCase:
         assert naive.e_plus == pytest.approx(0.0, abs=1e-9)
 
     def test_builders_solve_to_zero(self):
+        # the SDP oracle of conftest agrees at the ideal point
         ens, eve, p00, e_z = pipeline_inputs(0.0, 0.0, eta=1.0, p_dark=0.0)
         ak, bk = ens.key_states(), ens.key_states()
-        sol_minus = solve_sdp(build_eminus_problem(ak, bk, eve, p00, e_z))
+        prob_minus, prob_plus = twist_sdps(TwistProblem.from_key_states(ak, bk, eve, p00, e_z))
+        sol_minus = solve_sdp(prob_minus)
         assert sol_minus.status == "optimal"
         assert sol_minus.objective_value == pytest.approx(0.0, abs=1e-7)
-        sol_plus = solve_sdp(build_eplus_problem(ak, bk, eve, p00, e_z))
+        sol_plus = solve_sdp(prob_plus)
         assert sol_plus.status == "optimal"
         assert 1.0 + sol_plus.objective_value == pytest.approx(0.0, abs=1e-7)
 
@@ -66,7 +80,11 @@ class TestConstraints:
         ens, eve, p00, _ = pipeline_inputs(0.2, 0.3)
         problem = TwistProblem.from_key_states(ens.key_states(), ens.key_states(), eve, p00, 0.0)
         result = optimize_phase_errors(problem)
-        assert result.e_minus == pytest.approx(0.0, abs=1e-7)
+        assert result.e_minus == 0.0
+        assert result.bound_minus > 0.0
+        oracle = sdp_phase_errors(problem)
+        assert oracle is not None
+        assert result.e_plus == pytest.approx(oracle[1], abs=1e-7)
 
     def test_constraint_activation_at_ez(self):
         # blocks of fully dephased states with a strongly-aligned Gram push
@@ -91,6 +109,9 @@ class TestConstraints:
             result = optimize_phase_errors(problem)
             assert -1e-9 <= result.e_minus <= e_z + 1e-9
             assert e_z - 1e-9 <= result.e_plus <= 1.0 + 1e-9
+            # the windows clamp the unclamped twist optima
+            assert result.e_minus == min(result.bound_minus, problem.e_z)
+            assert result.e_plus == max(result.bound_plus, problem.e_z)
             assert 0.0 <= result.e_x <= 1.0
             assert 0.0 <= result.e_y <= 1.0
 
@@ -163,29 +184,98 @@ class TestDominance:
     def test_pure_states_match_naive(self):
         ens, eve, p00, e_z = pipeline_inputs(0.15, 0.0, distance=60.0)
         ak, bk = ens.key_states(), ens.key_states()
-        opt = optimize_phase_errors(TwistProblem.from_key_states(ak, bk, eve, p00, e_z))
+        problem = TwistProblem.from_key_states(ak, bk, eve, p00, e_z)
+        for W in problem.blocks.values():  # rank-1 blocks
+            assert np.sum(np.linalg.eigvalsh(W) > 1e-12 * np.abs(W).max()) == 1
+        opt = optimize_phase_errors(problem)
         naive = naive_phase_errors(ak, bk, eve, p00)
         assert opt.e_plus == pytest.approx(naive.e_plus, abs=1e-6)
         assert opt.e_minus == pytest.approx(abs(naive.e_minus), abs=1e-6)
+        oracle = sdp_phase_errors(problem)
+        assert oracle is not None
+        assert opt.e_minus == pytest.approx(oracle[0], abs=1e-7)
+        assert opt.e_plus == pytest.approx(oracle[1], abs=1e-7)
 
 
 class TestPhaseInvariance:
-    def test_global_phase_of_eigenvectors(self):
-        # states rebuilt from phase-rotated kets give identical density
-        # matrices, hence identical optima
-        ens, eve, p00, e_z = pipeline_inputs(0.1, 0.05, distance=25.0)
-        ak, bk = ens.key_states(), ens.key_states()
-        opt1 = optimize_phase_errors(TwistProblem.from_key_states(ak, bk, eve, p00, e_z))
-        phased = tuple(
-            QubitState(
-                rho=np.exp(1j * 0.9) * s.rho * np.exp(-1j * 0.9),
-                prob=s.prob,
+    def test_global_phase_of_eigenvectors(self, monkeypatch):
+        # each eigenvector of a Gram block is fixed only up to a phase; the
+        # optimum must not depend on the phases the eigensolver picks
+        problem = model_problem(0.1, 0.05, distance=25.0)
+        opt1 = optimize_phase_errors(problem)
+        rng = np.random.default_rng(29)
+        reduce_block = twist_module._reduce_block
+        calls = []
+
+        def rephased(W, label):
+            lam, V = reduce_block(W, label)
+            calls.append(label)
+            return lam, V * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, V.shape[1]))
+
+        monkeypatch.setattr(twist_module, "_reduce_block", rephased)
+        for _ in range(5):
+            opt2 = optimize_phase_errors(problem)
+            assert opt2.e_minus == pytest.approx(opt1.e_minus, abs=1e-12)
+            assert opt2.e_plus == pytest.approx(opt1.e_plus, abs=1e-12)
+        assert len(calls) == 20
+
+
+def matches_oracle(problem):
+    """Whether the SDP oracle converges; if so, assert the closed form
+    agrees with it to 1e-7."""
+    oracle = sdp_phase_errors(problem)
+    if oracle is None:
+        return False
+    opt = optimize_phase_errors(problem)
+    assert opt.e_minus == pytest.approx(oracle[0], abs=1e-7)
+    assert opt.e_plus == pytest.approx(oracle[1], abs=1e-7)
+    return True
+
+
+class TestClosedFormOracle:
+    """The closed form against the interior-point SDP of ``conftest``."""
+
+    @pytest.mark.parametrize("delta", [0.0, 0.1, 0.2])
+    def test_matches_sdp_on_model_grid(self, delta):
+        grid = itertools.product((0.0, 0.01, 0.05, 0.2), (0.0, 50.0, 150.0))
+        converged = [matches_oracle(model_problem(delta, p, distance=d)) for p, d in grid]
+        assert sum(converged) >= 10
+
+    def test_matches_sdp_on_random_ensembles(self):
+        rng = np.random.default_rng(2007)
+        converged = 0
+        for _ in range(30):
+            alice, bob = random_ensemble(rng), random_ensemble(rng)
+            channel = ChannelParams(eta=0.5, p_dark=1e-5, distance_km=rng.uniform(0.0, 150.0))
+            eve, p00, e_z = pair_inputs(alice, bob, channel)
+            problem = TwistProblem.from_key_states(
+                alice.key_states(), bob.key_states(), eve, p00, e_z
             )
-            for s in ak
-        )
-        opt2 = optimize_phase_errors(TwistProblem.from_key_states(phased, bk, eve, p00, e_z))
-        assert opt1.e_minus == pytest.approx(opt2.e_minus, abs=1e-9)
-        assert opt1.e_plus == pytest.approx(opt2.e_plus, abs=1e-9)
+            converged += matches_oracle(problem)
+        assert converged >= 27
+
+
+class TestNearPure:
+    """Points just off purity, where an interior-point solve of the twist
+    programs loses strict feasibility; the closed form has no such limit."""
+
+    @pytest.mark.parametrize("depol", [0.0005, 0.001])
+    @pytest.mark.parametrize("delta", [0.0, 0.1, 0.2])
+    def test_returns_and_dominates_sampled_twists(self, delta, depol):
+        for distance in (0.0, 50.0, 150.0):
+            ens, eve, p00, e_z = pipeline_inputs(delta, depol, distance=distance)
+            ak, bk = ens.key_states(), ens.key_states()
+            opt = optimize_phase_errors(TwistProblem.from_key_states(ak, bk, eve, p00, e_z))
+            assert 0.0 <= opt.e_minus <= e_z <= opt.e_plus <= 1.0
+            em, ep = sampled_twist_values(ak, bk, eve, p00, 3000, seed=int(1e4 * depol + distance))
+            assert np.all(em <= opt.e_minus + 1e-7)
+            assert np.all(ep >= opt.e_plus - 1e-7)
+
+
+def test_runtime_does_not_load_the_sdp_solver():
+    code = "import sys, twistqkd; print('twistqkd.sdp' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestErrors:
@@ -194,20 +284,10 @@ class TestErrors:
         with pytest.raises(InvalidParamsError):
             TwistProblem.from_key_states(ens.key_states(), ens.key_states(), eve, 0.0, e_z)
 
-    def test_status_mapping(self):
-        from twistqkd.sdp import SdpSolution
-
-        bad = SdpSolution(
-            X=np.zeros((2, 2)),
-            objective_value=0.0,
-            primal_residual=1.0,
-            dual_residual=1.0,
-            duality_gap=1.0,
-            status="infeasible",
-            message="test",
-        )
-        with pytest.raises(SdpInfeasibleError):
-            _require_solved(bad, "e_minus")
-        bad.status = "numerical_trouble"
-        with pytest.raises(NumericalTroubleError):
-            _require_solved(bad, "e_minus")
+    def test_zero_prior_block_raises(self):
+        ens, eve, p00, e_z = pipeline_inputs(0.1, 0.05)
+        ak = list(ens.key_states())
+        ak[1] = QubitState(rho=ak[1].rho, prob=0.0)
+        problem = TwistProblem.from_key_states(ak, ens.key_states(), eve, p00, e_z)
+        with pytest.raises(InvalidParamsError, match="zero"):
+            optimize_phase_errors(problem)
