@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError
-from .qmath import kron, vec_rowmajor
+from .qmath import kron
 from .states import SignalEnsemble
 
 PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -122,10 +122,22 @@ class DetectionStats:
 
 @dataclass
 class GammaMatrix:
-    """16x16 matrix whose row t is ``vec(p rho)^T (x) vec(q sigma)^T``."""
+    """The 16x16 state matrix ``RA (x) RB``, kept as its 4x4 factors.
 
-    gamma: np.ndarray
+    Row a of ``RA`` is ``vec(p_a rho_a)^T`` (Alice's weighted states), row b
+    of ``RB`` the same for Bob, so row ``t = 4a + b`` of the full matrix is
+    ``vec(p rho)^T (x) vec(q sigma)^T``.  ``cond`` is its 2-norm condition
+    number, ``cond(RA) * cond(RB)``.
+    """
+
+    RA: np.ndarray
+    RB: np.ndarray
     cond: float
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """The dense 16x16 matrix."""
+        return kron(self.RA, self.RB)
 
 
 def bell_pass_prob(rho, sigma) -> float:
@@ -135,10 +147,37 @@ def bell_pass_prob(rho, sigma) -> float:
     return float(np.trace(joint @ PHI_PLUS_PROJ).real)
 
 
+def _loss(eta, atten_db_per_km, distance_km, atten_divisor):
+    return 1.0 - eta * 10.0 ** (-atten_db_per_km * distance_km / atten_divisor)
+
+
 def photon_loss(params: ChannelParams) -> float:
     """Per-photon loss probability ``1 - eta * 10**(-a*l/divisor)``."""
-    trans = params.eta * 10.0 ** (-params.atten_db_per_km * params.distance_km / params.atten_divisor)
-    return 1.0 - trans
+    return _loss(params.eta, params.atten_db_per_km, params.distance_km, params.atten_divisor)
+
+
+def _state_rows(ensemble: SignalEnsemble) -> np.ndarray:
+    """4x4 matrix whose row a is ``vec(p_a rho_a)``."""
+    return np.stack([s.weighted().reshape(4) for s in ensemble.states])
+
+
+def _detection_rows(RA, RB, priors_a, priors_b, channels) -> np.ndarray:
+    """Pass probabilities of all 16 state pairs, one row per channel.
+
+    Both terms of :func:`detection_stats` factor into a channel scalar times
+    a fixed 16-vector: ``p q Tr[(rho (x) sigma)|Phi+><Phi+|]`` is
+    ``Re(RA RB^T)[a, b] / 2``, and the dark-count term is ``p q``.
+    """
+    eta, pd, dist, atten, div = (
+        np.array([getattr(c, name) for c in channels])
+        for name in ("eta", "p_dark", "distance_km", "atten_db_per_km", "atten_divisor")
+    )
+    p0 = _loss(eta, atten, dist, div)
+    both_arrive = (1.0 - p0) ** 2 * (1.0 - pd) ** 2
+    dark = 2.0 * (p0**2 * pd**2 * (1.0 - pd) ** 2 + p0 * (1.0 - p0) * pd * (1.0 - pd) ** 2)
+    p_pass = 0.5 * (RA @ RB.T).real.reshape(16)
+    p_dark = np.outer(priors_a, priors_b).reshape(16)
+    return both_arrive[:, None] * p_pass + dark[:, None] * p_dark
 
 
 def detection_stats(
@@ -153,28 +192,17 @@ def detection_stats(
 
     where ``p_pass = p q Tr[(rho (x) sigma)|Phi+><Phi+|]``.
     """
-    p0 = photon_loss(params)
-    pd = params.p_dark
-    both_arrive = (1.0 - p0) ** 2 * (1.0 - pd) ** 2
-    dark = 2.0 * (p0**2 * pd**2 * (1.0 - pd) ** 2 + p0 * (1.0 - p0) * pd * (1.0 - pd) ** 2)
-    p = np.zeros(16)
-    for a, sa in enumerate(alice.states):
-        for b, sb in enumerate(bob.states):
-            p_pass = sa.prob * sb.prob * bell_pass_prob(sa.rho, sb.rho)
-            p[4 * a + b] = both_arrive * p_pass + dark * sa.prob * sb.prob
-    return DetectionStats(p_det=p)
+    rows = _detection_rows(_state_rows(alice), _state_rows(bob), alice.priors, bob.priors, [params])
+    return DetectionStats(p_det=rows[0])
 
 
 def build_gamma(alice: SignalEnsemble, bob: SignalEnsemble) -> GammaMatrix:
-    """Assemble the 16x16 state matrix and estimate its condition number.
+    """Assemble the state matrix and its condition number.
 
-    Row t factorizes as the Kronecker product of the two parties' vectorized
-    weighted states, so the full matrix is ``RA (x) RB`` with RA, RB the 4x4
-    per-party row matrices.  Singularity is not an error here; it surfaces
-    when the matrix is inverted downstream.
+    Row t factorizes as the Kronecker product of the two parties'
+    vectorized weighted states, so the full matrix is ``RA (x) RB`` and its
+    singular values are the products of theirs.  Singularity is not an
+    error here; it surfaces when the matrix is inverted downstream.
     """
-    RA = np.vstack([vec_rowmajor(s.weighted()) for s in alice.states])
-    RB = np.vstack([vec_rowmajor(s.weighted()) for s in bob.states])
-    gamma = np.kron(RA, RB)
-    cond = float(np.linalg.cond(gamma))
-    return GammaMatrix(gamma=gamma, cond=cond)
+    RA, RB = _state_rows(alice), _state_rows(bob)
+    return GammaMatrix(RA=RA, RB=RB, cond=float(np.linalg.cond(RA) * np.linalg.cond(RB)))

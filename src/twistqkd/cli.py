@@ -85,29 +85,14 @@ def _result_doc(result) -> dict:
     }
 
 
-def _cmd_keyrate(args) -> int:
-    result = _point_result(args)
+def _cmd_point(args) -> int:
+    doc = _result_doc(_point_result(args))
     if args.json:
-        print(json.dumps(_result_doc(result), indent=2))
+        print(json.dumps(doc, indent=2))
     else:
-        print(f"p_det00      = {result.p_det00:.12g}")
-        print(f"e_Z          = {result.e_z:.12g}")
-        print(f"e_minus      = {result.e_minus:.12g}")
-        print(f"e_plus       = {result.e_plus:.12g}")
-        print(f"rate_twisted = {result.rate_twisted:.12g}")
-    return EXIT_OK
-
-
-def _cmd_compare(args) -> int:
-    result = _point_result(args)
-    if args.json:
-        print(json.dumps(_result_doc(result), indent=2))
-    else:
-        print(f"p_det00      = {result.p_det00:.12g}")
-        print(f"e_Z          = {result.e_z:.12g}")
-        print(f"rate_twisted = {result.rate_twisted:.12g}")
-        print(f"rate_naive   = {result.rate_naive:.12g}")
-        print(f"pct_gain     = {result.pct_gain:.6g} %")
+        for key in args.lines:
+            value = f"{doc[key]:.6g} %" if key == "pct_gain" else f"{doc[key]:.12g}"
+            print(f"{key:<12} = {value}")
     return EXIT_OK
 
 
@@ -152,11 +137,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rate = sub.add_parser("keyrate", help="optimized key rate at one parameter point")
     _add_point_args(p_rate)
-    p_rate.set_defaults(func=_cmd_keyrate)
+    p_rate.set_defaults(
+        func=_cmd_point, lines=("p_det00", "e_Z", "e_minus", "e_plus", "rate_twisted")
+    )
 
     p_cmp = sub.add_parser("compare", help="twisted vs fixed-purification rate")
     _add_point_args(p_cmp)
-    p_cmp.set_defaults(func=_cmd_compare)
+    p_cmp.set_defaults(
+        func=_cmd_point, lines=("p_det00", "e_Z", "rate_twisted", "rate_naive", "pct_gain")
+    )
 
     p_scan = sub.add_parser("scan", help="grid scan from a JSON config")
     p_scan.add_argument("--config", required=True, help="JSON config path")

@@ -20,8 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DetectionStats, GammaMatrix, stats_index
-from .errors import NoDetectionsError, SingularGammaError, UnphysicalStatsError
-from .qmath import psd_project, solve_linear
+from .errors import (
+    NoDetectionsError,
+    NotHermitianError,
+    SingularGammaError,
+    UnphysicalStatsError,
+)
+from .qmath import psd_project
 
 COND_LIMIT = 1e9
 CLIP_WARN = 1e-8
@@ -52,55 +57,88 @@ class EveGram:
 
 
 def _vector_to_matrix(e_vec: np.ndarray) -> np.ndarray:
-    E = np.zeros((4, 4), dtype=complex)
-    for m in range(2):
-        for mp in range(2):
-            for n in range(2):
-                for np_ in range(2):
-                    E[2 * m + n, 2 * mp + np_] = e_vec[8 * m + 4 * mp + 2 * n + np_]
-    return E
+    """Entry ``8m + 4m' + 2n + n'`` of each length-16 row to ``[2m+n, 2m'+n']``."""
+    shape = e_vec.shape[:-1]
+    return e_vec.reshape(*shape, 2, 2, 2, 2).swapaxes(-3, -2).reshape(*shape, 4, 4)
 
 
 def _matrix_to_vector(E: np.ndarray) -> np.ndarray:
-    v = np.zeros(16, dtype=complex)
-    for m in range(2):
-        for mp in range(2):
-            for n in range(2):
-                for np_ in range(2):
-                    v[8 * m + 4 * mp + 2 * n + np_] = E[2 * m + n, 2 * mp + np_]
-    return v
+    """Inverse of :func:`_vector_to_matrix`."""
+    shape = E.shape[:-2]
+    return E.reshape(*shape, 2, 2, 2, 2).swapaxes(-3, -2).reshape(*shape, 16)
 
 
-def solve_eve(gamma: GammaMatrix, stats: DetectionStats) -> EveGram:
-    """Recover the Gram matrix by solving the statistics linear system.
+def _gram_rows(gamma: GammaMatrix, p_det: np.ndarray):
+    """Repaired Gram matrices for N rows of statistics ``p_det`` (N, 16).
 
-    A linear solve is used rather than explicit inversion.  The result is
-    symmetrized to ``(E + E^dag)/2`` and repaired to PSD by clipping
-    negative eigenvalues; a repair above 1e-8 raises a warning and above
-    1e-4 the statistics are rejected as inconsistent with any quantum
-    channel under this package's conventions.
+    With ``gamma = RA (x) RB`` the linear system is
+    ``RA X RB^T = P`` for ``P = p_det.reshape(4, 4)``, so ``X = RA^-1 P RB^-T``
+    and ``raw = vec(X)``.  Returns ``(E, clipped, raw, errors)``: the repaired
+    matrices (N, 4, 4), the clipped mass and raw solution per row, and per
+    row the :class:`~twistqkd.errors.QkdError` it fails with, or None.  A
+    singular state matrix fails every row and is raised.
     """
     if not np.isfinite(gamma.cond) or gamma.cond >= COND_LIMIT:
         raise SingularGammaError(
             f"state matrix condition number {gamma.cond:.3e} exceeds {COND_LIMIT:.0e}; "
             "check that both ensembles pass the tetrahedron condition"
         )
-    result = solve_linear(gamma.gamma, stats.p_det.astype(complex), cond_limit=COND_LIMIT)
-    E = _vector_to_matrix(result.x)
-    E = 0.5 * (E + E.conj().T)
-    E_psd, clipped = psd_project(E, tol=1e-10)
-    if clipped > CLIP_ERROR:
-        raise UnphysicalStatsError(
-            f"PSD repair removed eigenvalue mass {clipped:.3e} (> {CLIP_ERROR:.0e}); "
-            "statistics are not consistent with any quantum channel"
-        )
-    if clipped > CLIP_WARN:
-        warnings.warn(
-            f"Gram reconstruction clipped eigenvalue mass {clipped:.3e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return EveGram(e_matrix=E_psd, clipped_mass=clipped, raw=result.x)
+    P = np.asarray(p_det, dtype=float).reshape(-1, 4, 4)
+    raw = (np.linalg.inv(gamma.RA) @ P @ np.linalg.inv(gamma.RB).T).reshape(-1, 16)
+    E = _vector_to_matrix(raw)
+    E = 0.5 * (E + E.conj().swapaxes(-1, -2))
+    errors = [None] * len(E)
+    finite = np.isfinite(E).all(axis=(-2, -1))
+    for i in np.flatnonzero(~finite):
+        errors[i] = NotHermitianError("matrix contains NaN or Inf entries")
+    E[~finite] = 0.0
+    E, clipped = psd_project(E, tol=1e-10)
+    for i in np.flatnonzero(clipped > CLIP_WARN):
+        if errors[i] is not None:
+            continue
+        if clipped[i] > CLIP_ERROR:
+            errors[i] = UnphysicalStatsError(
+                f"PSD repair removed eigenvalue mass {clipped[i]:.3e} (> {CLIP_ERROR:.0e}); "
+                "statistics are not consistent with any quantum channel"
+            )
+        else:
+            warnings.warn(
+                f"Gram reconstruction clipped eigenvalue mass {clipped[i]:.3e}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    return E, clipped, raw, errors
+
+
+def solve_eve(gamma: GammaMatrix, stats: DetectionStats) -> EveGram:
+    """Recover the Gram matrix by solving the statistics linear system.
+
+    The system is solved through the two 4x4 factors of the state matrix
+    rather than by explicit inversion of the 16x16 one.  The result is
+    symmetrized to ``(E + E^dag)/2`` and repaired to PSD by clipping
+    negative eigenvalues; a repair above 1e-8 raises a warning and above
+    1e-4 the statistics are rejected as inconsistent with any quantum
+    channel under this package's conventions.
+    """
+    E, clipped, raw, errors = _gram_rows(gamma, stats.p_det[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return EveGram(e_matrix=E[0], clipped_mass=float(clipped[0]), raw=raw[0])
+
+
+_KEYS = [stats_index(0, 0, x, y) for x in (0, 1) for y in (0, 1)]
+_MISMATCH = (stats_index(0, 0, 0, 1), stats_index(0, 0, 1, 0))
+
+
+def _key_rows(p_det: np.ndarray):
+    """``(p_det00, e_z, errors)`` for N rows of statistics ``p_det`` (N, 16)."""
+    p00 = p_det[:, _KEYS].sum(axis=1)
+    errors = [None] * len(p00)
+    for i in np.flatnonzero(p00 < 1e-300):
+        errors[i] = NoDetectionsError("key-basis detection probability is zero")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_z = (p_det[:, _MISMATCH[0]] + p_det[:, _MISMATCH[1]]) / p00
+    return p00, e_z, errors
 
 
 def key_basis_stats(stats: DetectionStats) -> tuple[float, float]:
@@ -109,9 +147,7 @@ def key_basis_stats(stats: DetectionStats) -> tuple[float, float]:
     ``p_det00`` sums the four (i, j) = (0, 0) entries; the bit error rate is
     the mismatch fraction ``(p[0,0,0,1] + p[0,0,1,0]) / p_det00``.
     """
-    keys = [stats_index(0, 0, x, y) for x in (0, 1) for y in (0, 1)]
-    p00 = float(stats.p_det[keys].sum())
-    if p00 < 1e-300:
-        raise NoDetectionsError("key-basis detection probability is zero")
-    mismatch = stats.p_det[stats_index(0, 0, 0, 1)] + stats.p_det[stats_index(0, 0, 1, 0)]
-    return p00, float(mismatch / p00)
+    p00, e_z, errors = _key_rows(stats.p_det[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return float(p00[0]), float(e_z[0])

@@ -1,10 +1,22 @@
 """Full key-rate pipeline, six-state rate formula, and parameter scans.
 
-One parameter point runs: simulate (or ingest) detection statistics, build
-the 16x16 state matrix, recover the measurement node's Gram matrix, read
-off the key-basis statistics, optimize the twisted phase errors (and the
-fixed-purification baseline), then evaluate the six-state key rate for
-both.
+One point runs: simulate (or ingest) detection statistics, recover the
+measurement node's Gram matrix through the two 4x4 factors of the state
+matrix, read off the key-basis statistics, optimize the twisted phase
+errors (and the fixed-purification baseline), then evaluate the six-state
+key rate for both.
+
+Every evaluation goes through one kernel, :func:`_evaluate`, which takes one
+ensemble pair and N rows of detection statistics.  The work that depends
+only on the ensembles is done once per call: the tetrahedron checks, the
+per-party state matrices with their inverses and condition number, the
+validated ancilla blocks with their eigenbases, and the baseline's
+purification pairings.  Everything that depends on the statistics (Gram
+solve, PSD repair, key-basis statistics, trace norms, baseline values and
+rates) runs on arrays over the N rows, and each row fails on its own with
+the error a single point would raise.  :func:`keyrate_point` is the kernel
+with N = 1; :func:`scan` calls it once per (delta, depol) with one row per
+distance.
 """
 
 from __future__ import annotations
@@ -15,9 +27,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import entr
 
-from .channel import ChannelParams, DetectionStats, build_gamma, detection_stats
+from .channel import ChannelParams, DetectionStats, _detection_rows, build_gamma
 from .errors import (
     DomainError,
     InvalidParamsError,
@@ -25,7 +36,7 @@ from .errors import (
     QkdError,
     SingularGammaError,
 )
-from .evegram import key_basis_stats, solve_eve
+from .evegram import _gram_rows, _key_rows
 from .states import (
     ModelParams,
     SignalEnsemble,
@@ -33,11 +44,22 @@ from .states import (
     model_states,
     tetrahedron_check,
 )
-from .twist import TwistProblem, naive_phase_errors, optimize_phase_errors
+from .twist import _checked_blocks, _key_blocks, _naive_rows, _phase_error_rows, _scalar_errors
 
 _LN2 = math.log(2.0)
 _EZ_FLOOR = 1e-12
 _PHASE_TOL = 1e-9
+_ENTROPY_TOL = 1e-12
+
+
+def _entropy(x):
+    """``h2`` of arguments already within [0, 1], elementwise."""
+    y = 1.0 - x
+    return -(x * np.log(np.where(x > 0.0, x, 1.0)) + y * np.log(np.where(y > 0.0, y, 1.0))) / _LN2
+
+
+def _outside_entropy_domain(x):
+    return (x < -_ENTROPY_TOL) | (x > 1.0 + _ENTROPY_TOL)
 
 
 def binary_entropy(x: float) -> float:
@@ -47,25 +69,67 @@ def binary_entropy(x: float) -> float:
     raises ``DomainError``.  ``h2(0) = h2(1) = 0``.
     """
     x = float(x)
-    if x < -1e-12 or x > 1.0 + 1e-12:
+    if _outside_entropy_domain(x):
         raise DomainError(f"binary entropy argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    return float((entr(x) + entr(1.0 - x)) / _LN2)
+    return float(_entropy(min(max(x, 0.0), 1.0)))
 
 
-def _six_state_raw(p_det00: float, e_z: float, e_minus: float, e_plus: float, f: float) -> float:
-    """The unclamped six-state rate; inputs assumed within their domains."""
-    if e_z < _EZ_FLOOR:
-        bit_flip_term = 0.0
-        phase_term = (1.0 - e_z) * binary_entropy(1.0 - e_plus / 2.0)
-    else:
-        bit_flip_term = e_z * binary_entropy((1.0 + e_minus / e_z) / 2.0)
-        if 1.0 - e_z < _EZ_FLOOR:
-            phase_term = 0.0
-        else:
-            arg = (1.0 - (e_plus + e_z) / 2.0) / (1.0 - e_z)
-            phase_term = (1.0 - e_z) * binary_entropy(min(max(arg, 0.0), 1.0))
-    return p_det00 * (1.0 - f * binary_entropy(e_z) - bit_flip_term - phase_term)
+def _merge(errors: list, new: list) -> None:
+    """Record each row's first error: keep earlier errors, add new ones."""
+    for i, error in enumerate(new):
+        if errors[i] is None:
+            errors[i] = error
+
+
+def _raw_rates(p_det00, e_z, e_minus, e_plus, f):
+    """The unclamped six-state rate per row, and per row the
+    :class:`DomainError` of the first entropy argument outside [0, 1]."""
+    low = e_z < _EZ_FLOOR
+    high = 1.0 - e_z < _EZ_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # h2 argument of the bit-flip term, or of the phase term when e_z is 0
+        first = np.where(low, 1.0 - e_plus / 2.0, (1.0 + e_minus / e_z) / 2.0)
+        phase_arg = np.clip((1.0 - (e_plus + e_z) / 2.0) / (1.0 - e_z), 0.0, 1.0)
+    h_first = _entropy(np.clip(first, 0.0, 1.0))
+    bit_flip = np.where(low, 0.0, e_z * h_first)
+    h_phase = np.where(low, h_first, np.where(high, 0.0, _entropy(phase_arg)))
+    phase = (1.0 - e_z) * h_phase
+    raw = p_det00 * (1.0 - f * _entropy(np.clip(e_z, 0.0, 1.0)) - bit_flip - phase)
+    errors = [None] * len(raw)
+    # ``first`` is evaluated before ``e_z``, so its error is written last
+    for args in (e_z, first):
+        for i in np.flatnonzero(_outside_entropy_domain(args)):
+            errors[i] = DomainError(f"binary entropy argument {float(args[i])} outside [0, 1]")
+    return raw, errors
+
+
+def _rates(p_det00, e_z, e_minus, e_plus, f):
+    """Per row: the six-state rate clamped at zero, the unclamped formula
+    value, the :class:`DomainError` of the unclamped formula and the
+    :class:`InvalidPhaseError` of the first violated window."""
+    checks = (
+        (e_minus >= -_PHASE_TOL, "e_minus = {m} < 0"),
+        (e_minus <= e_z + _PHASE_TOL, "e_minus = {m} > e_z = {z}"),
+        ((-_PHASE_TOL <= e_z) & (e_z <= 1.0 + _PHASE_TOL), "e_z = {z} outside [0, 1]"),
+        (e_plus >= e_z - _PHASE_TOL, "e_plus = {p} < e_z = {z}"),
+        (e_plus <= 1.0 + _PHASE_TOL, "e_plus = {p} > 1"),
+    )
+    window_errors = [None] * len(p_det00)
+    for ok, message in reversed(checks):  # the later write wins
+        for i in np.flatnonzero(~ok):
+            values = {"m": float(e_minus[i]), "z": float(e_z[i]), "p": float(e_plus[i])}
+            window_errors[i] = InvalidPhaseError(message.format(**values))
+    clamped_z = np.clip(e_z, 0.0, 1.0)
+    # One formula evaluation for the unclamped rows and the clamped ones.
+    raw, domain_errors = _raw_rates(
+        np.concatenate([p_det00, p_det00]),
+        np.concatenate([e_z, clamped_z]),
+        np.concatenate([e_minus, np.clip(e_minus, 0.0, clamped_z)]),
+        np.concatenate([e_plus, np.clip(e_plus, clamped_z, 1.0)]),
+        f,
+    )
+    n = len(p_det00)
+    return np.maximum(raw[n:], 0.0), raw[:n], domain_errors[:n], window_errors
 
 
 def six_state_rate(
@@ -81,20 +145,10 @@ def six_state_rate(
     ``e_Z`` below 1e-12 the bit-flip term vanishes and the last term uses
     its limit ``h2(1 - e_plus/2)``.
     """
-    checks = (
-        (e_minus >= -_PHASE_TOL, f"e_minus = {e_minus} < 0"),
-        (e_minus <= e_z + _PHASE_TOL, f"e_minus = {e_minus} > e_z = {e_z}"),
-        (-_PHASE_TOL <= e_z <= 1.0 + _PHASE_TOL, f"e_z = {e_z} outside [0, 1]"),
-        (e_plus >= e_z - _PHASE_TOL, f"e_plus = {e_plus} < e_z = {e_z}"),
-        (e_plus <= 1.0 + _PHASE_TOL, f"e_plus = {e_plus} > 1"),
-    )
-    for ok, msg in checks:
-        if not ok:
-            raise InvalidPhaseError(msg)
-    e_z = min(max(e_z, 0.0), 1.0)
-    e_minus = min(max(e_minus, 0.0), e_z)
-    e_plus = min(max(e_plus, e_z), 1.0)
-    return max(_six_state_raw(p_det00, e_z, e_minus, e_plus, f), 0.0)
+    rate, _, _, errors = _rates(*(np.array([float(v)]) for v in (p_det00, e_z, e_minus, e_plus)), f)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(rate[0])
 
 
 @dataclass
@@ -116,6 +170,105 @@ class KeyRateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _evaluate(
+    alice: SignalEnsemble,
+    bob: SignalEnsemble,
+    channels: list,
+    f: float = 1.0,
+    stats: DetectionStats | None = None,
+) -> list:
+    """Evaluate one ensemble pair at N points, one per channel.
+
+    The statistics of each row are simulated for its channel, or are the
+    injected ``stats`` on every row.  Returns per row a
+    :class:`KeyRateResult` or the :class:`~twistqkd.errors.QkdError` the
+    point fails with; an error of the ensembles fails every row.
+    """
+    n = len(channels)
+    errors = [None] * n
+    try:
+        tetra_a = tetrahedron_check(alice)
+        tetra_b = tetrahedron_check(bob)
+        if not tetra_a.passed or not tetra_b.passed:
+            bad = "Alice" if not tetra_a.passed else "Bob"
+            raise SingularGammaError(
+                f"{bad}'s ensemble fails the tetrahedron condition; "
+                "detection statistics cannot determine the Gram matrix"
+            )
+        gamma = build_gamma(alice, bob)
+        if stats is None:
+            p_det = _detection_rows(gamma.RA, gamma.RB, alice.priors, bob.priors, channels)
+        else:
+            p_det = np.broadcast_to(stats.p_det, (n, 16))
+        E, clipped, _, row_errors = _gram_rows(gamma, p_det)
+        _merge(errors, row_errors)
+        p00, e_z, row_errors = _key_rows(p_det)
+        _merge(errors, row_errors)
+        _merge(errors, _scalar_errors(p00, e_z))
+        if all(error is not None for error in errors):
+            return errors
+        ak, bk = alice.key_states(), bob.key_states()
+        blocks = _checked_blocks(_key_blocks(ak, bk))
+        # Rows that already failed carry values such as p00 = 0 from here on.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e_minus, e_plus, bound_minus, bound_plus = _phase_error_rows(
+                blocks, E, p00, np.clip(e_z, 0.0, 1.0)
+            )
+            naive_signed, naive_plus = _naive_rows(ak, bk, E, p00)
+            # The rate formula is even in e_minus (h2((1+t)/2) = h2((1-t)/2)),
+            # so the signed baseline value enters through its magnitude.
+            naive_minus = np.minimum(np.abs(naive_signed), e_z)
+            # Twisted rows then baseline rows, in one evaluation.
+            rate, raw, domain_errors, window_errors = _rates(
+                np.concatenate([p00, p00]),
+                np.concatenate([e_z, e_z]),
+                np.concatenate([e_minus, naive_minus]),
+                np.concatenate([e_plus, naive_plus]),
+                f,
+            )
+            for part in (slice(0, n), slice(n, 2 * n)):
+                _merge(errors, domain_errors[part])
+                _merge(errors, window_errors[part])
+            rate_twisted, rate_naive = rate[:n], rate[n:]
+            raw_twisted, raw_naive = raw[:n], raw[n:]
+            pct_gain = np.where(
+                rate_naive > 0.0,
+                100.0 * (rate_twisted - rate_naive) / rate_naive,
+                np.where(rate_twisted > 0.0, math.inf, 0.0),
+            )
+    except QkdError as exc:
+        return [exc if error is None else error for error in errors]
+
+    fields = {
+        "p_det00": p00, "e_z": e_z, "e_minus": e_minus, "e_plus": e_plus,
+        "rate_twisted": rate_twisted, "rate_naive": rate_naive, "pct_gain": pct_gain,
+    }
+    diagnostics = {
+        "twist_bound_minus": bound_minus,
+        "twist_bound_plus": bound_plus,
+        "rate_twisted_raw": raw_twisted,
+        "rate_naive_raw": raw_naive,
+        "naive_e_minus_signed": naive_signed,
+        "naive_e_plus": naive_plus,
+    }
+    fields = {name: values.tolist() for name, values in fields.items()}
+    diagnostics = {name: values.tolist() for name, values in diagnostics.items()}
+    clipped = clipped.tolist()
+    return [
+        error if error is not None else KeyRateResult(
+            **{name: values[i] for name, values in fields.items()},
+            diagnostics={
+                "gamma_cond": gamma.cond,
+                "clipped_mass": clipped[i],
+                "tetra_alice_det": tetra_a.determinant,
+                "tetra_bob_det": tetra_b.determinant,
+                **{name: values[i] for name, values in diagnostics.items()},
+            },
+        )
+        for i, error in enumerate(errors)
+    ]
+
+
 def keyrate_point(
     alice: SignalEnsemble,
     bob: SignalEnsemble,
@@ -129,62 +282,10 @@ def keyrate_point(
     honest-channel simulation; the ensembles are still needed to build the
     state matrix and the purification constraints.
     """
-    tetra_a = tetrahedron_check(alice)
-    tetra_b = tetrahedron_check(bob)
-    if not tetra_a.passed or not tetra_b.passed:
-        bad = "Alice" if not tetra_a.passed else "Bob"
-        raise SingularGammaError(
-            f"{bad}'s ensemble fails the tetrahedron condition; "
-            "detection statistics cannot determine the Gram matrix"
-        )
-    if stats is None:
-        stats = detection_stats(alice, bob, channel)
-    gamma = build_gamma(alice, bob)
-    eve = solve_eve(gamma, stats)
-    p_det00, e_z = key_basis_stats(stats)
-
-    problem = TwistProblem.from_key_states(
-        alice.key_states(), bob.key_states(), eve, p_det00, e_z
-    )
-    optimized = optimize_phase_errors(problem)
-    naive = naive_phase_errors(alice.key_states(), bob.key_states(), eve, p_det00)
-
-    raw_twisted = _six_state_raw(p_det00, e_z, optimized.e_minus, optimized.e_plus, f)
-    rate_twisted = six_state_rate(p_det00, e_z, optimized.e_minus, optimized.e_plus, f)
-    # The rate formula is even in e_minus (h2((1+t)/2) = h2((1-t)/2)), so the
-    # signed baseline value enters through its magnitude.
-    naive_minus = min(abs(naive.e_minus), e_z)
-    raw_naive = _six_state_raw(p_det00, e_z, naive_minus, naive.e_plus, f)
-    rate_naive = six_state_rate(p_det00, e_z, naive_minus, naive.e_plus, f)
-
-    if rate_naive > 0.0:
-        pct_gain = 100.0 * (rate_twisted - rate_naive) / rate_naive
-    elif rate_twisted > 0.0:
-        pct_gain = math.inf
-    else:
-        pct_gain = 0.0
-
-    return KeyRateResult(
-        p_det00=p_det00,
-        e_z=e_z,
-        e_minus=optimized.e_minus,
-        e_plus=optimized.e_plus,
-        rate_twisted=rate_twisted,
-        rate_naive=rate_naive,
-        pct_gain=pct_gain,
-        diagnostics={
-            "gamma_cond": gamma.cond,
-            "clipped_mass": eve.clipped_mass,
-            "tetra_alice_det": tetra_a.determinant,
-            "tetra_bob_det": tetra_b.determinant,
-            "twist_bound_minus": optimized.bound_minus,
-            "twist_bound_plus": optimized.bound_plus,
-            "rate_twisted_raw": raw_twisted,
-            "rate_naive_raw": raw_naive,
-            "naive_e_minus_signed": naive.e_minus,
-            "naive_e_plus": naive.e_plus,
-        },
-    )
+    result = _evaluate(alice, bob, [channel], f=f, stats=stats)[0]
+    if isinstance(result, QkdError):
+        raise result
+    return result
 
 
 @dataclass
@@ -346,6 +447,7 @@ SCAN_COLUMNS = (
     "rate_naive",
     "rate_twisted",
     "pct_gain",
+    "error",
     "status",
 )
 
@@ -353,28 +455,33 @@ SCAN_COLUMNS = (
 def scan(config: ScanConfig) -> list[ScanRow]:
     """Evaluate the pipeline over the whole grid.
 
-    Grid points are independent and evaluated in deterministic order
-    (delta, then depol, then distance).  A point that raises a
-    :class:`~twistqkd.errors.QkdError` is recorded in its row and the scan
-    continues; any other exception propagates.
+    Grid points are evaluated in deterministic order (delta, then depol,
+    then distance).  Each (delta, depol) ensemble pair is one kernel call
+    whose rows are the distances: the ensemble work is done once and the
+    distance axis runs as arrays.  A point that fails with a
+    :class:`~twistqkd.errors.QkdError` is recorded in its row with its
+    message and the scan continues; any other exception propagates.
     """
+    channels = []
+    for distance in config.distances:
+        try:
+            channels.append(config.channel_for(distance))
+        except QkdError as exc:
+            channels.append(exc)
+    valid = [c for c in channels if not isinstance(c, QkdError)]
     rows = []
     for delta in config.deltas:
         for depol in config.depols:
             alice, bob = config.ensembles_for(delta, depol)
-            for distance in config.distances:
+            outcomes = iter(_evaluate(alice, bob, valid, f=config.f, stats=config.stats))
+            for distance, channel in zip(config.distances, channels):
+                outcome = channel if isinstance(channel, QkdError) else next(outcomes)
                 row = ScanRow(delta, depol, float(distance), result=None, status="ok")
-                try:
-                    row.result = keyrate_point(
-                        alice,
-                        bob,
-                        config.channel_for(distance),
-                        f=config.f,
-                        stats=config.stats,
-                    )
-                except QkdError as exc:
-                    row.status = type(exc).__name__
-                    row.error = str(exc)
+                if isinstance(outcome, QkdError):
+                    row.status = type(outcome).__name__
+                    row.error = str(outcome)
+                else:
+                    row.result = outcome
                 rows.append(row)
     return rows
 
@@ -386,11 +493,13 @@ def _row_values(row: ScanRow) -> list:
         nums += [math.nan] * 7
     else:
         nums += [r.p_det00, r.e_z, r.e_minus, r.e_plus, r.rate_naive, r.rate_twisted, r.pct_gain]
-    return [f"{v:.12g}" for v in nums] + [row.status]
+    return [f"{v:.12g}" for v in nums] + [row.error, row.status]
 
 
 def scan_to_csv(rows: list, path) -> None:
-    """Write scan rows as CSV with 12 significant digits per float."""
+    """Write scan rows as CSV with 12 significant digits per float.
+
+    ``error`` holds the message of a failed row and is empty otherwise."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCAN_COLUMNS)

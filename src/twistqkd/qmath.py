@@ -30,21 +30,25 @@ PAULI = np.stack([SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 def require_hermitian(M, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
-    """Validate that ``M`` is a finite square Hermitian matrix.
+    """Validate that ``M`` is a finite square Hermitian matrix, or a stack
+    ``(..., n, n)`` of them.
 
-    The asymmetry ``||M - M^dag||_F`` is compared against
-    ``tol * max(1, ||M||_F)``.  Returns ``M`` as a complex array.
+    The asymmetry ``||M - M^dag||_F`` of each matrix is compared against
+    ``tol * max(1, ||M||_F)``; the worst matrix is reported.  Returns ``M``
+    as a complex array.
     """
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise NotHermitianError(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    if not np.isfinite(M).all():
         raise NotHermitianError(f"{name} contains NaN or Inf entries")
-    scale = max(1.0, float(np.linalg.norm(M)))
-    asym = float(np.linalg.norm(M - M.conj().T))
-    if asym > tol * scale:
+    scale = np.maximum(1.0, np.linalg.norm(M, axis=(-2, -1)))
+    asym = np.linalg.norm(M - M.conj().swapaxes(-1, -2), axis=(-2, -1))
+    if np.any(asym > tol * scale):
+        worst = np.unravel_index(np.argmax(asym / scale), asym.shape)
         raise NotHermitianError(
-            f"{name} is not Hermitian: asymmetry {asym:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"{name} is not Hermitian: asymmetry {asym[worst]:.3e} exceeds "
+            f"{tol:.1e} * {scale[worst]:.3e}"
         )
     return M
 
@@ -81,8 +85,11 @@ def unvec_rowmajor(v) -> np.ndarray:
 
 
 def kron(A, B) -> np.ndarray:
-    """Kronecker product, ``(A (x) B)[a*rB+b, c*cB+d] = A[a,c] B[b,d]``."""
-    return np.kron(np.asarray(A), np.asarray(B))
+    """Kronecker product of two matrices,
+    ``(A (x) B)[a*rB+b, c*cB+d] = A[a,c] B[b,d]``."""
+    A, B = np.asarray(A), np.asarray(B)
+    (rA, cA), (rB, cB) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(rA * rB, cA * cB)
 
 
 @dataclass
@@ -115,22 +122,22 @@ def solve_linear(A, b, cond_limit: float = 1e13) -> SolveResult:
     return SolveResult(x=x, residual=residual, cond=cond)
 
 
-def psd_project(M, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, float]:
-    """Project a Hermitian matrix onto the PSD cone by eigenvalue clipping.
+def psd_project(M, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, float | np.ndarray]:
+    """Project a Hermitian matrix, or each of a stack ``(..., n, n)``, onto
+    the PSD cone by eigenvalue clipping.
 
     Returns ``(M_psd, clipped_mass)`` where ``clipped_mass`` is the total
-    magnitude of the negative eigenvalues that were zeroed.  The input is
-    returned unchanged when it is already PSD.  ``tol`` is the Hermiticity
-    validation tolerance; the clipping floor itself is exactly zero, which
-    yields the nearest PSD matrix in Frobenius norm.
+    magnitude of the negative eigenvalues that were zeroed, one per matrix.
+    A matrix that is already PSD is returned unchanged (the input itself
+    when no matrix needs clipping).  ``tol`` is the Hermiticity validation
+    tolerance; the clipping floor itself is exactly zero, which yields the
+    nearest PSD matrix in Frobenius norm.
     """
     M = require_hermitian(M, tol=tol)
     w, V = np.linalg.eigh(M)
-    clipped_mass = float(-np.sum(w[w < 0.0]))
-    if clipped_mass == 0.0:
-        return M, 0.0
-    w_clipped = np.maximum(w, 0.0)
-    M_psd = (V * w_clipped) @ V.conj().T
-    M_psd = 0.5 * (M_psd + M_psd.conj().T)
-    return M_psd, clipped_mass
-
+    clipped_mass = np.sum(np.maximum(-w, 0.0), axis=-1)
+    if not np.any(clipped_mass):
+        return M, clipped_mass
+    M_psd = (V * np.maximum(w, 0.0)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    M_psd = 0.5 * (M_psd + M_psd.conj().swapaxes(-1, -2))
+    return np.where((clipped_mass > 0.0)[..., None, None], M_psd, M), clipped_mass

@@ -157,7 +157,7 @@ def stokes(state: QubitState) -> np.ndarray:
     vector scaled by it.  H is the +Z pole, so ``|H><H|`` with probability 1
     maps to ``(1, 0, 0, 1)``.
     """
-    return np.array([state.prob * float(np.trace(s @ state.rho).real) for s in PAULI])
+    return state.prob * np.einsum("kij,ji->k", PAULI, state.rho).real
 
 
 @dataclass

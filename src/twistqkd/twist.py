@@ -50,6 +50,35 @@ def ancilla_gram_block(alice_state: QubitState, bob_state: QubitState) -> np.nda
     return alice_state.prob * bob_state.prob * kron(alice_state.rho, bob_state.rho)
 
 
+def _key_blocks(alice_key, bob_key) -> dict:
+    return {(x, y): ancilla_gram_block(alice_key[x], bob_key[y]) for x in (0, 1) for y in (0, 1)}
+
+
+def _checked_blocks(blocks: dict) -> dict:
+    """The four ancilla Gram blocks, validated as Hermitian PSD matrices."""
+    checked = {}
+    for pair in _KEY_PAIRS:
+        if pair not in blocks:
+            raise InvalidParamsError(f"missing ancilla Gram block for key pair {pair}")
+        W = require_hermitian(blocks[pair], tol=1e-10, name=f"block {pair}")
+        wmin = float(np.linalg.eigvalsh(W)[0])
+        if wmin < -1e-10:
+            raise InvalidParamsError(f"ancilla Gram block {pair} is not PSD")
+        checked[pair] = W
+    return checked
+
+
+def _scalar_errors(p_det00: np.ndarray, e_z: np.ndarray) -> list:
+    """Per row, the :class:`InvalidParamsError` of an out-of-range
+    ``p_det00`` or ``e_z`` (checked in that order), or None."""
+    errors = [None] * len(p_det00)
+    for i in np.flatnonzero(~((e_z >= -1e-12) & (e_z <= 1 + 1e-12))):
+        errors[i] = InvalidParamsError(f"e_z must be in [0, 1], got {float(e_z[i])}")
+    for i in np.flatnonzero(p_det00 <= 0):
+        errors[i] = InvalidParamsError(f"p_det00 must be positive, got {float(p_det00[i])}")
+    return errors
+
+
 @dataclass
 class TwistProblem:
     """Inputs of the two phase-error optimizations for one parameter point.
@@ -65,29 +94,16 @@ class TwistProblem:
     e_z: float
 
     def __post_init__(self):
-        if self.p_det00 <= 0:
-            raise InvalidParamsError(f"p_det00 must be positive, got {self.p_det00}")
-        if not (-1e-12 <= self.e_z <= 1 + 1e-12):
-            raise InvalidParamsError(f"e_z must be in [0, 1], got {self.e_z}")
+        error = _scalar_errors(np.array([self.p_det00]), np.array([self.e_z]))[0]
+        if error is not None:
+            raise error
         self.e_z = min(max(self.e_z, 0.0), 1.0)
-        for pair in _KEY_PAIRS:
-            if pair not in self.blocks:
-                raise InvalidParamsError(f"missing ancilla Gram block for key pair {pair}")
-            W = require_hermitian(self.blocks[pair], tol=1e-10, name=f"block {pair}")
-            wmin = float(np.linalg.eigvalsh(W)[0])
-            if wmin < -1e-10:
-                raise InvalidParamsError(f"ancilla Gram block {pair} is not PSD")
-            self.blocks[pair] = W
+        self.blocks.update(_checked_blocks(self.blocks))
 
     @classmethod
     def from_key_states(cls, alice_key, bob_key, eve: EveGram, p_det00: float, e_z: float):
         """Assemble the problem from each party's two key-generation states."""
-        blocks = {
-            (x, y): ancilla_gram_block(alice_key[x], bob_key[y])
-            for x in (0, 1)
-            for y in (0, 1)
-        }
-        return cls(blocks=blocks, eve_gram=eve, p_det00=p_det00, e_z=e_z)
+        return cls(blocks=_key_blocks(alice_key, bob_key), eve_gram=eve, p_det00=p_det00, e_z=e_z)
 
 
 @dataclass
@@ -128,27 +144,45 @@ def _reduce_block(W: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
     return w[keep].copy(), V[:, keep].copy()
 
 
-def _twist_bound(problem: TwistProblem, left: tuple, right: tuple) -> float:
+def _trace_norms(blocks: dict, left: tuple, right: tuple, E: np.ndarray, p_det00: np.ndarray):
     """``(2/p_det00) * ||Lam1^{1/2} (V1^T E V2^*) Lam2^{1/2}||_1`` for the
-    blocks of key pairs ``left`` and ``right``: the largest value of
-    ``+/-(2/p_det00) Re sum E[a,b] X[a,b]`` over the reachable cross blocks."""
-    lam1, V1 = _reduce_block(problem.blocks[left], str(left))
-    lam2, V2 = _reduce_block(problem.blocks[right], str(right))
-    pairing = V1.T @ problem.eve_gram.e_matrix @ V2.conj()
+    blocks of key pairs ``left`` and ``right``, per Gram matrix of ``E``
+    (N, 4, 4): the largest value of ``+/-(2/p_det00) Re sum E[a,b] X[a,b]``
+    over the reachable cross blocks."""
+    lam1, V1 = _reduce_block(blocks[left], str(left))
+    lam2, V2 = _reduce_block(blocks[right], str(right))
+    pairing = V1.T @ E @ V2.conj()
     pairing = np.sqrt(lam1)[:, None] * pairing * np.sqrt(lam2)[None, :]
-    return 2.0 / problem.p_det00 * float(np.sum(np.linalg.svd(pairing, compute_uv=False)))
+    return 2.0 / p_det00 * np.sum(np.linalg.svd(pairing, compute_uv=False), axis=-1)
+
+
+def _phase_error_rows(blocks: dict, E: np.ndarray, p_det00: np.ndarray, e_z: np.ndarray):
+    """Optimized ``(e_minus, e_plus, s_minus, 1 - s_plus)`` for N rows.
+
+    The eigenbases of the blocks are computed once for all rows; ``e_z`` is
+    the clamped bit error rate of each row."""
+    s_minus = _trace_norms(blocks, (0, 1), (1, 0), E, p_det00)
+    s_plus = _trace_norms(blocks, (0, 0), (1, 1), E, p_det00)
+    return np.minimum(s_minus, e_z), np.maximum(1.0 - s_plus, e_z), s_minus, 1.0 - s_plus
 
 
 def optimize_phase_errors(problem: TwistProblem) -> PhaseErrors:
     """Optimized phase errors over all twists, in closed form."""
-    s_minus = _twist_bound(problem, (0, 1), (1, 0))
-    s_plus = _twist_bound(problem, (0, 0), (1, 1))
-    return PhaseErrors(
-        e_minus=min(s_minus, problem.e_z),
-        e_plus=max(1.0 - s_plus, problem.e_z),
-        bound_minus=s_minus,
-        bound_plus=1.0 - s_plus,
+    rows = _phase_error_rows(
+        problem.blocks,
+        problem.eve_gram.e_matrix[None],
+        np.array([problem.p_det00]),
+        np.array([problem.e_z]),
     )
+    e_minus, e_plus, bound_minus, bound_plus = (float(v[0]) for v in rows)
+    return PhaseErrors(e_minus, e_plus, bound_minus, bound_plus)
+
+
+def _purification_factor(state: QubitState) -> np.ndarray:
+    """``F`` with ``prob * rho = F F^dag``: column k is the k-th eigenvector
+    (decreasing eigenvalues) scaled by ``sqrt(prob * lam_k)``."""
+    w, V = eig2_hermitian(state.rho)
+    return np.sqrt(state.prob) * (V * np.sqrt(np.clip(w, 0.0, None)))
 
 
 def _purification_vectors(alice_state: QubitState, bob_state: QubitState) -> np.ndarray:
@@ -159,14 +193,10 @@ def _purification_vectors(alice_state: QubitState, bob_state: QubitState) -> np.
     eigenvalues in decreasing order:
 
         Gamma[2m+n, 2k+k'] = sqrt(p q) sqrt(lam_k mu_k') v_k[m] w_k'[n]
+
+    which is the Kronecker product of the two parties' factors.
     """
-    wA, VA = eig2_hermitian(alice_state.rho)
-    wB, VB = eig2_hermitian(bob_state.rho)
-    wA = np.sqrt(np.clip(wA, 0.0, None))
-    wB = np.sqrt(np.clip(wB, 0.0, None))
-    scale = np.sqrt(alice_state.prob * bob_state.prob)
-    G = scale * np.einsum("k,p,mk,np->mnkp", wA, wB, VA, VB)
-    return G.reshape(4, 4)
+    return kron(_purification_factor(alice_state), _purification_factor(bob_state))
 
 
 def naive_twist_gram(alice_key, bob_key, pair: str = "plus") -> np.ndarray:
@@ -201,13 +231,22 @@ def naive_phase_errors(alice_key, bob_key, eve: EveGram, p_det00: float) -> Phas
     optimum, 0.0513) up to 1.95.  The twisted optimum absorbs every such
     phase and does not move.
     """
-    G00 = _purification_vectors(alice_key[0], bob_key[0])
-    G11 = _purification_vectors(alice_key[1], bob_key[1])
-    G01 = _purification_vectors(alice_key[0], bob_key[1])
-    G10 = _purification_vectors(alice_key[1], bob_key[0])
-    E = eve.e_matrix
-    s_plus = float(np.real(np.sum(E * (G00 @ G11.conj().T))))
-    s_minus = float(np.real(np.sum(E * (G01 @ G10.conj().T))))
-    e_plus = 1.0 - 2.0 * s_plus / p_det00
-    e_minus = -2.0 * s_minus / p_det00
-    return PhaseErrors(e_minus=e_minus, e_plus=e_plus)
+    e_minus, e_plus = _naive_rows(alice_key, bob_key, eve.e_matrix[None], np.array([p_det00]))
+    return PhaseErrors(e_minus=float(e_minus[0]), e_plus=float(e_plus[0]))
+
+
+def _naive_rows(alice_key, bob_key, E: np.ndarray, p_det00: np.ndarray):
+    """Signed ``e_minus`` and ``e_plus`` of the eigenbasis purification for
+    N Gram matrices ``E`` (N, 4, 4).
+
+    The pairings ``G00 G11^dag`` and ``G01 G10^dag`` of the purification
+    vectors are built once, as Kronecker products of the parties' factors.
+    """
+    A0, A1 = (_purification_factor(s) for s in alice_key)
+    B0, B1 = (_purification_factor(s) for s in bob_key)
+    alice_pairing = A0 @ A1.conj().T
+    pairing_plus = kron(alice_pairing, B0 @ B1.conj().T)
+    pairing_minus = kron(alice_pairing, B1 @ B0.conj().T)
+    s_plus = np.real(np.sum(E * pairing_plus, axis=(-2, -1)))
+    s_minus = np.real(np.sum(E * pairing_minus, axis=(-2, -1)))
+    return -2.0 * s_minus / p_det00, 1.0 - 2.0 * s_plus / p_det00

@@ -1,0 +1,142 @@
+"""Properties of the batched pipeline: a scan row is the point it stands
+for, whatever else shares its kernel call."""
+
+import math
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_ensemble
+from twistqkd.channel import ChannelParams, DetectionStats, build_gamma, detection_stats
+from twistqkd.errors import QkdError
+from twistqkd.evegram import _matrix_to_vector, _vector_to_matrix, solve_eve
+from twistqkd.keyrate import ScanConfig, keyrate_point, scan
+from twistqkd.states import ModelParams, model_states
+
+ETA, P_DARK = 0.5, 1e-5
+FIELDS = ("p_det00", "e_z", "e_minus", "e_plus", "rate_twisted", "rate_naive", "pct_gain")
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None)
+
+deltas = st.lists(st.floats(0.0, 0.2), min_size=1, max_size=2)
+depols = st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 0.1)), min_size=1, max_size=2)
+distances = st.lists(st.floats(0.0, 150.0), min_size=1, max_size=20)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def close(a, b):
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12) or (math.isnan(a) and math.isnan(b))
+
+
+def assert_row_is_point(row, evaluate):
+    """``row`` has the status, message and values of ``evaluate()``."""
+    try:
+        direct = evaluate()
+    except QkdError as exc:
+        assert (row.status, row.error, row.result) == (type(exc).__name__, str(exc), None)
+        return
+    assert (row.status, row.error) == ("ok", "")
+    for name in FIELDS:
+        assert close(getattr(row.result, name), getattr(direct, name)), name
+    assert row.result.diagnostics.keys() == direct.diagnostics.keys()
+    for key, value in direct.diagnostics.items():
+        assert close(row.result.diagnostics[key], value), key
+
+
+def model_config(delta_list, depol_list, distance_list):
+    return ScanConfig(
+        deltas=delta_list, depols=depol_list, distances=distance_list, eta=ETA, p_dark=P_DARK
+    )
+
+
+def asym_config(seed, distance_list):
+    """Scan config of a random asymmetric pair with injected statistics."""
+    rng = np.random.default_rng(seed)
+    alice, bob = random_ensemble(rng), random_ensemble(rng)
+    channel = ChannelParams(eta=ETA, p_dark=P_DARK, distance_km=rng.uniform(0.0, 150.0))
+    return ScanConfig(
+        deltas=[0.0], depols=[0.0], distances=distance_list, eta=ETA, p_dark=P_DARK,
+        alice_states=alice, bob_states=bob, stats=detection_stats(alice, bob, channel),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(deltas, depols, distances)
+def test_model_scan_rows_match_points(delta_list, depol_list, distance_list):
+    config = model_config(delta_list, depol_list, distance_list)
+    for row in scan(config):
+        ens = model_states(ModelParams(delta=row.delta, depol=row.depol))
+        channel = config.channel_for(row.distance_km)
+        assert_row_is_point(row, lambda: keyrate_point(ens, ens, channel))
+
+
+@PROPERTY_SETTINGS
+@given(seeds, distances)
+def test_injected_stats_scan_rows_match_points(seed, distance_list):
+    config = asym_config(seed, distance_list)
+    for row in scan(config):
+        channel = config.channel_for(row.distance_km)
+        assert_row_is_point(
+            row,
+            lambda: keyrate_point(
+                config.alice_states, config.bob_states, channel, stats=config.stats
+            ),
+        )
+
+
+@PROPERTY_SETTINGS
+@given(deltas, depols, distances, seeds)
+def test_ok_rows_respect_the_rate_windows(delta_list, depol_list, distance_list, seed):
+    rows = scan(model_config(delta_list, depol_list, distance_list))
+    rows += scan(asym_config(seed, distance_list[:1]))
+    for row in rows:
+        if row.status != "ok":
+            continue
+        r = row.result
+        assert 0.0 <= r.e_minus <= r.e_z <= r.e_plus <= 1.0
+        assert r.rate_twisted >= r.rate_naive - 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(seeds, st.floats(0.1, 1.0), st.floats(0.0, 0.01), st.floats(0.0, 200.0))
+def test_gram_solve_reproduces_the_statistics(seed, eta, p_dark, distance):
+    # any tetrahedral pair through any loss and dark-count level
+    rng = np.random.default_rng(seed)
+    alice, bob = random_ensemble(rng), random_ensemble(rng)
+    channel = ChannelParams(eta=eta, p_dark=p_dark, distance_km=distance)
+    stats = detection_stats(alice, bob, channel)
+    gamma = build_gamma(alice, bob)
+    eve = solve_eve(gamma, stats)
+    assert np.max(np.abs(gamma.gamma @ eve.raw - stats.p_det)) <= 1e-10
+
+
+def test_vector_to_matrix_index_map():
+    # the reshape against the index map it replaces
+    v = np.arange(16) + 1j * np.arange(16, 32)
+    E = np.zeros((4, 4), dtype=complex)
+    for m in range(2):
+        for mp in range(2):
+            for n in range(2):
+                for np_ in range(2):
+                    E[2 * m + n, 2 * mp + np_] = v[8 * m + 4 * mp + 2 * n + np_]
+    np.testing.assert_array_equal(_vector_to_matrix(v), E)
+    np.testing.assert_array_equal(_vector_to_matrix(np.stack([v, 2 * v]))[1], 2 * E)
+
+
+def test_every_repaired_row_warns():
+    # statistics of a Gram matrix with a -1e-6 eigenvalue: each row's
+    # repair warns, as a single point's does
+    ens = model_states(ModelParams(delta=0.0, depol=0.0))
+    phi_minus = np.array([1.0, 0.0, 0.0, -1.0]) / np.sqrt(2.0)
+    bad = 0.01 * np.eye(4) - (0.01 + 1e-6) * np.outer(phi_minus, phi_minus)
+    stats = DetectionStats(p_det=(build_gamma(ens, ens).gamma @ _matrix_to_vector(bad)).real)
+    config = ScanConfig(
+        deltas=[0.0], depols=[0.0], distances=[0.0, 10.0, 20.0], eta=ETA, p_dark=P_DARK,
+        alice_states=ens, bob_states=ens, stats=stats,
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scan(config)
+    assert [w.category for w in caught] == [RuntimeWarning] * 3
+    assert all("clipped eigenvalue mass 1.000e-06" in str(w.message) for w in caught)

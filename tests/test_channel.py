@@ -120,6 +120,29 @@ class TestDetectionStats:
             assert np.all(stats.p_det >= 0.0)
             assert stats.p_det.sum() <= 1.0
 
+    def test_lossy_dark_channel_matches_the_pairwise_model(self):
+        # each entry is both_arrive * p q Tr[(rho x sigma)|Phi+><Phi+|] plus
+        # the dark-count floor dark * p q, computed pair by pair
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            alice, bob = random_ensemble(rng), random_ensemble(rng)
+            ch = ChannelParams(
+                eta=rng.uniform(0.1, 1.0),
+                p_dark=rng.uniform(0.0, 0.01),
+                distance_km=rng.uniform(0.0, 200.0),
+            )
+            p0, pd = photon_loss(ch), ch.p_dark
+            both_arrive = (1 - p0) ** 2 * (1 - pd) ** 2
+            dark = 2 * (p0**2 * pd**2 * (1 - pd) ** 2 + p0 * (1 - p0) * pd * (1 - pd) ** 2)
+            expected = [
+                sa.prob * sb.prob * (both_arrive * bell_pass_prob(sa.rho, sb.rho) + dark)
+                for sa in alice.states
+                for sb in bob.states
+            ]
+            np.testing.assert_allclose(
+                detection_stats(alice, bob, ch).p_det, expected, rtol=1e-13, atol=1e-18
+            )
+
 
 class TestGamma:
     def test_rows_are_vec_tensor_products(self):

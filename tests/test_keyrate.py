@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +60,12 @@ class TestBinaryEntropy:
             binary_entropy(-0.01)
         with pytest.raises(DomainError):
             binary_entropy(1.01)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, twistqkd; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSixStateRate:
@@ -292,10 +300,10 @@ class TestScan:
     def test_error_message_recorded(self, monkeypatch):
         import twistqkd.keyrate as keyrate_module
 
-        def decline(*args, **kwargs):
-            raise InvalidPhaseError("e_plus = 1.5 > 1")
+        def decline(alice, bob, channels, **kwargs):
+            return [InvalidPhaseError("e_plus = 1.5 > 1") for _ in channels]
 
-        monkeypatch.setattr(keyrate_module, "keyrate_point", decline)
+        monkeypatch.setattr(keyrate_module, "_evaluate", decline)
         rows = scan(ScanConfig.from_dict(base_config(distance=10.0)))
         assert [(r.status, r.error, r.result) for r in rows] == [
             ("InvalidPhaseError", "e_plus = 1.5 > 1", None)
@@ -307,7 +315,7 @@ class TestScan:
         def broken(*args, **kwargs):
             raise RuntimeError("bug")
 
-        monkeypatch.setattr(keyrate_module, "keyrate_point", broken)
+        monkeypatch.setattr(keyrate_module, "_evaluate", broken)
         with pytest.raises(RuntimeError, match="bug"):
             scan(ScanConfig.from_dict(base_config(distance=10.0)))
 
@@ -355,3 +363,17 @@ class TestScanCsv:
             row = next(reader)
         assert row["status"] == "SingularGammaError"
         assert math.isnan(float(row["rate_twisted"]))
+
+    def test_failed_rows_keep_the_message(self, tmp_path):
+        rng = np.random.default_rng(173)
+        bad = coplanar_ensemble(rng)
+        doc = base_config(alice_states=json.loads(ensemble_to_json(bad)), distance=10.0)
+        rows = scan(ScanConfig.from_dict(doc))
+        rows += scan(ScanConfig.from_dict(base_config(distance=10.0)))
+        path = tmp_path / "out.csv"
+        scan_to_csv(rows, path)
+        with open(path) as fh:
+            failed, ok = csv.DictReader(fh)
+        assert "tetrahedron" in failed["error"]
+        assert failed["error"] == rows[0].error
+        assert ok["error"] == ""

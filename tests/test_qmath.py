@@ -152,6 +152,18 @@ class TestPsdProject:
         with pytest.raises(NotHermitianError):
             psd_project(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(17)
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(6)])
+        stack[2] = np.diag([1.0, 0.5, 0.25, 0.0])
+        out, mass = psd_project(stack)
+        assert mass.shape == (6,)
+        for M, M_psd, m in zip(stack, out, mass):
+            expected, expected_mass = psd_project(M)
+            np.testing.assert_allclose(M_psd, expected, atol=1e-13)
+            assert m == pytest.approx(expected_mass, abs=1e-13)
+        np.testing.assert_array_equal(out[2], stack[2])
+
 
 class TestRealEmbed:
     """The real symmetric embedding of the SDP oracle in ``conftest``."""
