@@ -4,38 +4,17 @@ qubit signal states.
 The pipeline reconstructs the measurement node's Gram matrix from detection
 statistics, optimizes the phase error rates over virtual twisting
 operations in closed form (a trace norm per error rate, by Uhlmann's
-theorem), and evaluates the six-state key rate formula."""
+theorem), and evaluates the six-state key rate formula.
+
+The package namespace holds the user surface: ensembles and the source
+model, the channel and detection statistics, the point and scan entry
+points, the tetrahedron check, the single-photon projection and the JSON
+round trip.  The stages of the pipeline stay importable from their modules
+(``twistqkd.channel``, ``twistqkd.evegram``, ``twistqkd.twist``, ...)."""
 
 from . import errors
-from .channel import (
-    ChannelParams,
-    DetectionStats,
-    GammaMatrix,
-    bell_pass_prob,
-    build_gamma,
-    detection_stats,
-    photon_loss,
-    stats_index,
-)
-from .evegram import EveGram, key_basis_stats, solve_eve
-from .keyrate import (
-    KeyRateResult,
-    ScanConfig,
-    ScanRow,
-    binary_entropy,
-    keyrate_point,
-    scan,
-    scan_to_csv,
-    six_state_rate,
-)
-from .qmath import (
-    eig2_hermitian,
-    kron,
-    psd_project,
-    solve_linear,
-    unvec_rowmajor,
-    vec_rowmajor,
-)
+from .channel import ChannelParams, DetectionStats, detection_stats
+from .keyrate import KeyRateResult, ScanConfig, keyrate_point, scan, scan_to_csv
 from .states import (
     ModelParams,
     QubitState,
@@ -48,58 +27,27 @@ from .states import (
     stokes,
     tetrahedron_check,
 )
-from .twist import (
-    PhaseErrors,
-    TwistProblem,
-    ancilla_gram_block,
-    naive_phase_errors,
-    naive_twist_gram,
-    optimize_phase_errors,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChannelParams",
     "DetectionStats",
-    "EveGram",
-    "GammaMatrix",
     "KeyRateResult",
     "ModelParams",
-    "PhaseErrors",
     "QubitState",
     "ScanConfig",
-    "ScanRow",
     "SignalEnsemble",
-    "TwistProblem",
-    "ancilla_gram_block",
-    "bell_pass_prob",
-    "binary_entropy",
-    "build_gamma",
     "detection_stats",
-    "eig2_hermitian",
     "ensemble_from_json",
     "ensemble_to_json",
     "errors",
-    "key_basis_stats",
     "keyrate_point",
-    "kron",
     "model_states",
-    "naive_phase_errors",
-    "naive_twist_gram",
-    "optimize_phase_errors",
     "phase_randomized_coherent",
-    "photon_loss",
-    "psd_project",
     "scan",
     "scan_to_csv",
     "single_photon_project",
-    "six_state_rate",
-    "solve_eve",
-    "solve_linear",
-    "stats_index",
     "stokes",
     "tetrahedron_check",
-    "unvec_rowmajor",
-    "vec_rowmajor",
 ]

@@ -27,10 +27,6 @@ from .errors import InvalidParamsError
 from .qmath import kron
 from .states import SignalEnsemble
 
-PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
-PHI_PLUS_PROJ = np.outer(PHI_PLUS, PHI_PLUS.conj())
-
-
 @dataclass
 class ChannelParams:
     """Loss and detector parameters of the honest channel.
@@ -126,25 +122,24 @@ class GammaMatrix:
 
     Row a of ``RA`` is ``vec(p_a rho_a)^T`` (Alice's weighted states), row b
     of ``RB`` the same for Bob, so row ``t = 4a + b`` of the full matrix is
-    ``vec(p rho)^T (x) vec(q sigma)^T``.  ``cond`` is its 2-norm condition
-    number, ``cond(RA) * cond(RB)``.
+    ``vec(p rho)^T (x) vec(q sigma)^T``.  ``cond_alice`` and ``cond_bob``
+    are the 2-norm condition numbers of ``RA`` and ``RB``.
     """
 
     RA: np.ndarray
     RB: np.ndarray
-    cond: float
+    cond_alice: float
+    cond_bob: float
+
+    @property
+    def cond(self) -> float:
+        """2-norm condition number of the full matrix, ``cond(RA) * cond(RB)``."""
+        return self.cond_alice * self.cond_bob
 
     @property
     def gamma(self) -> np.ndarray:
         """The dense 16x16 matrix."""
         return kron(self.RA, self.RB)
-
-
-def bell_pass_prob(rho, sigma) -> float:
-    """Probability ``Tr[(rho (x) sigma) |Phi+><Phi+|]`` that both-photon
-    arrivals pass the Bell projection."""
-    joint = kron(np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex))
-    return float(np.trace(joint @ PHI_PLUS_PROJ).real)
 
 
 def _loss(eta, atten_db_per_km, distance_km, atten_divisor):
@@ -197,7 +192,7 @@ def detection_stats(
 
 
 def build_gamma(alice: SignalEnsemble, bob: SignalEnsemble) -> GammaMatrix:
-    """Assemble the state matrix and its condition number.
+    """Assemble the state matrix and each party's condition number.
 
     Row t factorizes as the Kronecker product of the two parties'
     vectorized weighted states, so the full matrix is ``RA (x) RB`` and its
@@ -205,4 +200,4 @@ def build_gamma(alice: SignalEnsemble, bob: SignalEnsemble) -> GammaMatrix:
     error here; it surfaces when the matrix is inverted downstream.
     """
     RA, RB = _state_rows(alice), _state_rows(bob)
-    return GammaMatrix(RA=RA, RB=RB, cond=float(np.linalg.cond(RA) * np.linalg.cond(RB)))
+    return GammaMatrix(RA, RB, float(np.linalg.cond(RA)), float(np.linalg.cond(RB)))

@@ -9,10 +9,6 @@ class NotHermitianError(QkdError):
     """A matrix required to be Hermitian is not, beyond tolerance."""
 
 
-class SingularMatrixError(QkdError):
-    """A linear system is singular or too ill-conditioned to solve."""
-
-
 class InvalidParamsError(QkdError):
     """Model, channel or configuration parameters are out of range."""
 

@@ -27,8 +27,8 @@ from .errors import (
     UnphysicalStatsError,
 )
 from .qmath import psd_project
+from .states import COND_LIMIT
 
-COND_LIMIT = 1e9
 CLIP_WARN = 1e-8
 CLIP_ERROR = 1e-4
 
@@ -76,12 +76,15 @@ def _gram_rows(gamma: GammaMatrix, p_det: np.ndarray):
     and ``raw = vec(X)``.  Returns ``(E, clipped, raw, errors)``: the repaired
     matrices (N, 4, 4), the clipped mass and raw solution per row, and per
     row the :class:`~twistqkd.errors.QkdError` it fails with, or None.  A
-    singular state matrix fails every row and is raised.
+    state matrix with ``cond(RA) * cond(RB)`` not below ``COND_LIMIT`` is
+    singular: it fails every row and is raised.
     """
-    if not np.isfinite(gamma.cond) or gamma.cond >= COND_LIMIT:
+    if not gamma.cond < COND_LIMIT:
+        party = "Alice" if gamma.cond_alice >= gamma.cond_bob else "Bob"
         raise SingularGammaError(
-            f"state matrix condition number {gamma.cond:.3e} exceeds {COND_LIMIT:.0e}; "
-            "check that both ensembles pass the tetrahedron condition"
+            f"{party}'s ensemble fails the tetrahedron condition: state matrix condition "
+            f"number {gamma.cond:.3e} is not below {COND_LIMIT:.0e}, so detection "
+            "statistics cannot determine the Gram matrix"
         )
     P = np.asarray(p_det, dtype=float).reshape(-1, 4, 4)
     raw = (np.linalg.inv(gamma.RA) @ P @ np.linalg.inv(gamma.RB).T).reshape(-1, 16)

@@ -8,15 +8,15 @@ key rate for both.
 
 Every evaluation goes through one kernel, :func:`_evaluate`, which takes one
 ensemble pair and N rows of detection statistics.  The work that depends
-only on the ensembles is done once per call: the tetrahedron checks, the
-per-party state matrices with their inverses and condition number, the
-validated ancilla blocks with their eigenbases, and the baseline's
-purification pairings.  Everything that depends on the statistics (Gram
-solve, PSD repair, key-basis statistics, trace norms, baseline values and
-rates) runs on arrays over the N rows, and each row fails on its own with
-the error a single point would raise.  :func:`keyrate_point` is the kernel
-with N = 1; :func:`scan` calls it once per (delta, depol) with one row per
-distance.
+only on the ensembles is done once per call: the per-party state matrices
+with their inverses and condition numbers (one singularity test), the
+square roots of the ancilla blocks as Kronecker products of per-state 2x2
+roots, and the baseline's purification pairings.  Everything that depends
+on the statistics (Gram solve, PSD repair, key-basis statistics, trace
+norms, baseline values and rates) runs on arrays over the N rows, and each
+row fails on its own with the error a single point would raise.
+:func:`keyrate_point` is the kernel with N = 1; :func:`scan` calls it once
+per (delta, depol) with one row per distance.
 """
 
 from __future__ import annotations
@@ -29,22 +29,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelParams, DetectionStats, _detection_rows, build_gamma
-from .errors import (
-    DomainError,
-    InvalidParamsError,
-    InvalidPhaseError,
-    QkdError,
-    SingularGammaError,
-)
+from .errors import DomainError, InvalidParamsError, InvalidPhaseError, QkdError
 from .evegram import _gram_rows, _key_rows
-from .states import (
-    ModelParams,
-    SignalEnsemble,
-    ensemble_from_dict,
-    model_states,
-    tetrahedron_check,
-)
-from .twist import _checked_blocks, _key_blocks, _naive_rows, _phase_error_rows, _scalar_errors
+from .states import ModelParams, SignalEnsemble, ensemble_from_dict, model_states
+from .twist import _naive_rows, _phase_error_rows, _scalar_errors, _twist_factors
 
 _LN2 = math.log(2.0)
 _EZ_FLOOR = 1e-12
@@ -59,14 +47,23 @@ def _entropy(x):
 
 
 def _outside_entropy_domain(x):
-    return (x < -_ENTROPY_TOL) | (x > 1.0 + _ENTROPY_TOL)
+    """True where ``x`` is NaN or further than 1e-12 outside [0, 1]."""
+    return np.logical_not((x >= -_ENTROPY_TOL) & (x <= 1.0 + _ENTROPY_TOL))
+
+
+def _require_f(f) -> float:
+    """The error-correction efficiency as a float; it must be finite and >= 1."""
+    f = float(f)
+    if not (math.isfinite(f) and f >= 1.0):
+        raise InvalidParamsError(f"error correction efficiency f must be finite and >= 1, got {f}")
+    return f
 
 
 def binary_entropy(x: float) -> float:
     """Binary entropy ``h2(x) = -x log2 x - (1-x) log2 (1-x)``.
 
-    Accepts arguments within 1e-12 of [0, 1] (clamped); anything further out
-    raises ``DomainError``.  ``h2(0) = h2(1) = 0``.
+    Accepts arguments within 1e-12 of [0, 1] (clamped); anything further out,
+    or NaN, raises ``DomainError``.  ``h2(0) = h2(1) = 0``.
     """
     x = float(x)
     if _outside_entropy_domain(x):
@@ -141,11 +138,12 @@ def six_state_rate(
                      - (1-e_Z) h2((1 - (e_+ + e_Z)/2)/(1-e_Z))]``
 
     requires ``0 <= e_minus <= e_Z <= 1`` and ``e_Z <= e_plus <= 1`` within
-    1e-9; ``f`` multiplies the error-correction term ``h2(e_Z)``.  For
-    ``e_Z`` below 1e-12 the bit-flip term vanishes and the last term uses
-    its limit ``h2(1 - e_plus/2)``.
+    1e-9; ``f``, finite and at least 1, multiplies the error-correction term
+    ``h2(e_Z)``.  For ``e_Z`` below 1e-12 the bit-flip term vanishes and the
+    last term uses its limit ``h2(1 - e_plus/2)``.
     """
-    rate, _, _, errors = _rates(*(np.array([float(v)]) for v in (p_det00, e_z, e_minus, e_plus)), f)
+    values = (np.array([float(v)]) for v in (p_det00, e_z, e_minus, e_plus))
+    rate, _, _, errors = _rates(*values, _require_f(f))
     if errors[0] is not None:
         raise errors[0]
     return float(rate[0])
@@ -187,14 +185,6 @@ def _evaluate(
     n = len(channels)
     errors = [None] * n
     try:
-        tetra_a = tetrahedron_check(alice)
-        tetra_b = tetrahedron_check(bob)
-        if not tetra_a.passed or not tetra_b.passed:
-            bad = "Alice" if not tetra_a.passed else "Bob"
-            raise SingularGammaError(
-                f"{bad}'s ensemble fails the tetrahedron condition; "
-                "detection statistics cannot determine the Gram matrix"
-            )
         gamma = build_gamma(alice, bob)
         if stats is None:
             p_det = _detection_rows(gamma.RA, gamma.RB, alice.priors, bob.priors, channels)
@@ -208,11 +198,11 @@ def _evaluate(
         if all(error is not None for error in errors):
             return errors
         ak, bk = alice.key_states(), bob.key_states()
-        blocks = _checked_blocks(_key_blocks(ak, bk))
+        factors = _twist_factors(ak, bk)
         # Rows that already failed carry values such as p00 = 0 from here on.
         with np.errstate(divide="ignore", invalid="ignore"):
             e_minus, e_plus, bound_minus, bound_plus = _phase_error_rows(
-                blocks, E, p00, np.clip(e_z, 0.0, 1.0)
+                factors, E, p00, np.clip(e_z, 0.0, 1.0)
             )
             naive_signed, naive_plus = _naive_rows(ak, bk, E, p00)
             # The rate formula is even in e_minus (h2((1+t)/2) = h2((1-t)/2)),
@@ -259,9 +249,9 @@ def _evaluate(
             **{name: values[i] for name, values in fields.items()},
             diagnostics={
                 "gamma_cond": gamma.cond,
+                "cond_alice": gamma.cond_alice,
+                "cond_bob": gamma.cond_bob,
                 "clipped_mass": clipped[i],
-                "tetra_alice_det": tetra_a.determinant,
-                "tetra_bob_det": tetra_b.determinant,
                 **{name: values[i] for name, values in diagnostics.items()},
             },
         )
@@ -280,9 +270,10 @@ def keyrate_point(
 
     ``stats`` may inject measured detection statistics in place of the
     honest-channel simulation; the ensembles are still needed to build the
-    state matrix and the purification constraints.
+    state matrix and the purification constraints.  ``f`` must be finite
+    and at least 1.
     """
-    result = _evaluate(alice, bob, [channel], f=f, stats=stats)[0]
+    result = _evaluate(alice, bob, [channel], f=_require_f(f), stats=stats)[0]
     if isinstance(result, QkdError):
         raise result
     return result
@@ -295,7 +286,7 @@ class ScanConfig:
     ``deltas`` x ``depols`` x ``distances`` are evaluated in that nesting
     order.  Explicit ensembles, when given, override the (delta, p) model at
     every grid point, and a measured-statistics CSV replaces the channel
-    simulation at every grid point.
+    simulation at every grid point.  ``f`` must be finite and at least 1.
     """
 
     deltas: list
@@ -318,8 +309,9 @@ class ScanConfig:
             self.deltas = [float(d) for d in np.atleast_1d(self.deltas)]
             self.depols = [float(p) for p in np.atleast_1d(self.depols)]
             self.distances = np.atleast_1d(np.asarray(self.distances, dtype=float))
+            self.f = _require_f(self.f)
         except (TypeError, ValueError) as exc:
-            raise InvalidParamsError(f"scan grid values must be numbers: {exc}") from exc
+            raise InvalidParamsError(f"scan grid values and f must be numbers: {exc}") from exc
         if not (len(self.deltas) and len(self.depols) and self.distances.size):
             raise InvalidParamsError("scan grid must be nonempty")
 

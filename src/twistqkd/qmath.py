@@ -14,11 +14,9 @@ this package never exceed 32x32, so everything is dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NotHermitianError, SingularMatrixError
+from .errors import NotHermitianError
 
 HERMITIAN_TOL = 1e-12
 
@@ -75,51 +73,14 @@ def vec_rowmajor(M) -> np.ndarray:
     return M.reshape(-1).copy()
 
 
-def unvec_rowmajor(v) -> np.ndarray:
-    """Inverse of :func:`vec_rowmajor`; the length must be a perfect square."""
-    v = np.asarray(v, dtype=complex)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise ValueError(f"vector length {v.size} is not a perfect square")
-    return v.reshape(d, d).copy()
-
-
 def kron(A, B) -> np.ndarray:
-    """Kronecker product of two matrices,
+    """Kronecker product of two matrices, or of each pair of two
+    broadcast stacks ``(..., r, c)``:
     ``(A (x) B)[a*rB+b, c*cB+d] = A[a,c] B[b,d]``."""
     A, B = np.asarray(A), np.asarray(B)
-    (rA, cA), (rB, cB) = A.shape, B.shape
-    return (A[:, None, :, None] * B[None, :, None, :]).reshape(rA * rB, cA * cB)
-
-
-@dataclass
-class SolveResult:
-    """Solution of a linear system together with quality metrics."""
-
-    x: np.ndarray
-    residual: float
-    cond: float
-
-
-def solve_linear(A, b, cond_limit: float = 1e13) -> SolveResult:
-    """Solve ``A x = b`` for square ``A``, reporting residual and condition.
-
-    Raises ``SingularMatrixError`` when the 2-norm condition number exceeds
-    ``cond_limit`` (or the factorization breaks down outright).
-    """
-    A = np.asarray(A, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    cond = float(np.linalg.cond(A))
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularMatrixError(f"matrix is singular to working precision (cond={cond:.3e})")
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - cond check catches first
-        raise SingularMatrixError(str(exc)) from exc
-    residual = float(np.linalg.norm(A @ x - b))
-    return SolveResult(x=x, residual=residual, cond=cond)
+    (rA, cA), (rB, cB) = A.shape[-2:], B.shape[-2:]
+    K = A[..., :, None, :, None] * B[..., None, :, None, :]
+    return K.reshape(*K.shape[:-4], rA * rB, cA * cB)
 
 
 def psd_project(M, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, float | np.ndarray]:

@@ -24,9 +24,9 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 PROB_TOL = 1e-10
 
-#: |det| of the probability-weighted Stokes matrix below which an ensemble
-#: is classified as coplanar (tetrahedron check fails).
-TETRAHEDRON_DET_TOL = 1e-9
+#: A state matrix is usable iff its 2-norm condition number is below this;
+#: the one singularity test of the package, scale-invariant in the priors.
+COND_LIMIT = 1e9
 
 
 @dataclass
@@ -175,16 +175,19 @@ def tetrahedron_check(ensemble: SignalEnsemble) -> TetrahedronDiagnostics:
 
     Independence (the states' Bloch vectors not all falling in one plane,
     with nonzero priors) is exactly what makes the 16x16 state matrix built
-    downstream invertible, so the reported condition number forecasts how
-    well detection statistics can be inverted.
+    downstream invertible.  The Stokes matrix ``S`` is the party's factor
+    ``RA`` of that matrix times a fixed scaled unitary, so
+    ``cond(S) == cond(RA)``, and the check is the package's one singularity
+    test applied to the ensemble paired with itself: it passes iff
+    ``cond(S)**2 < COND_LIMIT``.  ``determinant`` is reported as a
+    diagnostic only.
     """
     S = np.vstack([stokes(s) for s in ensemble.states])
-    det = float(np.linalg.det(S))
     cond = float(np.linalg.cond(S))
     return TetrahedronDiagnostics(
-        determinant=det,
+        determinant=float(np.linalg.det(S)),
         cond=cond,
-        passed=abs(det) > TETRAHEDRON_DET_TOL,
+        passed=cond**2 < COND_LIMIT,
         stokes_matrix=S,
     )
 

@@ -14,11 +14,15 @@ ancilla vectors, whose diagonal blocks ``W1``, ``W2`` are fixed by the key
 states.  By Uhlmann's theorem the reachable cross blocks are exactly
 ``W1^{1/2} K W2^{1/2}`` with ``||K|| <= 1``, so each optimum is a trace norm
 
-    s = (2/p_det00) * || Lam1^{1/2} (V1^T E V2^*) Lam2^{1/2} ||_1
+    s = (2/p_det00) * || S1^T E S2^* ||_1,    S = W^{1/2},
 
-in the eigenbases ``W = V Lam V^dag``, with ``E`` the measurement node's Gram
-matrix.  The scalar windows of the rate formula act as clamps:
-``e_minus = min(s_-, e_z)`` and ``e_plus = max(1 - s_+, e_z)``.
+with ``E`` the measurement node's Gram matrix.  A block is
+``W = p q rho (x) sigma``, so its square root is the Kronecker product
+``S = sqrt(p rho) (x) sqrt(q sigma)`` of per-state 2x2 roots, each in
+closed form.  Every ``S`` is 4x4 whatever the rank of the states: no
+eigenbasis is computed and no rank cutoff applies.  The scalar windows of
+the rate formula act as clamps: ``e_minus = min(s_-, e_z)`` and
+``e_plus = max(1 - s_+, e_z)``.
 
 Gram storage convention (matching :class:`twistqkd.evegram.EveGram`): entry
 ``[2m+n, 2m'+n']`` of a block holds the inner product of the ``(m', n')``
@@ -35,14 +39,8 @@ import numpy as np
 
 from .errors import InvalidParamsError
 from .evegram import EveGram
-from .qmath import eig2_hermitian, kron, require_hermitian
+from .qmath import eig2_hermitian, kron
 from .states import QubitState
-
-#: Relative eigenvalue cutoff below which a Gram block's eigenvalue is
-#: treated as zero and dropped from its support.
-RANK_TOL = 1e-12
-
-_KEY_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def ancilla_gram_block(alice_state: QubitState, bob_state: QubitState) -> np.ndarray:
@@ -50,22 +48,40 @@ def ancilla_gram_block(alice_state: QubitState, bob_state: QubitState) -> np.nda
     return alice_state.prob * bob_state.prob * kron(alice_state.rho, bob_state.rho)
 
 
-def _key_blocks(alice_key, bob_key) -> dict:
-    return {(x, y): ancilla_gram_block(alice_key[x], bob_key[y]) for x in (0, 1) for y in (0, 1)}
+def _weighted_roots(states) -> np.ndarray:
+    """``sqrt(prob * rho)`` of each state, stacked ``(n, 2, 2)``.
+
+    A 2x2 PSD matrix has ``sqrt(M) = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M))``
+    (Levinger, Math. Mag. 53 (1980)); a negative ``det`` is rounding dust of
+    a pure state and is clamped at 0.
+    """
+    M = np.stack([state.weighted() for state in states])
+    det = np.maximum((M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]).real, 0.0)
+    root_det = np.sqrt(det)[:, None, None]
+    trace = (M[:, 0, 0] + M[:, 1, 1]).real[:, None, None]
+    return (M + root_det * np.eye(2)) / np.sqrt(trace + 2.0 * root_det)
 
 
-def _checked_blocks(blocks: dict) -> dict:
-    """The four ancilla Gram blocks, validated as Hermitian PSD matrices."""
-    checked = {}
-    for pair in _KEY_PAIRS:
-        if pair not in blocks:
-            raise InvalidParamsError(f"missing ancilla Gram block for key pair {pair}")
-        W = require_hermitian(blocks[pair], tol=1e-10, name=f"block {pair}")
-        wmin = float(np.linalg.eigvalsh(W)[0])
-        if wmin < -1e-10:
-            raise InvalidParamsError(f"ancilla Gram block {pair} is not PSD")
-        checked[pair] = W
-    return checked
+def _twist_factors(alice_key, bob_key) -> tuple[np.ndarray, np.ndarray]:
+    """The factors ``S1^T`` and ``S2^*`` of both pairings, stacked
+    ``(2, 4, 4)`` in the order (e_minus, e_plus).
+
+    ``S_xy = sqrt(p_x rho_x) (x) sqrt(q_y sigma_y)`` is the square root of
+    the ancilla block of key pair (x, y); e_minus pairs (0,1) with (1,0)
+    and e_plus pairs (0,0) with (1,1).
+    """
+    for party, key in (("Alice", alice_key), ("Bob", bob_key)):
+        for x, state in enumerate(key):
+            if not state.prob > 0.0:
+                raise InvalidParamsError(
+                    f"{party}'s key state {x} has prior {state.prob}, so its ancilla "
+                    "Gram blocks are zero; check key-state priors"
+                )
+    roots = _weighted_roots((*alice_key, *bob_key))
+    A, B = roots[:2], roots[2:]
+    left = kron(A[[0, 0]], B[[1, 0]])
+    right = kron(A[[1, 1]], B[[0, 1]])
+    return left.swapaxes(-1, -2), right.conj()
 
 
 def _scalar_errors(p_det00: np.ndarray, e_z: np.ndarray) -> list:
@@ -83,12 +99,13 @@ def _scalar_errors(p_det00: np.ndarray, e_z: np.ndarray) -> list:
 class TwistProblem:
     """Inputs of the two phase-error optimizations for one parameter point.
 
-    ``blocks`` maps each key bit pair (x, y) to its weighted ancilla Gram
-    block; the pair ((0,1), (1,0)) feeds the e_minus optimization and
+    ``alice_key`` and ``bob_key`` hold each party's two key-generation
+    states; key bit pairs ((0,1), (1,0)) feed the e_minus optimization and
     ((0,0), (1,1)) the e_plus one.
     """
 
-    blocks: dict
+    alice_key: tuple
+    bob_key: tuple
     eve_gram: EveGram
     p_det00: float
     e_z: float
@@ -98,12 +115,11 @@ class TwistProblem:
         if error is not None:
             raise error
         self.e_z = min(max(self.e_z, 0.0), 1.0)
-        self.blocks.update(_checked_blocks(self.blocks))
 
     @classmethod
     def from_key_states(cls, alice_key, bob_key, eve: EveGram, p_det00: float, e_z: float):
         """Assemble the problem from each party's two key-generation states."""
-        return cls(blocks=_key_blocks(alice_key, bob_key), eve_gram=eve, p_det00=p_det00, e_z=e_z)
+        return cls(tuple(alice_key), tuple(bob_key), eve, p_det00, e_z)
 
 
 @dataclass
@@ -129,47 +145,23 @@ class PhaseErrors:
         return (self.e_plus - self.e_minus) / 2.0
 
 
-def _reduce_block(W: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-basis of the numerical support of a PSD block.
+def _phase_error_rows(factors: tuple, E: np.ndarray, p_det00: np.ndarray, e_z: np.ndarray):
+    """Optimized ``(e_minus, e_plus, s_minus, 1 - s_plus)`` for N Gram
+    matrices ``E`` (N, 4, 4), from the :func:`_twist_factors` of the key
+    states; ``e_z`` is the clamped bit error rate of each row.
 
-    Returns ``(lam, V)`` with ``lam`` the kept (positive) eigenvalues and
-    ``V`` the matching orthonormal columns; eigenvalues below ``RANK_TOL``
-    times the largest are rounding dust and are dropped.
-    """
-    w, V = np.linalg.eigh(W)
-    wmax = float(w[-1])
-    if wmax <= 0.0:
-        raise InvalidParamsError(f"ancilla Gram block {label} is zero; check key-state priors")
-    keep = w > RANK_TOL * wmax
-    return w[keep].copy(), V[:, keep].copy()
-
-
-def _trace_norms(blocks: dict, left: tuple, right: tuple, E: np.ndarray, p_det00: np.ndarray):
-    """``(2/p_det00) * ||Lam1^{1/2} (V1^T E V2^*) Lam2^{1/2}||_1`` for the
-    blocks of key pairs ``left`` and ``right``, per Gram matrix of ``E``
-    (N, 4, 4): the largest value of ``+/-(2/p_det00) Re sum E[a,b] X[a,b]``
-    over the reachable cross blocks."""
-    lam1, V1 = _reduce_block(blocks[left], str(left))
-    lam2, V2 = _reduce_block(blocks[right], str(right))
-    pairing = V1.T @ E @ V2.conj()
-    pairing = np.sqrt(lam1)[:, None] * pairing * np.sqrt(lam2)[None, :]
-    return 2.0 / p_det00 * np.sum(np.linalg.svd(pairing, compute_uv=False), axis=-1)
-
-
-def _phase_error_rows(blocks: dict, E: np.ndarray, p_det00: np.ndarray, e_z: np.ndarray):
-    """Optimized ``(e_minus, e_plus, s_minus, 1 - s_plus)`` for N rows.
-
-    The eigenbases of the blocks are computed once for all rows; ``e_z`` is
-    the clamped bit error rate of each row."""
-    s_minus = _trace_norms(blocks, (0, 1), (1, 0), E, p_det00)
-    s_plus = _trace_norms(blocks, (0, 0), (1, 1), E, p_det00)
+    Both trace norms of every row come from one batched ``svd``."""
+    left, right = factors
+    norms = np.sum(np.linalg.svd(left @ E[:, None] @ right, compute_uv=False), axis=-1)
+    s = 2.0 / p_det00[:, None] * norms
+    s_minus, s_plus = s[:, 0], s[:, 1]
     return np.minimum(s_minus, e_z), np.maximum(1.0 - s_plus, e_z), s_minus, 1.0 - s_plus
 
 
 def optimize_phase_errors(problem: TwistProblem) -> PhaseErrors:
     """Optimized phase errors over all twists, in closed form."""
     rows = _phase_error_rows(
-        problem.blocks,
+        _twist_factors(problem.alice_key, problem.bob_key),
         problem.eve_gram.e_matrix[None],
         np.array([problem.p_det00]),
         np.array([problem.e_z]),

@@ -99,6 +99,14 @@ def _elem(dim, a, b):
     return E
 
 
+def reduce_block(W, rank_tol=1e-12):
+    """Eigenbasis of the numerical support of a PSD block: the eigenvalues
+    above ``rank_tol`` times the largest, and their orthonormal columns."""
+    w, V = np.linalg.eigh(W)
+    keep = w > rank_tol * w[-1]
+    return w[keep], V[:, keep]
+
+
 def build_twist_sdp(W_left, W_right, eve4, p_det00, lo, hi, affine, sense):
     """Oracle: one phase-error optimization as a real-embedded SDP.
 
@@ -109,10 +117,8 @@ def build_twist_sdp(W_left, W_right, eve4, p_det00, lo, hi, affine, sense):
     off-diagonal block; the scalar bounds ``lo <= e <= hi`` enter as two
     linear inequalities.
     """
-    from twistqkd.twist import _reduce_block
-
-    lam1, V1 = _reduce_block(W_left, "left")
-    lam2, V2 = _reduce_block(W_right, "right")
+    lam1, V1 = reduce_block(W_left)
+    lam2, V2 = reduce_block(W_right)
     r1, r2 = len(lam1), len(lam2)
     nc = r1 + r2
 
@@ -159,7 +165,11 @@ def build_twist_sdp(W_left, W_right, eve4, p_det00, lo, hi, affine, sense):
 def twist_sdps(problem):
     """The (e_minus, e_plus) programs of a :class:`TwistProblem`.  The
     e_minus optimum is ``e_minus``; the e_plus optimum is ``e_plus - 1``."""
-    blocks, E, p00, e_z = problem.blocks, problem.eve_gram.e_matrix, problem.p_det00, problem.e_z
+    from twistqkd.twist import ancilla_gram_block
+
+    ak, bk = problem.alice_key, problem.bob_key
+    blocks = {(x, y): ancilla_gram_block(ak[x], bk[y]) for x in (0, 1) for y in (0, 1)}
+    E, p00, e_z = problem.eve_gram.e_matrix, problem.p_det00, problem.e_z
     minus = build_twist_sdp(
         blocks[(0, 1)], blocks[(1, 0)], E, p00, lo=0.0, hi=e_z, affine=0.0, sense="max"
     )

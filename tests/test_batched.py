@@ -9,9 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_ensemble
-from twistqkd.channel import ChannelParams, DetectionStats, build_gamma, detection_stats
+from twistqkd.channel import (
+    ChannelParams,
+    DetectionStats,
+    _detection_rows,
+    build_gamma,
+    detection_stats,
+)
 from twistqkd.errors import QkdError
-from twistqkd.evegram import _matrix_to_vector, _vector_to_matrix, solve_eve
+from twistqkd.evegram import _gram_rows, _matrix_to_vector, _vector_to_matrix, solve_eve
 from twistqkd.keyrate import ScanConfig, keyrate_point, scan
 from twistqkd.states import ModelParams, model_states
 
@@ -98,17 +104,32 @@ def test_ok_rows_respect_the_rate_windows(delta_list, depol_list, distance_list,
         assert r.rate_twisted >= r.rate_naive - 1e-9
 
 
+channel_lists = st.lists(
+    st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 0.01), st.floats(0.0, 200.0)),
+    min_size=1, max_size=8,
+)
+
+
 @PROPERTY_SETTINGS
-@given(seeds, st.floats(0.1, 1.0), st.floats(0.0, 0.01), st.floats(0.0, 200.0))
-def test_gram_solve_reproduces_the_statistics(seed, eta, p_dark, distance):
-    # any tetrahedral pair through any loss and dark-count level
+@given(seeds, channel_lists)
+def test_gram_solve_reproduces_the_statistics(seed, channel_list):
+    # one kernel call over several loss and dark-count levels: every row
+    # solves its own statistics and is the single-row solve of them
     rng = np.random.default_rng(seed)
     alice, bob = random_ensemble(rng), random_ensemble(rng)
-    channel = ChannelParams(eta=eta, p_dark=p_dark, distance_km=distance)
-    stats = detection_stats(alice, bob, channel)
+    channels = [ChannelParams(eta=e, p_dark=d, distance_km=km) for e, d, km in channel_list]
     gamma = build_gamma(alice, bob)
-    eve = solve_eve(gamma, stats)
-    assert np.max(np.abs(gamma.gamma @ eve.raw - stats.p_det)) <= 1e-10
+    p_det = _detection_rows(gamma.RA, gamma.RB, alice.priors, bob.priors, channels)
+    E, clipped, raw, errors = _gram_rows(gamma, p_det)
+    for i, channel in enumerate(channels):
+        stats = detection_stats(alice, bob, channel)
+        np.testing.assert_allclose(p_det[i], stats.p_det, rtol=0.0, atol=1e-15)
+        assert np.max(np.abs(gamma.gamma @ raw[i] - p_det[i])) <= 1e-10
+        assert errors[i] is None
+        eve = solve_eve(gamma, stats)
+        np.testing.assert_allclose(raw[i], eve.raw, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(E[i], eve.e_matrix, rtol=0.0, atol=1e-12)
+        assert clipped[i] == eve.clipped_mass
 
 
 def test_vector_to_matrix_index_map():

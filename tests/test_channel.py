@@ -5,7 +5,6 @@ from conftest import coplanar_ensemble, random_ensemble
 from twistqkd.channel import (
     ChannelParams,
     DetectionStats,
-    bell_pass_prob,
     build_gamma,
     detection_stats,
     photon_loss,
@@ -18,6 +17,13 @@ from twistqkd.states import ModelParams, QubitState, SignalEnsemble, model_state
 H = np.array([[1, 0], [0, 0]], dtype=complex)
 V = np.array([[0, 0], [0, 1]], dtype=complex)
 MIXED = np.eye(2, dtype=complex) / 2
+PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+
+
+def bell_pass_prob(rho, sigma):
+    """Per-pair reference: the probability ``Tr[(rho (x) sigma) |Phi+><Phi+|]``
+    that both-photon arrivals pass the Bell projection."""
+    return float(np.real(PHI_PLUS.conj() @ np.kron(rho, sigma) @ PHI_PLUS))
 
 
 class TestBellPassProb:

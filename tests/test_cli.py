@@ -58,6 +58,13 @@ class TestKeyrateCommand:
         _, out2, _ = run_main(["keyrate", *POINT_ARGS, "--f", "1.2", "--json"], capsys)
         assert json.loads(out2)["rate_twisted"] < json.loads(out1)["rate_twisted"]
 
+    @pytest.mark.parametrize("f", ["nan", "-1", "0.5"])
+    def test_bad_f_exit_2(self, capsys, f):
+        code, out, err = run_main(["keyrate", *POINT_ARGS, "--f", f], capsys)
+        assert code == 2
+        assert out == ""
+        assert "f must be finite and >= 1" in err
+
 
 class TestCompareCommand:
     def test_shows_gain(self, capsys):
@@ -120,6 +127,13 @@ class TestScanCommand:
         assert code == 2
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("f", [float("nan"), -1.0, 0.5])
+    def test_bad_f_exit_2(self, tmp_path, capsys, f):
+        config = write_config(tmp_path, f=f)
+        code, _, err = run_main(["scan", "--config", str(config), "--out", "x.csv"], capsys)
+        assert code == 2
+        assert "f must be finite and >= 1" in err
 
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_ensemble
 from twistqkd.channel import ChannelParams, DetectionStats, build_gamma, detection_stats, stats_index
@@ -50,21 +52,25 @@ class TestSolveEve:
         eve = solve_eve(gamma, DetectionStats(p_det=p))
         np.testing.assert_allclose(eve.e_matrix, 2.0 * k * np.eye(4), atol=1e-15)
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(71)
-        for _ in range(10):
-            alice, bob = random_ensemble(rng), random_ensemble(rng)
-            ch = ChannelParams(eta=0.6, p_dark=1e-5, distance_km=rng.uniform(0, 120))
-            stats = detection_stats(alice, bob, ch)
-            gamma = build_gamma(alice, bob)
-            eve = solve_eve(gamma, stats)
-            recon = gamma.gamma @ eve.raw
-            assert np.linalg.norm(recon - stats.p_det) <= 1e-10
-            # the simulated channel is always physical
-            assert eve.clipped_mass <= 1e-10
-            # Hermitian symmetrization leaves a PSD matrix with bounded diagonal
-            assert np.all(eve.e_matrix.diagonal().real <= 1.0 + 1e-12)
-            assert np.linalg.eigvalsh(eve.e_matrix)[0] >= -1e-12
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.floats(0.1, 1.0), st.floats(0.0, 0.01), st.floats(0.0, 200.0)
+    )
+    def test_round_trip(self, seed, eta, p_dark, distance):
+        # any tetrahedral pair through any loss and dark-count level
+        rng = np.random.default_rng(seed)
+        alice, bob = random_ensemble(rng), random_ensemble(rng)
+        ch = ChannelParams(eta=eta, p_dark=p_dark, distance_km=distance)
+        stats = detection_stats(alice, bob, ch)
+        gamma = build_gamma(alice, bob)
+        eve = solve_eve(gamma, stats)
+        recon = gamma.gamma @ eve.raw
+        assert np.linalg.norm(recon - stats.p_det) <= 1e-10
+        # the simulated channel is always physical
+        assert eve.clipped_mass <= 1e-10
+        # Hermitian symmetrization leaves a PSD matrix with bounded diagonal
+        assert np.all(eve.e_matrix.diagonal().real <= 1.0 + 1e-12)
+        assert np.linalg.eigvalsh(eve.e_matrix)[0] >= -1e-12
 
     def test_symmetrized_hermitian_round_trip(self):
         # re-vectorizing the symmetrized matrix still reproduces the stats

@@ -60,6 +60,8 @@ class TestBinaryEntropy:
             binary_entropy(-0.01)
         with pytest.raises(DomainError):
             binary_entropy(1.01)
+        with pytest.raises(DomainError):
+            binary_entropy(math.nan)
 
 
 def test_import_loads_no_scipy():
@@ -110,6 +112,11 @@ class TestSixStateRate:
         with pytest.raises(InvalidPhaseError):
             six_state_rate(1.0, 0.1, 0.0, 1.1)
 
+    @pytest.mark.parametrize("f", [math.nan, -1.0, 0.5])
+    def test_rejects_bad_error_correction_efficiency(self, f):
+        with pytest.raises(InvalidParamsError, match="f must be finite and >= 1"):
+            six_state_rate(1.0, 0.05, 0.0, 0.1, f=f)
+
     def test_tolerance_snaps(self):
         assert six_state_rate(1.0, 0.0, -1e-10, 1e-10) == pytest.approx(1.0, abs=1e-8)
 
@@ -157,6 +164,21 @@ class TestKeyratePoint:
         good = model_states(ModelParams(delta=0.0, depol=0.0))
         with pytest.raises(SingularGammaError):
             keyrate_point(bad, good, ChannelParams(eta=1.0, p_dark=0.0, distance_km=0.0))
+
+    @pytest.mark.parametrize("coplanar_party", ["Alice", "Bob"])
+    def test_singular_error_names_the_worse_party(self, coplanar_party):
+        bad = coplanar_ensemble(np.random.default_rng(163))
+        good = model_states(ModelParams(delta=0.0, depol=0.0))
+        alice, bob = (bad, good) if coplanar_party == "Alice" else (good, bad)
+        ch = ChannelParams(eta=1.0, p_dark=0.0, distance_km=0.0)
+        with pytest.raises(SingularGammaError, match=f"^{coplanar_party}'s .*tetrahedron"):
+            keyrate_point(alice, bob, ch)
+
+    @pytest.mark.parametrize("f", [math.nan, -1.0, 0.5, math.inf])
+    def test_rejects_bad_error_correction_efficiency(self, f):
+        alice, bob, ch = ideal_point()
+        with pytest.raises(InvalidParamsError, match="f must be finite and >= 1"):
+            keyrate_point(alice, bob, ch, f=f)
 
     def test_injected_stats(self):
         alice, bob, ch = ideal_point()
@@ -242,6 +264,13 @@ class TestScanConfig:
     def test_bad_step(self):
         with pytest.raises(InvalidParamsError):
             ScanConfig.from_dict(base_config(distance={"min": 0, "max": 10, "step": 0}))
+
+    @pytest.mark.parametrize("f", [math.nan, -1.0, 0.5])
+    def test_rejects_bad_error_correction_efficiency(self, f):
+        with pytest.raises(InvalidParamsError, match="f must be finite and >= 1"):
+            ScanConfig.from_dict(base_config(f=f))
+        with pytest.raises(InvalidParamsError, match="f must be finite and >= 1"):
+            ScanConfig(deltas=0.0, depols=0.0, distances=0.0, eta=0.5, p_dark=0.0, f=f)
 
     def test_explicit_states(self):
         ens = model_states(ModelParams(delta=0.07, depol=0.02))

@@ -2,16 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, real_embed_hermitian
-from twistqkd.errors import NotHermitianError, SingularMatrixError
-from twistqkd.qmath import (
-    PAULI,
-    eig2_hermitian,
-    kron,
-    psd_project,
-    solve_linear,
-    unvec_rowmajor,
-    vec_rowmajor,
-)
+from twistqkd.errors import NotHermitianError
+from twistqkd.qmath import PAULI, eig2_hermitian, kron, psd_project, vec_rowmajor
 
 
 class TestEig2Hermitian:
@@ -68,7 +60,7 @@ class TestVec:
     def test_round_trip(self, d):
         rng = np.random.default_rng(d)
         M = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        np.testing.assert_array_equal(unvec_rowmajor(vec_rowmajor(M)), M)
+        np.testing.assert_array_equal(vec_rowmajor(M).reshape(d, d), M)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -96,32 +88,14 @@ class TestKron:
                 np.trace(kron(A, B)), np.trace(A) * np.trace(B), atol=1e-12
             )
 
-
-class TestSolveLinear:
-    def test_identity(self):
-        b = np.array([1.0, 2.0, 3.0])
-        res = solve_linear(np.eye(3), b)
-        np.testing.assert_allclose(res.x, b)
-        assert res.residual < 1e-14
-
-    def test_diagonal(self):
-        res = solve_linear(np.diag([2.0, 4.0]), np.array([2.0, 8.0]))
-        np.testing.assert_allclose(res.x, [1.0, 2.0])
-
-    def test_construct_then_solve(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            A = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)) + 4 * np.eye(16)
-            x_true = rng.normal(size=16) + 1j * rng.normal(size=16)
-            res = solve_linear(A, A @ x_true)
-            assert np.linalg.norm(res.x - x_true) <= 1e-10 * np.linalg.norm(x_true)
-            assert res.residual <= 1e-10 * np.linalg.norm(A @ x_true)
-            assert np.isfinite(res.cond)
-
-    def test_singular_raises(self):
-        A = np.ones((3, 3))
-        with pytest.raises(SingularMatrixError):
-            solve_linear(A, np.ones(3))
+    def test_stack_matches_each_pair(self):
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        B = rng.normal(size=(3, 2, 3)) + 1j * rng.normal(size=(3, 2, 3))
+        K = kron(A, B)
+        assert K.shape == (3, 4, 6)
+        for k in range(3):
+            np.testing.assert_array_equal(K[k], np.kron(A[k], B[k]))
 
 
 class TestPsdProject:

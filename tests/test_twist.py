@@ -4,9 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import twistqkd.twist as twist_module
 from conftest import (
+    random_density_matrix,
     random_ensemble,
     sampled_twist_values,
     sdp_phase_errors,
@@ -16,9 +18,11 @@ from twistqkd.channel import ChannelParams, build_gamma, detection_stats
 from twistqkd.errors import InvalidParamsError
 from twistqkd.evegram import EveGram, key_basis_stats, solve_eve
 from twistqkd.sdp import solve_sdp
-from twistqkd.states import ModelParams, QubitState, model_states
+from twistqkd.states import ModelParams, QubitState, SignalEnsemble, model_states
 from twistqkd.twist import (
     TwistProblem,
+    _twist_factors,
+    _weighted_roots,
     ancilla_gram_block,
     naive_phase_errors,
     naive_twist_gram,
@@ -73,6 +77,42 @@ class TestIdealCase:
         assert 1.0 + sol_plus.objective_value == pytest.approx(0.0, abs=1e-7)
 
 
+class TestSquareRoots:
+    def test_roots_square_to_the_weighted_states(self):
+        rng = np.random.default_rng(11)
+        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+        ket /= np.linalg.norm(ket)
+        states = [
+            QubitState(rho=random_density_matrix(rng), prob=rng.uniform(0.05, 1.0))
+            for _ in range(20)
+        ]
+        states += [
+            QubitState(rho=np.outer(ket, ket.conj()), prob=0.3),
+            QubitState(rho=np.eye(2) / 2.0, prob=0.25),
+        ]
+        roots = _weighted_roots(states)
+        for root, state in zip(roots, states):
+            np.testing.assert_allclose(root, root.conj().T, atol=1e-15)
+            assert np.linalg.eigvalsh(root)[0] >= -1e-9
+            np.testing.assert_allclose(root @ root, state.weighted(), atol=1e-14)
+        # a pure state's root is the scaled projector, up to the square root
+        # of the rounding dust in its determinant
+        np.testing.assert_allclose(roots[-2], np.sqrt(0.3) * states[-2].rho, atol=1e-8)
+
+    def test_factors_are_roots_of_the_ancilla_blocks(self):
+        ens = model_states(ModelParams(delta=0.1, depol=0.05))
+        rng = np.random.default_rng(13)
+        bob = random_ensemble(rng)
+        ak, bk = ens.key_states(), bob.key_states()
+        left, right = _twist_factors(ak, bk)
+        pairs = (((0, 1), (1, 0)), ((0, 0), (1, 1)))
+        for k, ((xl, yl), (xr, yr)) in enumerate(pairs):
+            S_left, S_right = left[k].T, right[k].conj()
+            W_left, W_right = ancilla_gram_block(ak[xl], bk[yl]), ancilla_gram_block(ak[xr], bk[yr])
+            np.testing.assert_allclose(S_left @ S_left, W_left, atol=1e-15)
+            np.testing.assert_allclose(S_right @ S_right, W_right, atol=1e-15)
+
+
 class TestConstraints:
     def test_zero_bit_error_forces_zero_eminus(self):
         # with e_z = 0 the scalar constraints pin e_minus to zero even when
@@ -91,12 +131,11 @@ class TestConstraints:
         # the unconstrained minimum of e_plus below e_z, so the scalar
         # constraint clamps the optimum exactly at e_z
         mixed = QubitState(rho=np.eye(2) / 2.0, prob=0.25)
-        blocks = {(x, y): ancilla_gram_block(mixed, mixed) for x in (0, 1) for y in (0, 1)}
         honest = np.zeros((4, 4), dtype=complex)
         honest[0, 0] = honest[0, 3] = honest[3, 0] = honest[3, 3] = 0.5
         eve = EveGram(e_matrix=honest, clipped_mass=0.0, raw=np.zeros(16, dtype=complex))
         e_z = 0.3
-        problem = TwistProblem(blocks=blocks, eve_gram=eve, p_det00=1.0 / 32.0, e_z=e_z)
+        problem = TwistProblem.from_key_states((mixed, mixed), (mixed, mixed), eve, 1.0 / 32.0, e_z)
         result = optimize_phase_errors(problem)
         assert result.e_plus == pytest.approx(e_z, abs=1e-6)
 
@@ -185,7 +224,8 @@ class TestDominance:
         ens, eve, p00, e_z = pipeline_inputs(0.15, 0.0, distance=60.0)
         ak, bk = ens.key_states(), ens.key_states()
         problem = TwistProblem.from_key_states(ak, bk, eve, p00, e_z)
-        for W in problem.blocks.values():  # rank-1 blocks
+        for W in (ancilla_gram_block(ak[x], bk[y]) for x in (0, 1) for y in (0, 1)):
+            # rank-1 blocks
             assert np.sum(np.linalg.eigvalsh(W) > 1e-12 * np.abs(W).max()) == 1
         opt = optimize_phase_errors(problem)
         naive = naive_phase_errors(ak, bk, eve, p00)
@@ -197,27 +237,40 @@ class TestDominance:
         assert opt.e_plus == pytest.approx(oracle[1], abs=1e-7)
 
 
+def haar_unitary(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def rotated(ensemble, U):
+    """Every state of ``ensemble`` conjugated by ``U``."""
+    return SignalEnsemble(
+        states=tuple(QubitState(rho=U @ s.rho @ U.conj().T, prob=s.prob) for s in ensemble)
+    )
+
+
+def twisted_values(alice, bob, channel):
+    eve, p00, e_z = pair_inputs(alice, bob, channel)
+    problem = TwistProblem.from_key_states(alice.key_states(), bob.key_states(), eve, p00, e_z)
+    opt = optimize_phase_errors(problem)
+    return [p00, e_z, opt.e_minus, opt.e_plus, opt.bound_minus, opt.bound_plus]
+
+
 class TestPhaseInvariance:
-    def test_global_phase_of_eigenvectors(self, monkeypatch):
-        # each eigenvector of a Gram block is fixed only up to a phase; the
-        # optimum must not depend on the phases the eigensolver picks
-        problem = model_problem(0.1, 0.05, distance=25.0)
-        opt1 = optimize_phase_errors(problem)
-        rng = np.random.default_rng(29)
-        reduce_block = twist_module._reduce_block
-        calls = []
-
-        def rephased(W, label):
-            lam, V = reduce_block(W, label)
-            calls.append(label)
-            return lam, V * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, V.shape[1]))
-
-        monkeypatch.setattr(twist_module, "_reduce_block", rephased)
-        for _ in range(5):
-            opt2 = optimize_phase_errors(problem)
-            assert opt2.e_minus == pytest.approx(opt1.e_minus, abs=1e-12)
-            assert opt2.e_plus == pytest.approx(opt1.e_plus, abs=1e-12)
-        assert len(calls) == 20
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_conjugate_rotation_of_the_parties(self, seed):
+        # U on every Alice state and conj(U) on every Bob state fixes
+        # |Phi+>, so the statistics and the twisted optimum do not move.
+        # The eigenbasis baseline is not invariant and is not checked.
+        rng = np.random.default_rng(seed)
+        alice, bob = random_ensemble(rng), random_ensemble(rng)
+        channel = ChannelParams(eta=0.5, p_dark=1e-5, distance_km=rng.uniform(0.0, 150.0))
+        U = haar_unitary(rng, 2)
+        before = twisted_values(alice, bob, channel)
+        after = twisted_values(rotated(alice, U), rotated(bob, U.conj()), channel)
+        np.testing.assert_allclose(after, before, rtol=0.0, atol=1e-10)
 
 
 def matches_oracle(problem):
