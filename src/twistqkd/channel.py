@@ -70,17 +70,17 @@ class DetectionStats:
     """Length-16 vector of pass probabilities, indexed by :func:`stats_index`."""
 
     p_det: np.ndarray
-    validate: bool = True
 
     def __post_init__(self):
         self.p_det = np.asarray(self.p_det, dtype=float)
         if self.p_det.shape != (16,):
             raise InvalidParamsError(f"p_det must have shape (16,), got {self.p_det.shape}")
-        if self.validate:
-            if np.any(self.p_det < -1e-15) or np.any(self.p_det > 1.0 + 1e-12):
-                raise InvalidParamsError("p_det entries must lie in [0, 1]")
-            if self.p_det.sum() > 1.0 + 1e-9:
-                raise InvalidParamsError("p_det entries sum above 1")
+        if not np.isfinite(self.p_det).all():
+            raise InvalidParamsError("p_det entries must be finite")
+        if np.any(self.p_det < -1e-15) or np.any(self.p_det > 1.0 + 1e-12):
+            raise InvalidParamsError("p_det entries must lie in [0, 1]")
+        if self.p_det.sum() > 1.0 + 1e-9:
+            raise InvalidParamsError("p_det entries sum above 1")
 
     def __getitem__(self, t):
         return self.p_det[t]
@@ -98,8 +98,9 @@ class DetectionStats:
 
     @classmethod
     def from_csv(cls, path) -> "DetectionStats":
-        """Read measured statistics from a CSV with columns i,j,x,y,p_det."""
-        p = np.full(16, np.nan)
+        """Read measured statistics from a CSV with columns i,j,x,y,p_det,
+        one row for each of the 16 settings."""
+        p = {}
         with open(path, newline="") as fh:
             for row in csv.DictReader(fh):
                 try:
@@ -109,11 +110,15 @@ class DetectionStats:
                     raise InvalidParamsError(f"bad stats row {row}: {exc}") from exc
                 if not all(v in (0, 1) for v in (i, j, x, y)):
                     raise InvalidParamsError(f"indices must be 0/1, got {(i, j, x, y)}")
-                p[stats_index(i, j, x, y)] = value
-        if np.any(np.isnan(p)):
-            missing = int(np.sum(np.isnan(p)))
-            raise InvalidParamsError(f"stats CSV is missing {missing} of the 16 settings")
-        return cls(p_det=p)
+                t = stats_index(i, j, x, y)
+                if t in p:
+                    raise InvalidParamsError(
+                        f"stats CSV repeats the setting i,j,x,y = {i},{j},{x},{y}"
+                    )
+                p[t] = value
+        if len(p) < 16:
+            raise InvalidParamsError(f"stats CSV is missing {16 - len(p)} of the 16 settings")
+        return cls(p_det=[p[t] for t in range(16)])
 
 
 @dataclass

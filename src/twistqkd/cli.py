@@ -164,7 +164,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParamsError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (InvalidParamsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SingularGammaError, UnphysicalStatsError, NoDetectionsError) as exc:

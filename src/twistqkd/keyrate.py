@@ -46,11 +46,6 @@ def _entropy(x):
     return -(x * np.log(np.where(x > 0.0, x, 1.0)) + y * np.log(np.where(y > 0.0, y, 1.0))) / _LN2
 
 
-def _outside_entropy_domain(x):
-    """True where ``x`` is NaN or further than 1e-12 outside [0, 1]."""
-    return np.logical_not((x >= -_ENTROPY_TOL) & (x <= 1.0 + _ENTROPY_TOL))
-
-
 def _require_f(f) -> float:
     """The error-correction efficiency as a float; it must be finite and >= 1."""
     f = float(f)
@@ -66,7 +61,7 @@ def binary_entropy(x: float) -> float:
     or NaN, raises ``DomainError``.  ``h2(0) = h2(1) = 0``.
     """
     x = float(x)
-    if _outside_entropy_domain(x):
+    if not -_ENTROPY_TOL <= x <= 1.0 + _ENTROPY_TOL:
         raise DomainError(f"binary entropy argument {x} outside [0, 1]")
     return float(_entropy(min(max(x, 0.0), 1.0)))
 
@@ -78,32 +73,15 @@ def _merge(errors: list, new: list) -> None:
             errors[i] = error
 
 
-def _raw_rates(p_det00, e_z, e_minus, e_plus, f):
-    """The unclamped six-state rate per row, and per row the
-    :class:`DomainError` of the first entropy argument outside [0, 1]."""
-    low = e_z < _EZ_FLOOR
-    high = 1.0 - e_z < _EZ_FLOOR
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # h2 argument of the bit-flip term, or of the phase term when e_z is 0
-        first = np.where(low, 1.0 - e_plus / 2.0, (1.0 + e_minus / e_z) / 2.0)
-        phase_arg = np.clip((1.0 - (e_plus + e_z) / 2.0) / (1.0 - e_z), 0.0, 1.0)
-    h_first = _entropy(np.clip(first, 0.0, 1.0))
-    bit_flip = np.where(low, 0.0, e_z * h_first)
-    h_phase = np.where(low, h_first, np.where(high, 0.0, _entropy(phase_arg)))
-    phase = (1.0 - e_z) * h_phase
-    raw = p_det00 * (1.0 - f * _entropy(np.clip(e_z, 0.0, 1.0)) - bit_flip - phase)
-    errors = [None] * len(raw)
-    # ``first`` is evaluated before ``e_z``, so its error is written last
-    for args in (e_z, first):
-        for i in np.flatnonzero(_outside_entropy_domain(args)):
-            errors[i] = DomainError(f"binary entropy argument {float(args[i])} outside [0, 1]")
-    return raw, errors
-
-
 def _rates(p_det00, e_z, e_minus, e_plus, f):
-    """Per row: the six-state rate clamped at zero, the unclamped formula
-    value, the :class:`DomainError` of the unclamped formula and the
-    :class:`InvalidPhaseError` of the first violated window."""
+    """Per row: the six-state rate clamped at zero, the formula value before
+    that clamp, and the :class:`InvalidPhaseError` of the first violated
+    window (or None).
+
+    The formula is evaluated once, on ``e_z``, ``e_minus`` and ``e_plus``
+    clipped to their windows ``[0, 1]``, ``[0, e_z]`` and ``[e_z, 1]``;
+    there every entropy argument lies in [0, 1].
+    """
     checks = (
         (e_minus >= -_PHASE_TOL, "e_minus = {m} < 0"),
         (e_minus <= e_z + _PHASE_TOL, "e_minus = {m} > e_z = {z}"),
@@ -111,22 +89,25 @@ def _rates(p_det00, e_z, e_minus, e_plus, f):
         (e_plus >= e_z - _PHASE_TOL, "e_plus = {p} < e_z = {z}"),
         (e_plus <= 1.0 + _PHASE_TOL, "e_plus = {p} > 1"),
     )
-    window_errors = [None] * len(p_det00)
+    errors = [None] * len(p_det00)
     for ok, message in reversed(checks):  # the later write wins
         for i in np.flatnonzero(~ok):
             values = {"m": float(e_minus[i]), "z": float(e_z[i]), "p": float(e_plus[i])}
-            window_errors[i] = InvalidPhaseError(message.format(**values))
-    clamped_z = np.clip(e_z, 0.0, 1.0)
-    # One formula evaluation for the unclamped rows and the clamped ones.
-    raw, domain_errors = _raw_rates(
-        np.concatenate([p_det00, p_det00]),
-        np.concatenate([e_z, clamped_z]),
-        np.concatenate([e_minus, np.clip(e_minus, 0.0, clamped_z)]),
-        np.concatenate([e_plus, np.clip(e_plus, clamped_z, 1.0)]),
-        f,
-    )
-    n = len(p_det00)
-    return np.maximum(raw[n:], 0.0), raw[:n], domain_errors[:n], window_errors
+            errors[i] = InvalidPhaseError(message.format(**values))
+    e_z = np.clip(e_z, 0.0, 1.0)
+    e_minus = np.clip(e_minus, 0.0, e_z)
+    e_plus = np.clip(e_plus, e_z, 1.0)
+    low = e_z < _EZ_FLOOR
+    high = 1.0 - e_z < _EZ_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # h2 argument of the bit-flip term, or of the phase term when e_z is 0
+        first = np.where(low, 1.0 - e_plus / 2.0, (1.0 + e_minus / e_z) / 2.0)
+        phase_arg = np.clip((1.0 - (e_plus + e_z) / 2.0) / (1.0 - e_z), 0.0, 1.0)
+    h_first = _entropy(first)
+    bit_flip = np.where(low, 0.0, e_z * h_first)
+    h_phase = np.where(low, h_first, np.where(high, 0.0, _entropy(phase_arg)))
+    raw = p_det00 * (1.0 - f * _entropy(e_z) - bit_flip - (1.0 - e_z) * h_phase)
+    return np.maximum(raw, 0.0), raw, errors
 
 
 def six_state_rate(
@@ -143,7 +124,7 @@ def six_state_rate(
     last term uses its limit ``h2(1 - e_plus/2)``.
     """
     values = (np.array([float(v)]) for v in (p_det00, e_z, e_minus, e_plus))
-    rate, _, _, errors = _rates(*values, _require_f(f))
+    rate, _, errors = _rates(*values, _require_f(f))
     if errors[0] is not None:
         raise errors[0]
     return float(rate[0])
@@ -153,9 +134,11 @@ def six_state_rate(
 class KeyRateResult:
     """Key rates and intermediate quantities for one parameter point.
 
-    Rates are clamped at zero for reporting; the raw (possibly negative)
-    formula values live in ``diagnostics`` together with condition numbers,
-    the PSD repair magnitude and the unclamped twist bounds.
+    Rates are clamped at zero for reporting.  ``rate_twisted_raw`` and
+    ``rate_naive_raw`` in ``diagnostics`` are the formula on the windowed
+    phase errors before that clamp (possibly negative); ``diagnostics``
+    also holds condition numbers, the PSD repair magnitude and the
+    unclamped twist bounds.
     """
 
     p_det00: float
@@ -208,19 +191,10 @@ def _evaluate(
             # The rate formula is even in e_minus (h2((1+t)/2) = h2((1-t)/2)),
             # so the signed baseline value enters through its magnitude.
             naive_minus = np.minimum(np.abs(naive_signed), e_z)
-            # Twisted rows then baseline rows, in one evaluation.
-            rate, raw, domain_errors, window_errors = _rates(
-                np.concatenate([p00, p00]),
-                np.concatenate([e_z, e_z]),
-                np.concatenate([e_minus, naive_minus]),
-                np.concatenate([e_plus, naive_plus]),
-                f,
-            )
-            for part in (slice(0, n), slice(n, 2 * n)):
-                _merge(errors, domain_errors[part])
-                _merge(errors, window_errors[part])
-            rate_twisted, rate_naive = rate[:n], rate[n:]
-            raw_twisted, raw_naive = raw[:n], raw[n:]
+            rate_twisted, raw_twisted, twisted_errors = _rates(p00, e_z, e_minus, e_plus, f)
+            rate_naive, raw_naive, naive_errors = _rates(p00, e_z, naive_minus, naive_plus, f)
+            _merge(errors, twisted_errors)
+            _merge(errors, naive_errors)
             pct_gain = np.where(
                 rate_naive > 0.0,
                 100.0 * (rate_twisted - rate_naive) / rate_naive,
@@ -277,6 +251,15 @@ def keyrate_point(
     if isinstance(result, QkdError):
         raise result
     return result
+
+
+def _path_field(doc: dict, name: str) -> str | None:
+    """The file path in field ``name`` of a config document, or None when
+    the field is absent or null."""
+    value = doc.get(name)
+    if value is not None and not isinstance(value, str):
+        raise InvalidParamsError(f"{name} must be a file path string, got {value!r}")
+    return value
 
 
 @dataclass
@@ -364,9 +347,8 @@ class ScanConfig:
         elif "bob_states" in doc:
             raise InvalidParamsError("bob_states given without alice_states")
 
-        stats = None
-        if "stats_csv" in doc:
-            stats = DetectionStats.from_csv(doc["stats_csv"])
+        stats_csv = _path_field(doc, "stats_csv")
+        stats = None if stats_csv is None else DetectionStats.from_csv(stats_csv)
 
         return cls(
             deltas=doc.get("delta", 0.0),
@@ -382,7 +364,7 @@ class ScanConfig:
             alice_states=alice_states,
             bob_states=bob_states,
             stats=stats,
-            out=doc.get("out"),
+            out=_path_field(doc, "out"),
         )
 
     @classmethod
@@ -390,7 +372,7 @@ class ScanConfig:
         with open(path) as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
                 raise InvalidParamsError(f"config is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
 

@@ -51,20 +51,6 @@ def require_hermitian(M, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np
     return M
 
 
-def eig2_hermitian(M) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a 2x2 Hermitian matrix.
-
-    Returns ``(w, V)`` with eigenvalues ``w[0] >= w[1]`` and orthonormal
-    eigenvectors in the columns of ``V``, so that
-    ``M = sum_k w[k] V[:,k] V[:,k]^dag``.
-    """
-    M = require_hermitian(M)
-    if M.shape != (2, 2):
-        raise NotHermitianError(f"expected a 2x2 matrix, got {M.shape}")
-    w, V = np.linalg.eigh(M)
-    return w[::-1].copy(), V[:, ::-1].copy()
-
-
 def vec_rowmajor(M) -> np.ndarray:
     """Row-major vectorization: ``vec(M)[d*u + v] = M[u, v]``."""
     M = np.asarray(M, dtype=complex)

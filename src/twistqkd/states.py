@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +35,9 @@ class QubitState:
 
     rho: np.ndarray
     prob: float
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
         self.prob = float(self.prob)
-        if not self.validate:
-            return
         self.rho = require_hermitian(self.rho, name="rho")
         if self.rho.shape != (2, 2):
             raise InvalidParamsError(f"rho must be 2x2, got {self.rho.shape}")
@@ -64,16 +60,14 @@ class SignalEnsemble:
     """Four signal states in canonical (i, x) order with probabilities summing to 1."""
 
     states: tuple[QubitState, QubitState, QubitState, QubitState]
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.states = tuple(self.states)
         if len(self.states) != 4:
             raise InvalidParamsError(f"an ensemble has exactly 4 states, got {len(self.states)}")
-        if self.validate:
-            total = sum(s.prob for s in self.states)
-            if abs(total - 1.0) > PROB_TOL:
-                raise InvalidParamsError(f"send probabilities sum to {total}, expected 1")
+        total = sum(s.prob for s in self.states)
+        if abs(total - 1.0) > PROB_TOL:
+            raise InvalidParamsError(f"send probabilities sum to {total}, expected 1")
 
     def __iter__(self):
         return iter(self.states)

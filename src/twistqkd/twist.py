@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidParamsError
 from .evegram import EveGram
-from .qmath import eig2_hermitian, kron
+from .qmath import kron
 from .states import QubitState
 
 
@@ -170,11 +170,18 @@ def optimize_phase_errors(problem: TwistProblem) -> PhaseErrors:
     return PhaseErrors(e_minus, e_plus, bound_minus, bound_plus)
 
 
-def _purification_factor(state: QubitState) -> np.ndarray:
-    """``F`` with ``prob * rho = F F^dag``: column k is the k-th eigenvector
-    (decreasing eigenvalues) scaled by ``sqrt(prob * lam_k)``."""
-    w, V = eig2_hermitian(state.rho)
-    return np.sqrt(state.prob) * (V * np.sqrt(np.clip(w, 0.0, None)))
+def _purification_factors(states) -> np.ndarray:
+    """``F`` with ``prob * rho = F F^dag`` for each state, stacked
+    ``(n, 2, 2)``: column k is the k-th eigenvector (decreasing eigenvalues)
+    scaled by ``sqrt(prob * lam_k)``.
+
+    One batched ``eigh`` runs the same LAPACK routine on every matrix, so
+    each state gets the eigenvector phases a single ``eigh`` would give it.
+    """
+    w, V = np.linalg.eigh(np.stack([state.rho for state in states]))
+    w, V = w[:, ::-1], V[:, :, ::-1]
+    prob = np.array([state.prob for state in states])
+    return np.sqrt(prob)[:, None, None] * (V * np.sqrt(np.clip(w, 0.0, None))[:, None, :])
 
 
 def _purification_vectors(alice_state: QubitState, bob_state: QubitState) -> np.ndarray:
@@ -188,7 +195,8 @@ def _purification_vectors(alice_state: QubitState, bob_state: QubitState) -> np.
 
     which is the Kronecker product of the two parties' factors.
     """
-    return kron(_purification_factor(alice_state), _purification_factor(bob_state))
+    A, B = _purification_factors((alice_state, bob_state))
+    return kron(A, B)
 
 
 def naive_twist_gram(alice_key, bob_key, pair: str = "plus") -> np.ndarray:
@@ -217,10 +225,11 @@ def naive_phase_errors(alice_key, bob_key, eve: EveGram, p_det00: float) -> Phas
 
     The baseline is *not* phase-invariant: each eigenvector of a key state
     is fixed only up to a phase, and the values depend on the phases that
-    ``eigh`` happens to return.  Re-phasing them spreads ``e_plus`` over a
-    range with a median width of about 0.75 across random asymmetric
-    ensembles; at delta=0.1, p=0.05, 50 km it ranges from 0.052 (near the
-    optimum, 0.0513) up to 1.95.  The twisted optimum absorbs every such
+    the batched ``eigh`` of :func:`_purification_factors` happens to
+    return.  Re-phasing them spreads ``e_plus`` over a range with a median
+    width of about 0.75 across random asymmetric ensembles; at delta=0.1,
+    p=0.05, 50 km it ranges from 0.052 (near the optimum, 0.0513) up to
+    1.95.  The twisted optimum absorbs every such
     phase and does not move.
     """
     e_minus, e_plus = _naive_rows(alice_key, bob_key, eve.e_matrix[None], np.array([p_det00]))
@@ -231,11 +240,11 @@ def _naive_rows(alice_key, bob_key, E: np.ndarray, p_det00: np.ndarray):
     """Signed ``e_minus`` and ``e_plus`` of the eigenbasis purification for
     N Gram matrices ``E`` (N, 4, 4).
 
-    The pairings ``G00 G11^dag`` and ``G01 G10^dag`` of the purification
+    The factors of all four key states come from one batched ``eigh``, and
+    the pairings ``G00 G11^dag`` and ``G01 G10^dag`` of the purification
     vectors are built once, as Kronecker products of the parties' factors.
     """
-    A0, A1 = (_purification_factor(s) for s in alice_key)
-    B0, B1 = (_purification_factor(s) for s in bob_key)
+    A0, A1, B0, B1 = _purification_factors((*alice_key, *bob_key))
     alice_pairing = A0 @ A1.conj().T
     pairing_plus = kron(alice_pairing, B0 @ B1.conj().T)
     pairing_minus = kron(alice_pairing, B1 @ B0.conj().T)

@@ -222,3 +222,25 @@ class TestStatsCsv:
             DetectionStats(p_det=np.full(16, 0.2))  # sums above 1
         with pytest.raises(InvalidParamsError):
             DetectionStats(p_det=np.full(16, -0.1))
+        for bad in (np.nan, np.inf, -np.inf):
+            p_det = np.full(16, 0.01)
+            p_det[5] = bad
+            with pytest.raises(InvalidParamsError, match="finite"):
+                DetectionStats(p_det=p_det)
+
+    def test_non_finite_value_in_csv(self, tmp_path):
+        path = tmp_path / "stats.csv"
+        DetectionStats(p_det=np.full(16, 0.01)).to_csv(path)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidParamsError, match="finite"):
+            DetectionStats.from_csv(path)
+
+    def test_repeated_setting_in_csv(self, tmp_path):
+        path = tmp_path / "stats.csv"
+        DetectionStats(p_det=np.full(16, 0.01)).to_csv(path)
+        with open(path, "a") as fh:
+            fh.write("0,1,1,0,0.02\n")
+        with pytest.raises(InvalidParamsError, match="repeats the setting i,j,x,y = 0,1,1,0"):
+            DetectionStats.from_csv(path)

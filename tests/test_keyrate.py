@@ -6,14 +6,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import coplanar_ensemble
+from conftest import coplanar_ensemble, random_ensemble
 from twistqkd.channel import ChannelParams, DetectionStats, detection_stats, stats_index
 from twistqkd.errors import (
     DomainError,
     InvalidParamsError,
     InvalidPhaseError,
     NoDetectionsError,
+    QkdError,
     SingularGammaError,
 )
 from twistqkd.keyrate import (
@@ -201,6 +204,29 @@ class TestKeyratePoint:
         r2 = keyrate_point(ens, ens, ch)
         assert r1.rate_twisted == r2.rate_twisted
         assert r1.e_plus == r2.e_plus
+
+
+def outcome(alice, bob, channel):
+    try:
+        return keyrate_point(alice, bob, channel)
+    except QkdError as exc:
+        return exc
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 150.0))
+def test_swapping_alice_and_bob(seed, distance):
+    # The Bell projection onto |Phi+> is symmetric in the two parties, so
+    # the point must not depend on who is called Alice.
+    rng = np.random.default_rng(seed)
+    alice, bob = random_ensemble(rng), random_ensemble(rng)
+    channel = ChannelParams(eta=0.5, p_dark=1e-5, distance_km=distance)
+    direct, swapped = outcome(alice, bob, channel), outcome(bob, alice, channel)
+    assert type(direct) is type(swapped)
+    if isinstance(direct, QkdError):
+        return
+    for name in ("p_det00", "e_z", "e_minus", "e_plus", "rate_twisted", "rate_naive"):
+        assert getattr(swapped, name) == pytest.approx(getattr(direct, name), rel=0, abs=1e-10)
 
 
 def base_config(**overrides):

@@ -3,48 +3,7 @@ import pytest
 
 from conftest import random_hermitian, real_embed_hermitian
 from twistqkd.errors import NotHermitianError
-from twistqkd.qmath import PAULI, eig2_hermitian, kron, psd_project, vec_rowmajor
-
-
-class TestEig2Hermitian:
-    def test_diagonal(self):
-        w, V = eig2_hermitian(np.diag([0.99, 0.01]))
-        np.testing.assert_allclose(w, [0.99, 0.01])
-        np.testing.assert_allclose(np.abs(V), np.eye(2), atol=1e-14)
-
-    def test_pauli_x(self):
-        w, V = eig2_hermitian(PAULI[1])
-        np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-14)
-        # eigenvectors (1, +-1)/sqrt2 up to phase
-        for k, sign in ((0, 1.0), (1, -1.0)):
-            v = V[:, k] / V[0, k]
-            np.testing.assert_allclose(v, [1.0, sign], atol=1e-12)
-
-    def test_matches_characteristic_polynomial(self):
-        # oracle: quadratic formula on trace and determinant
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            M = random_hermitian(rng, 2)
-            t = float(np.trace(M).real)
-            d = float(np.linalg.det(M).real)
-            disc = np.sqrt(max(t * t - 4.0 * d, 0.0))
-            expected = np.array([(t + disc) / 2.0, (t - disc) / 2.0])
-            w, _ = eig2_hermitian(M)
-            np.testing.assert_allclose(w, expected, atol=1e-10)
-
-    def test_reconstruction_invariant(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10_000):
-            M = random_hermitian(rng, 2)
-            w, V = eig2_hermitian(M)
-            R = (V * w) @ V.conj().T
-            assert np.linalg.norm(R - M) <= 1e-11 * max(1.0, np.linalg.norm(M))
-            assert w[0] >= w[1]
-            assert abs(np.vdot(V[:, 0], V[:, 1])) < 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            eig2_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+from twistqkd.qmath import PAULI, kron, psd_project, vec_rowmajor
 
 
 class TestVec:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    bloch_state,
     random_density_matrix,
     random_ensemble,
     sampled_twist_values,
@@ -21,6 +22,7 @@ from twistqkd.sdp import solve_sdp
 from twistqkd.states import ModelParams, QubitState, SignalEnsemble, model_states
 from twistqkd.twist import (
     TwistProblem,
+    _purification_factors,
     _twist_factors,
     _weighted_roots,
     ancilla_gram_block,
@@ -111,6 +113,52 @@ class TestSquareRoots:
             W_left, W_right = ancilla_gram_block(ak[xl], bk[yl]), ancilla_gram_block(ak[xr], bk[yr])
             np.testing.assert_allclose(S_left @ S_left, W_left, atol=1e-15)
             np.testing.assert_allclose(S_right @ S_right, W_right, atol=1e-15)
+
+
+class TestPurificationFactors:
+    STATES = (
+        bloch_state([0.6, -0.48, 0.64], 0.3),  # pure
+        bloch_state([0.1, 0.5, -0.3], 0.2),  # mixed
+        bloch_state([0.0, 0.0, 0.0], 0.25),  # fully mixed
+        bloch_state([0.0, 0.0, -1.0], 0.25),  # pure, V
+    )
+
+    def test_factors_purify_the_weighted_states(self):
+        factors = _purification_factors(self.STATES)
+        assert factors.shape == (4, 2, 2)
+        for F, state in zip(factors, self.STATES):
+            np.testing.assert_allclose(F @ F.conj().T, state.weighted(), atol=1e-15)
+
+    def test_eigenvalues_decrease(self):
+        factors = _purification_factors(self.STATES)
+        for F, state in zip(factors, self.STATES):
+            # orthogonal columns of squared norm prob * lam_k, decreasing
+            weights = np.sum(np.abs(F) ** 2, axis=0)
+            assert weights[0] >= weights[1]
+            np.testing.assert_allclose(F.conj().T @ F, np.diag(weights), atol=1e-15)
+            np.testing.assert_allclose(
+                weights, state.prob * np.linalg.eigvalsh(state.rho)[::-1], atol=1e-15
+            )
+        # a pure state's second column vanishes; a fully mixed state's columns
+        # carry equal weight
+        assert np.abs(factors[0][:, 1]).max() <= 1e-8
+        np.testing.assert_allclose(np.sum(np.abs(factors[2]) ** 2, axis=0), 0.125, atol=1e-15)
+
+    def test_columns_are_those_of_each_matrix_own_eigh(self):
+        # the baseline depends on the eigenvector phases, so the batched
+        # decomposition must return exactly what a per-matrix one returns
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            states = [
+                QubitState(rho=random_density_matrix(rng), prob=rng.uniform(0.05, 1.0))
+                for _ in range(4)
+            ]
+            for F, state in zip(_purification_factors(states), states):
+                w, V = np.linalg.eigh(state.rho)
+                w, V = w[::-1], V[:, ::-1]
+                np.testing.assert_array_equal(
+                    F, np.sqrt(state.prob) * (V * np.sqrt(np.clip(w, 0.0, None)))
+                )
 
 
 class TestConstraints:
