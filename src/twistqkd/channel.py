@@ -56,6 +56,8 @@ class ChannelParams:
             raise InvalidParamsError(f"p_dark must be in [0, 1), got {self.p_dark}")
         if self.distance_km < 0:
             raise InvalidParamsError(f"distance_km must be >= 0, got {self.distance_km}")
+        if self.atten_db_per_km < 0:
+            raise InvalidParamsError(f"atten_db_per_km must be >= 0, got {self.atten_db_per_km}")
         if self.atten_divisor <= 0:
             raise InvalidParamsError(f"atten_divisor must be > 0, got {self.atten_divisor}")
 
@@ -156,9 +158,10 @@ def photon_loss(params: ChannelParams) -> float:
     return _loss(params.eta, params.atten_db_per_km, params.distance_km, params.atten_divisor)
 
 
-def _state_rows(ensemble: SignalEnsemble) -> np.ndarray:
-    """4x4 matrix whose row a is ``vec(p_a rho_a)``."""
-    return np.stack([s.weighted().reshape(4) for s in ensemble.states])
+def _state_rows(rho: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    """The state-matrix factor whose row a is ``vec(p_a rho_a)``, of each
+    ensemble ``rho`` (..., 4, 2, 2) with ``priors`` (..., 4): (..., 4, 4)."""
+    return (priors[..., None, None] * rho).reshape(*priors.shape, 4)
 
 
 def _detection_rows(RA, RB, priors_a, priors_b, channels) -> np.ndarray:
@@ -166,7 +169,8 @@ def _detection_rows(RA, RB, priors_a, priors_b, channels) -> np.ndarray:
 
     Both terms of :func:`detection_stats` factor into a channel scalar times
     a fixed 16-vector: ``p q Tr[(rho (x) sigma)|Phi+><Phi+|]`` is
-    ``Re(RA RB^T)[a, b] / 2``, and the dark-count term is ``p q``.
+    ``Re(RA RB^T)[a, b] / 2``, and the dark-count term is ``p q``.  The
+    factors and priors are one pair's, or stacks with one pair per channel.
     """
     eta, pd, dist, atten, div = (
         np.array([getattr(c, name) for c in channels])
@@ -175,8 +179,9 @@ def _detection_rows(RA, RB, priors_a, priors_b, channels) -> np.ndarray:
     p0 = _loss(eta, atten, dist, div)
     both_arrive = (1.0 - p0) ** 2 * (1.0 - pd) ** 2
     dark = 2.0 * (p0**2 * pd**2 * (1.0 - pd) ** 2 + p0 * (1.0 - p0) * pd * (1.0 - pd) ** 2)
-    p_pass = 0.5 * (RA @ RB.T).real.reshape(16)
-    p_dark = np.outer(priors_a, priors_b).reshape(16)
+    shape = np.shape(priors_a)[:-1]
+    p_pass = 0.5 * (RA @ RB.swapaxes(-1, -2)).real.reshape(*shape, 16)
+    p_dark = (priors_a[..., :, None] * priors_b[..., None, :]).reshape(*shape, 16)
     return both_arrive[:, None] * p_pass + dark[:, None] * p_dark
 
 
@@ -192,7 +197,8 @@ def detection_stats(
 
     where ``p_pass = p q Tr[(rho (x) sigma)|Phi+><Phi+|]``.
     """
-    rows = _detection_rows(_state_rows(alice), _state_rows(bob), alice.priors, bob.priors, [params])
+    RA, RB = _state_rows(alice.rho, alice.priors), _state_rows(bob.rho, bob.priors)
+    rows = _detection_rows(RA, RB, alice.priors, bob.priors, [params])
     return DetectionStats(p_det=rows[0])
 
 
@@ -204,5 +210,5 @@ def build_gamma(alice: SignalEnsemble, bob: SignalEnsemble) -> GammaMatrix:
     singular values are the products of theirs.  Singularity is not an
     error here; it surfaces when the matrix is inverted downstream.
     """
-    RA, RB = _state_rows(alice), _state_rows(bob)
+    RA, RB = _state_rows(alice.rho, alice.priors), _state_rows(bob.rho, bob.priors)
     return GammaMatrix(RA, RB, float(np.linalg.cond(RA)), float(np.linalg.cond(RB)))

@@ -26,7 +26,7 @@ from .errors import (
     SingularGammaError,
     UnphysicalStatsError,
 )
-from .keyrate import ScanConfig, keyrate_point, scan, scan_to_csv
+from .keyrate import ScanConfig, keyrate_point, read_config_doc, scan, scan_to_csv
 from .states import ModelParams, model_states, tetrahedron_check
 
 EXIT_OK = 0
@@ -109,7 +109,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_check_states(args) -> int:
-    config = ScanConfig.from_json_file(args.config)
+    doc = read_config_doc(args.config)
+    if isinstance(doc, dict):
+        doc.pop("stats_csv", None)  # the ensembles do not depend on the statistics
+    config = ScanConfig.from_dict(doc)
     ok = True
     for delta in config.deltas:
         for depol in config.depols:

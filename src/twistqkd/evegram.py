@@ -68,26 +68,37 @@ def _matrix_to_vector(E: np.ndarray) -> np.ndarray:
     return E.reshape(*shape, 2, 2, 2, 2).swapaxes(-3, -2).reshape(*shape, 16)
 
 
-def _gram_rows(gamma: GammaMatrix, p_det: np.ndarray):
-    """Repaired Gram matrices for N rows of statistics ``p_det`` (N, 16).
+def _singular_errors(cond_alice: np.ndarray, cond_bob: np.ndarray) -> list:
+    """Per ensemble pair, the :class:`~twistqkd.errors.SingularGammaError`
+    of a state matrix whose condition number ``cond(RA) * cond(RB)`` is not
+    below ``COND_LIMIT``, or None."""
+    errors = []
+    for alice, bob in zip(cond_alice.tolist(), cond_bob.tolist()):
+        cond = alice * bob
+        if cond < COND_LIMIT:
+            errors.append(None)
+            continue
+        errors.append(SingularGammaError(
+            f"{'Alice' if alice >= bob else 'Bob'}'s ensemble fails the tetrahedron condition: "
+            f"state matrix condition number {cond:.3e} is not below {COND_LIMIT:.0e}, so "
+            "detection statistics cannot determine the Gram matrix"
+        ))
+    return errors
+
+
+def _solve_rows(RA_inv: np.ndarray, RB_inv: np.ndarray, p_det: np.ndarray):
+    """Repaired Gram matrices for N rows of statistics ``p_det`` (N, 16),
+    from the inverse state-matrix factors of one pair, or of each row's pair
+    stacked (N, 4, 4).
 
     With ``gamma = RA (x) RB`` the linear system is
     ``RA X RB^T = P`` for ``P = p_det.reshape(4, 4)``, so ``X = RA^-1 P RB^-T``
     and ``raw = vec(X)``.  Returns ``(E, clipped, raw, errors)``: the repaired
     matrices (N, 4, 4), the clipped mass and raw solution per row, and per
-    row the :class:`~twistqkd.errors.QkdError` it fails with, or None.  A
-    state matrix with ``cond(RA) * cond(RB)`` not below ``COND_LIMIT`` is
-    singular: it fails every row and is raised.
+    row the :class:`~twistqkd.errors.QkdError` it fails with, or None.
     """
-    if not gamma.cond < COND_LIMIT:
-        party = "Alice" if gamma.cond_alice >= gamma.cond_bob else "Bob"
-        raise SingularGammaError(
-            f"{party}'s ensemble fails the tetrahedron condition: state matrix condition "
-            f"number {gamma.cond:.3e} is not below {COND_LIMIT:.0e}, so detection "
-            "statistics cannot determine the Gram matrix"
-        )
     P = np.asarray(p_det, dtype=float).reshape(-1, 4, 4)
-    raw = (np.linalg.inv(gamma.RA) @ P @ np.linalg.inv(gamma.RB).T).reshape(-1, 16)
+    raw = (RA_inv @ P @ RB_inv.swapaxes(-1, -2)).reshape(-1, 16)
     E = _vector_to_matrix(raw)
     E = 0.5 * (E + E.conj().swapaxes(-1, -2))
     errors = [None] * len(E)
@@ -111,6 +122,15 @@ def _gram_rows(gamma: GammaMatrix, p_det: np.ndarray):
                 stacklevel=3,
             )
     return E, clipped, raw, errors
+
+
+def _gram_rows(gamma: GammaMatrix, p_det: np.ndarray):
+    """:func:`_solve_rows` for one pair's state matrix; a singular one
+    (see :func:`_singular_errors`) fails every row and is raised."""
+    error = _singular_errors(np.array([gamma.cond_alice]), np.array([gamma.cond_bob]))[0]
+    if error is not None:
+        raise error
+    return _solve_rows(np.linalg.inv(gamma.RA), np.linalg.inv(gamma.RB), p_det)
 
 
 def solve_eve(gamma: GammaMatrix, stats: DetectionStats) -> EveGram:

@@ -6,17 +6,20 @@ matrix, read off the key-basis statistics, optimize the twisted phase
 errors (and the fixed-purification baseline), then evaluate the six-state
 key rate for both.
 
-Every evaluation goes through one kernel, :func:`_evaluate`, which takes one
-ensemble pair and N rows of detection statistics.  The work that depends
-only on the ensembles is done once per call: the per-party state matrices
-with their inverses and condition numbers (one singularity test), the
-square roots of the ancilla blocks as Kronecker products of per-state 2x2
-roots, and the baseline's purification pairings.  Everything that depends
-on the statistics (Gram solve, PSD repair, key-basis statistics, trace
-norms, baseline values and rates) runs on arrays over the N rows, and each
-row fails on its own with the error a single point would raise.
-:func:`keyrate_point` is the kernel with N = 1; :func:`scan` calls it once
-per (delta, depol) with one row per distance.
+Every evaluation goes through one kernel, :func:`_evaluate`, which takes M
+ensemble pairs as stacked arrays and N rows, each row one pair at one
+channel (or with injected statistics).  The work that depends only on the
+ensembles is done once per pair, over (M, ...) stacks: the per-party state
+matrices with their inverses and condition numbers (one singularity test),
+the square roots of the ancilla blocks as Kronecker products of per-state
+2x2 roots, and the baseline's purification pairings.  Each row then picks
+its pair's values, and everything that depends on the statistics (Gram
+solve, PSD repair, key-basis statistics, trace norms, baseline values and
+rates) runs on arrays over the N rows.  Each row fails on its own with the
+error a single point would raise, and an error of a pair's ensembles fails
+only that pair's rows.  :func:`keyrate_point` is the kernel with
+M = N = 1; :func:`scan` makes one call for its whole delta x depol x
+distance grid.
 """
 
 from __future__ import annotations
@@ -28,11 +31,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, DetectionStats, _detection_rows, build_gamma
+from .channel import ChannelParams, DetectionStats, _detection_rows, _state_rows
 from .errors import DomainError, InvalidParamsError, InvalidPhaseError, QkdError
-from .evegram import _gram_rows, _key_rows
-from .states import ModelParams, SignalEnsemble, ensemble_from_dict, model_states
-from .twist import _naive_rows, _phase_error_rows, _scalar_errors, _twist_factors
+from .evegram import _key_rows, _singular_errors, _solve_rows
+from .states import ModelParams, SignalEnsemble, _model_grid, ensemble_from_dict, model_states
+from .twist import (
+    _naive_pairings,
+    _naive_rows,
+    _phase_error_rows,
+    _scalar_errors,
+    _twist_factors,
+)
 
 _LN2 = math.log(2.0)
 _EZ_FLOOR = 1e-12
@@ -152,62 +161,87 @@ class KeyRateResult:
 
 
 def _evaluate(
-    alice: SignalEnsemble,
-    bob: SignalEnsemble,
+    alice: tuple,
+    bob: tuple,
+    pairs,
     channels: list,
     f: float = 1.0,
     stats: DetectionStats | None = None,
 ) -> list:
-    """Evaluate one ensemble pair at N points, one per channel.
+    """Evaluate N points: row r is ensemble pair ``pairs[r]`` at ``channels[r]``.
 
-    The statistics of each row are simulated for its channel, or are the
-    injected ``stats`` on every row.  Returns per row a
-    :class:`KeyRateResult` or the :class:`~twistqkd.errors.QkdError` the
-    point fails with; an error of the ensembles fails every row.
+    ``alice`` and ``bob`` hold M ensembles each as validated arrays
+    ``(rho, priors)``, ``rho`` (M, 4, 2, 2) and ``priors`` (M, 4); pair m is
+    Alice's m-th ensemble with Bob's m-th.  The statistics of each row are
+    simulated for its channel, or are the injected ``stats`` on every row.
+    Returns per row a :class:`KeyRateResult` or the
+    :class:`~twistqkd.errors.QkdError` the point fails with; an error of a
+    pair's ensembles fails that pair's rows.
     """
-    n = len(channels)
-    errors = [None] * n
-    try:
-        gamma = build_gamma(alice, bob)
-        if stats is None:
-            p_det = _detection_rows(gamma.RA, gamma.RB, alice.priors, bob.priors, channels)
-        else:
-            p_det = np.broadcast_to(stats.p_det, (n, 16))
-        E, clipped, _, row_errors = _gram_rows(gamma, p_det)
-        _merge(errors, row_errors)
-        p00, e_z, row_errors = _key_rows(p_det)
-        _merge(errors, row_errors)
-        _merge(errors, _scalar_errors(p00, e_z))
-        if all(error is not None for error in errors):
-            return errors
-        ak, bk = alice.key_states(), bob.key_states()
-        factors = _twist_factors(ak, bk)
-        # Rows that already failed carry values such as p00 = 0 from here on.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e_minus, e_plus, bound_minus, bound_plus = _phase_error_rows(
-                factors, E, p00, np.clip(e_z, 0.0, 1.0)
-            )
-            naive_signed, naive_plus = _naive_rows(ak, bk, E, p00)
-            # The rate formula is even in e_minus (h2((1+t)/2) = h2((1-t)/2)),
-            # so the signed baseline value enters through its magnitude.
-            naive_minus = np.minimum(np.abs(naive_signed), e_z)
-            rate_twisted, raw_twisted, twisted_errors = _rates(p00, e_z, e_minus, e_plus, f)
-            rate_naive, raw_naive, naive_errors = _rates(p00, e_z, naive_minus, naive_plus, f)
-            _merge(errors, twisted_errors)
-            _merge(errors, naive_errors)
-            pct_gain = np.where(
-                rate_naive > 0.0,
-                100.0 * (rate_twisted - rate_naive) / rate_naive,
-                np.where(rate_twisted > 0.0, math.inf, 0.0),
-            )
-    except QkdError as exc:
-        return [exc if error is None else error for error in errors]
+    pairs = np.asarray(pairs, dtype=int)
+
+    def rows(values, axis=0):
+        """Each row's entry of per-pair ``values``, whose pair axis is ``axis``."""
+        return values.take(pairs, axis=axis)
+
+    # Party axis first: index 0 is Alice's ensembles, 1 is Bob's.
+    rho, priors = (np.stack(arrays) for arrays in zip(alice, bob))
+    R = _state_rows(rho, priors)  # the state-matrix factors RA, RB, (2, M, 4, 4)
+    cond = np.linalg.cond(R)
+    pair_errors = _singular_errors(*cond)
+    errors = [pair_errors[m] for m in pairs.tolist()]
+    good = np.array([error is None for error in pair_errors])
+    if good.all():
+        R_inv = np.linalg.inv(R)
+    else:
+        # A zero prior zeroes a row of RA or RB, so such a pair is singular
+        # too.  The rows of singular pairs solve against zero inverses, which
+        # raise no error and no warning, and stay failed.
+        R_inv = np.zeros_like(R)
+        R_inv[:, good] = np.linalg.inv(R[:, good])
+    if stats is None:
+        p_det = _detection_rows(*rows(R, 1), *rows(priors, 1), channels)
+    else:
+        p_det = np.broadcast_to(stats.p_det, (len(pairs), 16))
+    E, clipped, _, row_errors = _solve_rows(*rows(R_inv, 1), p_det)
+    _merge(errors, row_errors)
+    p00, e_z, row_errors = _key_rows(p_det)
+    _merge(errors, row_errors)
+    _merge(errors, _scalar_errors(p00, e_z))
+    if all(error is not None for error in errors):
+        return errors
+    # Rows that already failed carry values such as p00 = 0 from here on.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        key_rho, key_priors = rho[:, :, :2], priors[:, :, :2]
+        left, right = _twist_factors(key_priors[..., None, None] * key_rho)
+        e_minus, e_plus, bound_minus, bound_plus = _phase_error_rows(
+            (rows(left), rows(right)), E, p00, np.clip(e_z, 0.0, 1.0)
+        )
+        plus, minus = _naive_pairings(key_rho, key_priors)
+        naive_signed, naive_plus = _naive_rows((rows(plus), rows(minus)), E, p00)
+        # The rate formula is even in e_minus (h2((1+t)/2) = h2((1-t)/2)),
+        # so the signed baseline value enters through its magnitude.
+        naive_minus = np.minimum(np.abs(naive_signed), e_z)
+        rate_twisted, raw_twisted, twisted_errors = _rates(p00, e_z, e_minus, e_plus, f)
+        rate_naive, raw_naive, naive_errors = _rates(p00, e_z, naive_minus, naive_plus, f)
+        _merge(errors, twisted_errors)
+        _merge(errors, naive_errors)
+        pct_gain = np.where(
+            rate_naive > 0.0,
+            100.0 * (rate_twisted - rate_naive) / rate_naive,
+            np.where(rate_twisted > 0.0, math.inf, 0.0),
+        )
 
     fields = {
         "p_det00": p00, "e_z": e_z, "e_minus": e_minus, "e_plus": e_plus,
         "rate_twisted": rate_twisted, "rate_naive": rate_naive, "pct_gain": pct_gain,
     }
+    cond_alice, cond_bob = rows(cond, 1)
     diagnostics = {
+        "gamma_cond": cond_alice * cond_bob,
+        "cond_alice": cond_alice,
+        "cond_bob": cond_bob,
+        "clipped_mass": clipped,
         "twist_bound_minus": bound_minus,
         "twist_bound_plus": bound_plus,
         "rate_twisted_raw": raw_twisted,
@@ -215,22 +249,18 @@ def _evaluate(
         "naive_e_minus_signed": naive_signed,
         "naive_e_plus": naive_plus,
     }
-    fields = {name: values.tolist() for name, values in fields.items()}
-    diagnostics = {name: values.tolist() for name, values in diagnostics.items()}
-    clipped = clipped.tolist()
+    values = zip(*(v.tolist() for v in fields.values()))  # in KeyRateResult's field order
+    diags = zip(*(v.tolist() for v in diagnostics.values()))
     return [
-        error if error is not None else KeyRateResult(
-            **{name: values[i] for name, values in fields.items()},
-            diagnostics={
-                "gamma_cond": gamma.cond,
-                "cond_alice": gamma.cond_alice,
-                "cond_bob": gamma.cond_bob,
-                "clipped_mass": clipped[i],
-                **{name: values[i] for name, values in diagnostics.items()},
-            },
-        )
-        for i, error in enumerate(errors)
+        error if error is not None
+        else KeyRateResult(*row, diagnostics=dict(zip(diagnostics, diag)))
+        for error, row, diag in zip(errors, values, diags)
     ]
+
+
+def _single(ensemble: SignalEnsemble) -> tuple:
+    """One ensemble as the stack of one that :func:`_evaluate` takes."""
+    return ensemble.rho[None], ensemble.priors[None]
 
 
 def keyrate_point(
@@ -247,7 +277,8 @@ def keyrate_point(
     state matrix and the purification constraints.  ``f`` must be finite
     and at least 1.
     """
-    result = _evaluate(alice, bob, [channel], f=_require_f(f), stats=stats)[0]
+    f = _require_f(f)
+    result = _evaluate(_single(alice), _single(bob), [0], [channel], f=f, stats=stats)[0]
     if isinstance(result, QkdError):
         raise result
     return result
@@ -262,6 +293,15 @@ def _path_field(doc: dict, name: str) -> str | None:
     return value
 
 
+def read_config_doc(path):
+    """The parsed JSON document of a config file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+            raise InvalidParamsError(f"config is not valid JSON: {exc}") from exc
+
+
 @dataclass
 class ScanConfig:
     """Grid of model/channel parameters for a key-rate scan.
@@ -270,6 +310,9 @@ class ScanConfig:
     order.  Explicit ensembles, when given, override the (delta, p) model at
     every grid point, and a measured-statistics CSV replaces the channel
     simulation at every grid point.  ``f`` must be finite and at least 1.
+    The channel parameters, and the model grid when no explicit ensembles
+    are given, are validated at construction, with the messages of
+    :class:`ChannelParams` and :class:`ModelParams`.
     """
 
     deltas: list
@@ -297,6 +340,12 @@ class ScanConfig:
             raise InvalidParamsError(f"scan grid values and f must be numbers: {exc}") from exc
         if not (len(self.deltas) and len(self.depols) and self.distances.size):
             raise InvalidParamsError("scan grid must be nonempty")
+        if self.alice_states is None:
+            for delta in self.deltas:
+                ModelParams(delta=delta, depol=0.0)
+            for depol in self.depols:
+                ModelParams(delta=0.0, depol=depol)
+        self.channel_for(0.0)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScanConfig":
@@ -369,12 +418,7 @@ class ScanConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "ScanConfig":
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
-                raise InvalidParamsError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(read_config_doc(path))
 
     def ensembles_for(self, delta: float, depol: float) -> tuple[SignalEnsemble, SignalEnsemble]:
         if self.alice_states is not None:
@@ -426,13 +470,32 @@ SCAN_COLUMNS = (
 )
 
 
+def _grid_pairs(config: ScanConfig) -> tuple:
+    """Alice's and Bob's ensembles as the stacks :func:`_evaluate` takes,
+    and the pair of each (delta, depol) grid point in scan order.
+
+    The model ensembles of all grid points are built as one array per
+    party; explicit ensembles are one pair that every grid point shares.
+    """
+    n = len(config.deltas) * len(config.depols)
+    if config.alice_states is not None:
+        alice, bob = _single(config.alice_states), _single(config.bob_states)
+        return alice, bob, np.zeros(n, dtype=int)
+    deltas = np.repeat(config.deltas, len(config.depols))
+    depols = np.tile(config.depols, len(config.deltas))
+    alice = _model_grid(deltas, depols, config.priors_alice)
+    if np.array_equal(config.priors_bob, config.priors_alice):
+        return alice, alice, np.arange(n)
+    return alice, _model_grid(deltas, depols, config.priors_bob), np.arange(n)
+
+
 def scan(config: ScanConfig) -> list[ScanRow]:
     """Evaluate the pipeline over the whole grid.
 
     Grid points are evaluated in deterministic order (delta, then depol,
-    then distance).  Each (delta, depol) ensemble pair is one kernel call
-    whose rows are the distances: the ensemble work is done once and the
-    distance axis runs as arrays.  A point that fails with a
+    then distance).  The whole grid is one kernel call: the work of each
+    (delta, depol) ensemble pair is done once, and its distances are rows
+    of the call.  A point that fails with a
     :class:`~twistqkd.errors.QkdError` is recorded in its row with its
     message and the scan continues; any other exception propagates.
     """
@@ -443,11 +506,14 @@ def scan(config: ScanConfig) -> list[ScanRow]:
         except QkdError as exc:
             channels.append(exc)
     valid = [c for c in channels if not isinstance(c, QkdError)]
+    alice, bob, grid_pairs = _grid_pairs(config)
+    pairs = np.repeat(grid_pairs, len(valid))
+    outcomes = iter(
+        _evaluate(alice, bob, pairs, valid * len(grid_pairs), f=config.f, stats=config.stats)
+    )
     rows = []
     for delta in config.deltas:
         for depol in config.depols:
-            alice, bob = config.ensembles_for(delta, depol)
-            outcomes = iter(_evaluate(alice, bob, valid, f=config.f, stats=config.stats))
             for distance, channel in zip(config.distances, channels):
                 outcome = channel if isinstance(channel, QkdError) else next(outcomes)
                 row = ScanRow(delta, depol, float(distance), result=None, status="ok")

@@ -29,6 +29,42 @@ PROB_TOL = 1e-10
 COND_LIMIT = 1e9
 
 
+def _check_states(rho, prob) -> np.ndarray:
+    """Validate qubit states stacked ``(..., 2, 2)`` with their send
+    probabilities ``(...)``, in a fixed number of numpy calls.
+
+    Each matrix must be finite, 2x2 and Hermitian (:func:`require_hermitian`),
+    with trace within ``TRACE_TOL`` of 1 and smallest eigenvalue at least
+    ``-PSD_TOL``; each probability must lie in [0, 1].  The checks run in
+    that order and the first failing state is reported.  Returns ``rho`` as
+    a complex array.
+    """
+    rho = require_hermitian(rho, name="rho")
+    if rho.shape[-2:] != (2, 2):
+        raise InvalidParamsError(f"rho must be 2x2, got {rho.shape[-2:]}")
+    tr = np.trace(rho, axis1=-2, axis2=-1).real.reshape(-1)
+    bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
+    if bad.size:
+        raise InvalidParamsError(f"rho has trace {float(tr[bad[0]])}, expected 1")
+    wmin = np.linalg.eigvalsh(rho)[..., 0].reshape(-1)
+    bad = np.flatnonzero(wmin < -PSD_TOL)
+    if bad.size:
+        raise InvalidParamsError(f"rho is not PSD (min eigenvalue {wmin[bad[0]]:.3e})")
+    prob = np.asarray(prob, dtype=float).reshape(-1)
+    bad = np.flatnonzero(~((prob >= 0.0) & (prob <= 1.0)))
+    if bad.size:
+        raise InvalidParamsError(f"prob must be in [0, 1], got {float(prob[bad[0]])}")
+    return rho
+
+
+def _check_totals(priors) -> None:
+    """Each ensemble's priors, the last axis of ``priors``, must sum to 1."""
+    total = np.sum(priors, axis=-1).reshape(-1)
+    bad = np.flatnonzero(np.abs(total - 1.0) > PROB_TOL)
+    if bad.size:
+        raise InvalidParamsError(f"send probabilities sum to {float(total[bad[0]])}, expected 1")
+
+
 @dataclass
 class QubitState:
     """A 2x2 density matrix together with its send probability."""
@@ -38,46 +74,53 @@ class QubitState:
 
     def __post_init__(self):
         self.prob = float(self.prob)
-        self.rho = require_hermitian(self.rho, name="rho")
-        if self.rho.shape != (2, 2):
-            raise InvalidParamsError(f"rho must be 2x2, got {self.rho.shape}")
-        tr = float(self.rho.trace().real)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidParamsError(f"rho has trace {tr}, expected 1")
-        wmin = float(np.linalg.eigvalsh(self.rho)[0])
-        if wmin < -PSD_TOL:
-            raise InvalidParamsError(f"rho is not PSD (min eigenvalue {wmin:.3e})")
-        if not (0.0 <= self.prob <= 1.0):
-            raise InvalidParamsError(f"prob must be in [0, 1], got {self.prob}")
+        self.rho = _check_states(self.rho, self.prob)
 
     def weighted(self) -> np.ndarray:
         """The probability-weighted matrix ``prob * rho``."""
         return self.prob * self.rho
 
 
-@dataclass
+def _stack(states) -> tuple[np.ndarray, np.ndarray]:
+    """The ``rho`` (n, 2, 2) and send probabilities (n,) of ``states``."""
+    return np.stack([s.rho for s in states]), np.array([s.prob for s in states])
+
+
 class SignalEnsemble:
-    """Four signal states in canonical (i, x) order with probabilities summing to 1."""
+    """Four signal states in canonical (i, x) order with probabilities summing to 1.
 
-    states: tuple[QubitState, QubitState, QubitState, QubitState]
+    The ensemble is held as arrays, ``rho`` (4, 2, 2) and ``priors`` (4,),
+    which is what the key-rate kernel reads; ``states`` gives the
+    :class:`QubitState` of each entry.
+    """
 
-    def __post_init__(self):
-        self.states = tuple(self.states)
-        if len(self.states) != 4:
-            raise InvalidParamsError(f"an ensemble has exactly 4 states, got {len(self.states)}")
-        total = sum(s.prob for s in self.states)
-        if abs(total - 1.0) > PROB_TOL:
-            raise InvalidParamsError(f"send probabilities sum to {total}, expected 1")
+    def __init__(self, states):
+        states = tuple(states)
+        if len(states) != 4:
+            raise InvalidParamsError(f"an ensemble has exactly 4 states, got {len(states)}")
+        self.rho, self.priors = _stack(states)
+        _check_totals(self.priors)
+        self._states = states
+
+    @classmethod
+    def _of_checked(cls, rho: np.ndarray, priors: np.ndarray) -> "SignalEnsemble":
+        """The ensemble of arrays that :func:`_check_states` and
+        :func:`_check_totals` have passed; its states are made on first use."""
+        ensemble = cls.__new__(cls)
+        ensemble.rho, ensemble.priors, ensemble._states = rho, priors, None
+        return ensemble
+
+    @property
+    def states(self) -> tuple:
+        if self._states is None:
+            self._states = tuple(QubitState(r, p) for r, p in zip(self.rho, self.priors))
+        return self._states
 
     def __iter__(self):
         return iter(self.states)
 
     def __getitem__(self, k):
         return self.states[k]
-
-    @property
-    def priors(self) -> np.ndarray:
-        return np.array([s.prob for s in self.states])
 
     def key_states(self) -> tuple[QubitState, QubitState]:
         """The two key-generation states, (i, x) = (0, 0) and (0, 1)."""
@@ -102,17 +145,37 @@ class ModelParams:
             raise InvalidParamsError(f"depol must be in [0, 1), got {self.depol}")
 
 
-def _model_kets(delta: float) -> list[np.ndarray]:
-    # Targets are H, V, (H+V)/sqrt2, (H-iV)/sqrt2; each picks up its own
-    # constant offset parametrized by delta.
+def _model_kets(delta) -> np.ndarray:
+    """The four target kets H, V, (H+V)/sqrt2, (H-iV)/sqrt2, each with its
+    own constant offset parametrized by delta, stacked ``(..., 4, 2)`` over
+    an array of deltas."""
+    delta = np.asarray(delta, dtype=float)
     s, c = np.sin(delta / 2), np.cos(delta / 2)
-    ket00 = np.array([1.0, 0.0], dtype=complex)
-    ket01 = np.array([-s, c], dtype=complex)
-    ket10 = np.array([np.cos((np.pi + delta) / 4), np.sin((np.pi + delta) / 4)], dtype=complex)
-    ket11 = np.array(
-        [np.cos((-np.pi + delta) / 4), 1j * np.sin((-np.pi + delta) / 4)], dtype=complex
-    )
-    return [ket00, ket01, ket10, ket11]
+    a, b = (np.pi + delta) / 4, (-np.pi + delta) / 4
+    one, zero = np.ones_like(delta), np.zeros_like(delta)
+    kets = [one, zero, -s, c, np.cos(a), np.sin(a), np.cos(b), 1j * np.sin(b)]
+    return np.stack(kets, axis=-1).reshape(*delta.shape, 4, 2)
+
+
+def _model_grid(deltas, depols, priors=(0.25, 0.25, 0.25, 0.25)):
+    """The model ensembles of the pairs ``(deltas[m], depols[m])`` as
+    validated arrays: ``rho`` (M, 4, 2, 2) and ``priors`` (M, 4).
+
+    The parameters are those :class:`ModelParams` accepts; the states are
+    built by broadcasting and checked by one :func:`_check_states` call.
+    """
+    priors = np.asarray(priors, dtype=float)
+    if priors.shape != (4,):
+        raise InvalidParamsError(f"priors must have length 4, got shape {priors.shape}")
+    if np.any(priors < 0) or abs(priors.sum() - 1.0) > PROB_TOL:
+        raise InvalidParamsError("priors must be nonnegative and sum to 1")
+    kets = _model_kets(deltas)
+    p = np.asarray(depols, dtype=float)[:, None, None, None]
+    rho = (1.0 - p) * (kets[..., :, None] * kets.conj()[..., None, :]) + p * np.eye(2) / 2.0
+    priors = np.broadcast_to(priors, rho.shape[:2])
+    rho = _check_states(rho, priors)
+    _check_totals(priors)
+    return rho, priors
 
 
 def model_states(params: ModelParams, priors=(0.25, 0.25, 0.25, 0.25)) -> SignalEnsemble:
@@ -131,17 +194,8 @@ def model_states(params: ModelParams, priors=(0.25, 0.25, 0.25, 0.25)) -> Signal
     -------
     SignalEnsemble in canonical (i, x) order.
     """
-    priors = np.asarray(priors, dtype=float)
-    if priors.shape != (4,):
-        raise InvalidParamsError(f"priors must have length 4, got shape {priors.shape}")
-    if np.any(priors < 0) or abs(priors.sum() - 1.0) > PROB_TOL:
-        raise InvalidParamsError("priors must be nonnegative and sum to 1")
-    p = params.depol
-    states = []
-    for ket, prior in zip(_model_kets(params.delta), priors):
-        rho = (1.0 - p) * np.outer(ket, ket.conj()) + p * np.eye(2) / 2.0
-        states.append(QubitState(rho=rho, prob=float(prior)))
-    return SignalEnsemble(states=tuple(states))
+    rho, priors = _model_grid([params.delta], [params.depol], priors)
+    return SignalEnsemble._of_checked(rho[0], priors[0])
 
 
 def stokes(state: QubitState) -> np.ndarray:

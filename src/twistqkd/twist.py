@@ -40,7 +40,7 @@ import numpy as np
 from .errors import InvalidParamsError
 from .evegram import EveGram
 from .qmath import kron
-from .states import QubitState
+from .states import QubitState, _stack
 
 
 def ancilla_gram_block(alice_state: QubitState, bob_state: QubitState) -> np.ndarray:
@@ -48,39 +48,34 @@ def ancilla_gram_block(alice_state: QubitState, bob_state: QubitState) -> np.nda
     return alice_state.prob * bob_state.prob * kron(alice_state.rho, bob_state.rho)
 
 
-def _weighted_roots(states) -> np.ndarray:
-    """``sqrt(prob * rho)`` of each state, stacked ``(n, 2, 2)``.
+def _weighted_roots(W: np.ndarray) -> np.ndarray:
+    """The square roots of PSD 2x2 matrices ``W`` (..., 2, 2), such as the
+    weighted states ``prob * rho``.
 
     A 2x2 PSD matrix has ``sqrt(M) = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M))``
     (Levinger, Math. Mag. 53 (1980)); a negative ``det`` is rounding dust of
-    a pure state and is clamped at 0.
+    a pure state and is clamped at 0.  The denominator vanishes only for
+    ``M = 0``, whose root is 0.
     """
-    M = np.stack([state.weighted() for state in states])
-    det = np.maximum((M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]).real, 0.0)
-    root_det = np.sqrt(det)[:, None, None]
-    trace = (M[:, 0, 0] + M[:, 1, 1]).real[:, None, None]
-    return (M + root_det * np.eye(2)) / np.sqrt(trace + 2.0 * root_det)
+    det = np.maximum((W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]).real, 0.0)
+    root_det = np.sqrt(det)[..., None, None]
+    trace = (W[..., 0, 0] + W[..., 1, 1]).real[..., None, None]
+    scale = np.maximum(np.sqrt(trace + 2.0 * root_det), np.finfo(float).tiny)
+    return (W + root_det * np.eye(2)) / scale
 
 
-def _twist_factors(alice_key, bob_key) -> tuple[np.ndarray, np.ndarray]:
-    """The factors ``S1^T`` and ``S2^*`` of both pairings, stacked
-    ``(2, 4, 4)`` in the order (e_minus, e_plus).
+def _twist_factors(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors ``S1^T`` and ``S2^*`` of both pairings, each stacked
+    ``(..., 2, 4, 4)`` in the order (e_minus, e_plus), from the weighted key
+    states ``p_x rho_x`` of Alice and of Bob, stacked ``(2, ..., 2, 2, 2)``.
 
     ``S_xy = sqrt(p_x rho_x) (x) sqrt(q_y sigma_y)`` is the square root of
     the ancilla block of key pair (x, y); e_minus pairs (0,1) with (1,0)
     and e_plus pairs (0,0) with (1,1).
     """
-    for party, key in (("Alice", alice_key), ("Bob", bob_key)):
-        for x, state in enumerate(key):
-            if not state.prob > 0.0:
-                raise InvalidParamsError(
-                    f"{party}'s key state {x} has prior {state.prob}, so its ancilla "
-                    "Gram blocks are zero; check key-state priors"
-                )
-    roots = _weighted_roots((*alice_key, *bob_key))
-    A, B = roots[:2], roots[2:]
-    left = kron(A[[0, 0]], B[[1, 0]])
-    right = kron(A[[1, 1]], B[[0, 1]])
+    A, B = _weighted_roots(key)
+    left = kron(A[..., [0, 0], :, :], B[..., [1, 0], :, :])
+    right = kron(A[..., [1, 1], :, :], B[..., [0, 1], :, :])
     return left.swapaxes(-1, -2), right.conj()
 
 
@@ -147,8 +142,9 @@ class PhaseErrors:
 
 def _phase_error_rows(factors: tuple, E: np.ndarray, p_det00: np.ndarray, e_z: np.ndarray):
     """Optimized ``(e_minus, e_plus, s_minus, 1 - s_plus)`` for N Gram
-    matrices ``E`` (N, 4, 4), from the :func:`_twist_factors` of the key
-    states; ``e_z`` is the clamped bit error rate of each row.
+    matrices ``E`` (N, 4, 4), from the :func:`_twist_factors` of one pair's
+    key states or of each row's pair; ``e_z`` is the clamped bit error rate
+    of each row.
 
     Both trace norms of every row come from one batched ``svd``."""
     left, right = factors
@@ -160,8 +156,16 @@ def _phase_error_rows(factors: tuple, E: np.ndarray, p_det00: np.ndarray, e_z: n
 
 def optimize_phase_errors(problem: TwistProblem) -> PhaseErrors:
     """Optimized phase errors over all twists, in closed form."""
+    keys = (problem.alice_key, problem.bob_key)
+    for party, key in zip(("Alice", "Bob"), keys):
+        for x, state in enumerate(key):
+            if not state.prob > 0.0:
+                raise InvalidParamsError(
+                    f"{party}'s key state {x} has prior {state.prob}, so its ancilla "
+                    "Gram blocks are zero; check key-state priors"
+                )
     rows = _phase_error_rows(
-        _twist_factors(problem.alice_key, problem.bob_key),
+        _twist_factors(np.array([[state.weighted() for state in key] for key in keys])),
         problem.eve_gram.e_matrix[None],
         np.array([problem.p_det00]),
         np.array([problem.e_z]),
@@ -170,18 +174,17 @@ def optimize_phase_errors(problem: TwistProblem) -> PhaseErrors:
     return PhaseErrors(e_minus, e_plus, bound_minus, bound_plus)
 
 
-def _purification_factors(states) -> np.ndarray:
-    """``F`` with ``prob * rho = F F^dag`` for each state, stacked
-    ``(n, 2, 2)``: column k is the k-th eigenvector (decreasing eigenvalues)
-    scaled by ``sqrt(prob * lam_k)``.
+def _purification_factors(rho: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """``F`` with ``prob * rho = F F^dag`` for each state ``rho`` (..., 2, 2)
+    with send probability ``prob`` (...): column k is the k-th eigenvector
+    (decreasing eigenvalues) scaled by ``sqrt(prob * lam_k)``.
 
     One batched ``eigh`` runs the same LAPACK routine on every matrix, so
     each state gets the eigenvector phases a single ``eigh`` would give it.
     """
-    w, V = np.linalg.eigh(np.stack([state.rho for state in states]))
-    w, V = w[:, ::-1], V[:, :, ::-1]
-    prob = np.array([state.prob for state in states])
-    return np.sqrt(prob)[:, None, None] * (V * np.sqrt(np.clip(w, 0.0, None))[:, None, :])
+    w, V = np.linalg.eigh(rho)
+    w, V = w[..., ::-1], V[..., ::-1]
+    return np.sqrt(prob)[..., None, None] * (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :])
 
 
 def _purification_vectors(alice_state: QubitState, bob_state: QubitState) -> np.ndarray:
@@ -195,7 +198,7 @@ def _purification_vectors(alice_state: QubitState, bob_state: QubitState) -> np.
 
     which is the Kronecker product of the two parties' factors.
     """
-    A, B = _purification_factors((alice_state, bob_state))
+    A, B = _purification_factors(*_stack((alice_state, bob_state)))
     return kron(A, B)
 
 
@@ -232,22 +235,34 @@ def naive_phase_errors(alice_key, bob_key, eve: EveGram, p_det00: float) -> Phas
     1.95.  The twisted optimum absorbs every such
     phase and does not move.
     """
-    e_minus, e_plus = _naive_rows(alice_key, bob_key, eve.e_matrix[None], np.array([p_det00]))
+    rho, prob = _stack((*alice_key, *bob_key))
+    pairings = _naive_pairings(rho.reshape(2, 2, 2, 2), prob.reshape(2, 2))
+    e_minus, e_plus = _naive_rows(pairings, eve.e_matrix[None], np.array([p_det00]))
     return PhaseErrors(e_minus=float(e_minus[0]), e_plus=float(e_plus[0]))
 
 
-def _naive_rows(alice_key, bob_key, E: np.ndarray, p_det00: np.ndarray):
-    """Signed ``e_minus`` and ``e_plus`` of the eigenbasis purification for
-    N Gram matrices ``E`` (N, 4, 4).
+def _naive_pairings(rho: np.ndarray, prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairings ``G00 G11^dag`` and ``G01 G10^dag`` of the eigenbasis
+    purification vectors, each (..., 4, 4), from the key states of Alice and
+    of Bob, ``rho`` (2, ..., 2, 2, 2) with send probabilities ``prob``
+    (2, ..., 2).
 
-    The factors of all four key states come from one batched ``eigh``, and
-    the pairings ``G00 G11^dag`` and ``G01 G10^dag`` of the purification
-    vectors are built once, as Kronecker products of the parties' factors.
+    The factors of all key states come from one batched ``eigh``, and the
+    pairings are Kronecker products of the parties' factors.
     """
-    A0, A1, B0, B1 = _purification_factors((*alice_key, *bob_key))
-    alice_pairing = A0 @ A1.conj().T
-    pairing_plus = kron(alice_pairing, B0 @ B1.conj().T)
-    pairing_minus = kron(alice_pairing, B1 @ B0.conj().T)
+    A, B = _purification_factors(rho, prob)
+    A0, A1, B0, B1 = (F[..., x, :, :] for F in (A, B) for x in (0, 1))
+    alice_pairing = A0 @ A1.conj().swapaxes(-1, -2)
+    pairing_plus = kron(alice_pairing, B0 @ B1.conj().swapaxes(-1, -2))
+    pairing_minus = kron(alice_pairing, B1 @ B0.conj().swapaxes(-1, -2))
+    return pairing_plus, pairing_minus
+
+
+def _naive_rows(pairings: tuple, E: np.ndarray, p_det00: np.ndarray):
+    """Signed ``e_minus`` and ``e_plus`` of the eigenbasis purification for
+    N Gram matrices ``E`` (N, 4, 4), from the :func:`_naive_pairings` of one
+    pair or of each row's pair."""
+    pairing_plus, pairing_minus = pairings
     s_plus = np.real(np.sum(E * pairing_plus, axis=(-2, -1)))
     s_minus = np.real(np.sum(E * pairing_minus, axis=(-2, -1)))
     return -2.0 * s_minus / p_det00, 1.0 - 2.0 * s_plus / p_det00

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_ensemble
+from conftest import coplanar_ensemble, random_ensemble
 from twistqkd.channel import (
     ChannelParams,
     DetectionStats,
@@ -16,10 +16,10 @@ from twistqkd.channel import (
     build_gamma,
     detection_stats,
 )
-from twistqkd.errors import QkdError
+from twistqkd.errors import QkdError, SingularGammaError
 from twistqkd.evegram import _gram_rows, _matrix_to_vector, _vector_to_matrix, solve_eve
-from twistqkd.keyrate import ScanConfig, keyrate_point, scan
-from twistqkd.states import ModelParams, model_states
+from twistqkd.keyrate import ScanConfig, _evaluate, keyrate_point, scan
+from twistqkd.states import ModelParams, QubitState, SignalEnsemble, model_states
 
 ETA, P_DARK = 0.5, 1e-5
 FIELDS = ("p_det00", "e_z", "e_minus", "e_plus", "rate_twisted", "rate_naive", "pct_gain")
@@ -161,3 +161,39 @@ def test_every_repaired_row_warns():
         scan(config)
     assert [w.category for w in caught] == [RuntimeWarning] * 3
     assert all("clipped eigenvalue mass 1.000e-06" in str(w.message) for w in caught)
+
+
+def test_bad_pairs_fail_only_their_own_rows():
+    # one kernel call over a good pair, a coplanar pair and a pair with a
+    # zero key-state prior, rows interleaved: every row is its own point
+    good = model_states(ModelParams(delta=0.1, depol=0.05))
+    s0, s1, s2, s3 = good.states
+    zero_prior = SignalEnsemble(
+        states=(s0, QubitState(rho=s1.rho, prob=0.0), QubitState(rho=s2.rho, prob=0.5), s3)
+    )
+    alices = (good, coplanar_ensemble(np.random.default_rng(181)), good)
+    bobs = (good, good, zero_prior)
+    stacks = [
+        (np.stack([e.rho for e in ensembles]), np.stack([e.priors for e in ensembles]))
+        for ensembles in (alices, bobs)
+    ]
+    pairs, channels = [], []
+    for distance in (0.0, 40.0, 120.0):
+        pairs += [0, 1, 2]
+        channels += [ChannelParams(eta=ETA, p_dark=P_DARK, distance_km=distance)] * 3
+    rows = _evaluate(*stacks, pairs, channels)
+    failed = set()
+    for m, channel, row in zip(pairs, channels, rows):
+        try:
+            direct = keyrate_point(alices[m], bobs[m], channel)
+        except QkdError as exc:
+            assert (type(row), str(row)) == (type(exc), str(exc))
+            failed.add((m, type(exc)))
+            continue
+        for name in FIELDS:
+            assert close(getattr(row, name), getattr(direct, name)), name
+        assert row.diagnostics.keys() == direct.diagnostics.keys()
+        for key, value in direct.diagnostics.items():
+            assert close(row.diagnostics[key], value), key
+    # a zero prior zeroes a row of the state matrix, so that pair is singular too
+    assert failed == {(1, SingularGammaError), (2, SingularGammaError)}

@@ -61,6 +61,9 @@ class TestPhotonLoss:
             ChannelParams(eta=0.5, p_dark=1.0, distance_km=0.0)
         with pytest.raises(InvalidParamsError):
             ChannelParams(eta=0.5, p_dark=0.0, distance_km=-1.0)
+        # a negative attenuation would give a per-photon survival above 1
+        with pytest.raises(InvalidParamsError, match="atten_db_per_km must be >= 0, got -1.0"):
+            ChannelParams(eta=0.5, p_dark=0.0, distance_km=10.0, atten_db_per_km=-1.0)
 
 
 def ideal_ensembles():

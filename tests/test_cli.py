@@ -202,6 +202,21 @@ class TestScanCommand:
         assert code == 2
         assert f"{field} must be a file path string" in err
 
+    def test_negative_attenuation_exit_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, atten_db_per_km=-1)
+        out_csv = str(tmp_path / "rates.csv")
+        code, out, err = run_main(["scan", "--config", str(config), "--out", out_csv], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: atten_db_per_km must be >= 0, got -1.0\n"
+
+    def test_out_of_range_depol_exit_2_before_any_row(self, tmp_path, capsys):
+        config = write_config(tmp_path, depol=[0.02, 1.5])
+        out_csv = tmp_path / "rates.csv"
+        code, out, err = run_main(["scan", "--config", str(config), "--out", str(out_csv)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: depol must be in [0, 1), got 1.5\n"
+        assert not out_csv.exists()
+
 
 class TestCheckStatesCommand:
     def test_good_states_pass(self, tmp_path, capsys):
@@ -210,6 +225,16 @@ class TestCheckStatesCommand:
         assert code == 0
         assert "pass" in out
         assert "condition number" in out
+
+    def test_ignores_the_statistics(self, tmp_path, capsys):
+        config = write_config(tmp_path, stats_csv=str(tmp_path / "missing.csv"))
+        code, out, _ = run_main(["check-states", "--config", str(config)], capsys)
+        assert code == 0
+        assert "pass" in out
+        out_csv = str(tmp_path / "rates.csv")
+        code, _, err = run_main(["scan", "--config", str(config), "--out", out_csv], capsys)
+        assert code == 2
+        assert "missing.csv" in err
 
     def test_coplanar_fails_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(179)

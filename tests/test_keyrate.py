@@ -298,6 +298,14 @@ class TestScanConfig:
         with pytest.raises(InvalidParamsError, match="f must be finite and >= 1"):
             ScanConfig(deltas=0.0, depols=0.0, distances=0.0, eta=0.5, p_dark=0.0, f=f)
 
+    def test_grid_is_validated_up_front(self):
+        with pytest.raises(InvalidParamsError, match=r"depol must be in \[0, 1\), got 1.5"):
+            ScanConfig(deltas=0.0, depols=[0.02, 1.5], distances=0.0, eta=0.5, p_dark=0.0)
+        with pytest.raises(InvalidParamsError, match="delta must be finite"):
+            ScanConfig(deltas=[0.1, math.inf], depols=0.0, distances=0.0, eta=0.5, p_dark=0.0)
+        with pytest.raises(InvalidParamsError, match="atten_db_per_km must be >= 0, got -1.0"):
+            ScanConfig.from_dict(base_config(atten_db_per_km=-1))
+
     def test_explicit_states(self):
         ens = model_states(ModelParams(delta=0.07, depol=0.02))
         doc = base_config(alice_states=json.loads(ensemble_to_json(ens)))
@@ -355,7 +363,7 @@ class TestScan:
     def test_error_message_recorded(self, monkeypatch):
         import twistqkd.keyrate as keyrate_module
 
-        def decline(alice, bob, channels, **kwargs):
+        def decline(alice, bob, pairs, channels, **kwargs):
             return [InvalidPhaseError("e_plus = 1.5 > 1") for _ in channels]
 
         monkeypatch.setattr(keyrate_module, "_evaluate", decline)
@@ -373,6 +381,26 @@ class TestScan:
         monkeypatch.setattr(keyrate_module, "_evaluate", broken)
         with pytest.raises(RuntimeError, match="bug"):
             scan(ScanConfig.from_dict(base_config(distance=10.0)))
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_one_kernel_call_per_grid(self, monkeypatch, explicit):
+        import twistqkd.keyrate as keyrate_module
+
+        calls = []
+        kernel = keyrate_module._evaluate
+
+        def counted(alice, bob, pairs, channels, **kwargs):
+            calls.append(len(channels))
+            return kernel(alice, bob, pairs, channels, **kwargs)
+
+        monkeypatch.setattr(keyrate_module, "_evaluate", counted)
+        doc = base_config(delta=[0.0, 0.1], depol=[0.01, 0.05, 0.1])
+        if explicit:
+            ens = model_states(ModelParams(delta=0.07, depol=0.02))
+            doc["alice_states"] = json.loads(ensemble_to_json(ens))
+        rows = scan(ScanConfig.from_dict(doc))
+        assert calls == [18]
+        assert [r.status for r in rows] == ["ok"] * 18
 
     def test_ok_rows_have_no_error(self):
         rows = scan(ScanConfig.from_dict(base_config(distance=10.0)))

@@ -19,7 +19,7 @@ from twistqkd.channel import ChannelParams, build_gamma, detection_stats
 from twistqkd.errors import InvalidParamsError
 from twistqkd.evegram import EveGram, key_basis_stats, solve_eve
 from twistqkd.sdp import solve_sdp
-from twistqkd.states import ModelParams, QubitState, SignalEnsemble, model_states
+from twistqkd.states import ModelParams, QubitState, SignalEnsemble, _stack, model_states
 from twistqkd.twist import (
     TwistProblem,
     _purification_factors,
@@ -89,10 +89,11 @@ class TestSquareRoots:
             for _ in range(20)
         ]
         states += [
+            QubitState(rho=np.eye(2) / 2.0, prob=0.0),  # a zero block has root 0
             QubitState(rho=np.outer(ket, ket.conj()), prob=0.3),
             QubitState(rho=np.eye(2) / 2.0, prob=0.25),
         ]
-        roots = _weighted_roots(states)
+        roots = _weighted_roots(np.stack([state.weighted() for state in states]))
         for root, state in zip(roots, states):
             np.testing.assert_allclose(root, root.conj().T, atol=1e-15)
             assert np.linalg.eigvalsh(root)[0] >= -1e-9
@@ -106,7 +107,7 @@ class TestSquareRoots:
         rng = np.random.default_rng(13)
         bob = random_ensemble(rng)
         ak, bk = ens.key_states(), bob.key_states()
-        left, right = _twist_factors(ak, bk)
+        left, right = _twist_factors(np.array([[s.weighted() for s in key] for key in (ak, bk)]))
         pairs = (((0, 1), (1, 0)), ((0, 0), (1, 1)))
         for k, ((xl, yl), (xr, yr)) in enumerate(pairs):
             S_left, S_right = left[k].T, right[k].conj()
@@ -124,13 +125,13 @@ class TestPurificationFactors:
     )
 
     def test_factors_purify_the_weighted_states(self):
-        factors = _purification_factors(self.STATES)
+        factors = _purification_factors(*_stack(self.STATES))
         assert factors.shape == (4, 2, 2)
         for F, state in zip(factors, self.STATES):
             np.testing.assert_allclose(F @ F.conj().T, state.weighted(), atol=1e-15)
 
     def test_eigenvalues_decrease(self):
-        factors = _purification_factors(self.STATES)
+        factors = _purification_factors(*_stack(self.STATES))
         for F, state in zip(factors, self.STATES):
             # orthogonal columns of squared norm prob * lam_k, decreasing
             weights = np.sum(np.abs(F) ** 2, axis=0)
@@ -153,7 +154,7 @@ class TestPurificationFactors:
                 QubitState(rho=random_density_matrix(rng), prob=rng.uniform(0.05, 1.0))
                 for _ in range(4)
             ]
-            for F, state in zip(_purification_factors(states), states):
+            for F, state in zip(_purification_factors(*_stack(states)), states):
                 w, V = np.linalg.eigh(state.rho)
                 w, V = w[::-1], V[:, ::-1]
                 np.testing.assert_array_equal(
