@@ -149,13 +149,15 @@ class GammaMatrix:
         return kron(self.RA, self.RB)
 
 
-def _loss(eta, atten_db_per_km, distance_km, atten_divisor):
-    return 1.0 - eta * 10.0 ** (-atten_db_per_km * distance_km / atten_divisor)
+def _loss(params: ChannelParams, distance_km):
+    """Per-photon loss of the channel ``params`` at each distance in
+    ``distance_km``, whatever ``params.distance_km`` says."""
+    return 1.0 - params.eta * 10.0 ** (-params.atten_db_per_km * distance_km / params.atten_divisor)
 
 
 def photon_loss(params: ChannelParams) -> float:
     """Per-photon loss probability ``1 - eta * 10**(-a*l/divisor)``."""
-    return _loss(params.eta, params.atten_db_per_km, params.distance_km, params.atten_divisor)
+    return _loss(params, params.distance_km)
 
 
 def _state_rows(rho: np.ndarray, priors: np.ndarray) -> np.ndarray:
@@ -164,21 +166,21 @@ def _state_rows(rho: np.ndarray, priors: np.ndarray) -> np.ndarray:
     return (priors[..., None, None] * rho).reshape(*priors.shape, 4)
 
 
-def _detection_rows(RA, RB, priors_a, priors_b, channels) -> np.ndarray:
-    """Pass probabilities of all 16 state pairs, one row per channel.
+def _detection_rows(RA, RB, priors_a, priors_b, channel, distances) -> np.ndarray:
+    """Pass probabilities of all 16 state pairs over ``channel`` at each of
+    ``distances``, one row per distance.
 
     Both terms of :func:`detection_stats` factor into a channel scalar times
     a fixed 16-vector: ``p q Tr[(rho (x) sigma)|Phi+><Phi+|]`` is
-    ``Re(RA RB^T)[a, b] / 2``, and the dark-count term is ``p q``.  The
-    factors and priors are one pair's, or stacks with one pair per channel.
+    ``Re(RA RB^T)[a, b] / 2``, and the dark-count term is ``p q``.  Only the
+    loss depends on the distance.  The factors and priors are one pair's,
+    or stacks with one pair per distance.
     """
-    eta, pd, dist, atten, div = (
-        np.array([getattr(c, name) for c in channels])
-        for name in ("eta", "p_dark", "distance_km", "atten_db_per_km", "atten_divisor")
-    )
-    p0 = _loss(eta, atten, dist, div)
-    both_arrive = (1.0 - p0) ** 2 * (1.0 - pd) ** 2
-    dark = 2.0 * (p0**2 * pd**2 * (1.0 - pd) ** 2 + p0 * (1.0 - p0) * pd * (1.0 - pd) ** 2)
+    p0 = _loss(channel, np.asarray(distances, dtype=float))
+    pd = channel.p_dark
+    clear = (1.0 - pd) * (1.0 - pd)  # (1-pd)^2, rounded as numpy squares an array
+    both_arrive = (1.0 - p0) ** 2 * clear
+    dark = 2.0 * (p0**2 * (pd * pd) * clear + p0 * (1.0 - p0) * pd * clear)
     shape = np.shape(priors_a)[:-1]
     p_pass = 0.5 * (RA @ RB.swapaxes(-1, -2)).real.reshape(*shape, 16)
     p_dark = (priors_a[..., :, None] * priors_b[..., None, :]).reshape(*shape, 16)
@@ -198,7 +200,7 @@ def detection_stats(
     where ``p_pass = p q Tr[(rho (x) sigma)|Phi+><Phi+|]``.
     """
     RA, RB = _state_rows(alice.rho, alice.priors), _state_rows(bob.rho, bob.priors)
-    rows = _detection_rows(RA, RB, alice.priors, bob.priors, [params])
+    rows = _detection_rows(RA, RB, alice.priors, bob.priors, params, [params.distance_km])
     return DetectionStats(p_det=rows[0])
 
 

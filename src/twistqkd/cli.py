@@ -81,7 +81,7 @@ def _result_doc(result) -> dict:
         "rate_twisted": result.rate_twisted,
         "rate_naive": result.rate_naive,
         "pct_gain": result.pct_gain,
-        "diagnostics": {k: v for k, v in result.diagnostics.items() if not hasattr(v, "shape")},
+        "diagnostics": dict(result.diagnostics),
     }
 
 

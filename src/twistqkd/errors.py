@@ -1,4 +1,7 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the rule by which a
+batch of rows records them."""
+
+import numpy as np
 
 
 class QkdError(Exception):
@@ -36,3 +39,13 @@ class DomainError(QkdError):
 
 class InvalidPhaseError(QkdError):
     """Phase/bit error rates violate the bounds of the key rate formula."""
+
+
+def _record(errors: list, failed, error_of) -> None:
+    """Record ``error_of(i)`` for each row ``i`` flagged in ``failed`` that
+    has no error yet, so that every row keeps the first error recorded for
+    it.  The stages of the pipeline record into one list in pipeline order.
+    """
+    for i in np.flatnonzero(failed):
+        if errors[i] is None:
+            errors[i] = error_of(i)

@@ -25,6 +25,7 @@ from .errors import (
     NotHermitianError,
     SingularGammaError,
     UnphysicalStatsError,
+    _record,
 )
 from .qmath import psd_project
 from .states import COND_LIMIT
@@ -68,69 +69,60 @@ def _matrix_to_vector(E: np.ndarray) -> np.ndarray:
     return E.reshape(*shape, 2, 2, 2, 2).swapaxes(-3, -2).reshape(*shape, 16)
 
 
-def _singular_errors(cond_alice: np.ndarray, cond_bob: np.ndarray) -> list:
-    """Per ensemble pair, the :class:`~twistqkd.errors.SingularGammaError`
-    of a state matrix whose condition number ``cond(RA) * cond(RB)`` is not
-    below ``COND_LIMIT``, or None."""
-    errors = []
-    for alice, bob in zip(cond_alice.tolist(), cond_bob.tolist()):
-        cond = alice * bob
-        if cond < COND_LIMIT:
-            errors.append(None)
-            continue
-        errors.append(SingularGammaError(
-            f"{'Alice' if alice >= bob else 'Bob'}'s ensemble fails the tetrahedron condition: "
-            f"state matrix condition number {cond:.3e} is not below {COND_LIMIT:.0e}, so "
-            "detection statistics cannot determine the Gram matrix"
-        ))
-    return errors
+def _singular_errors(cond_alice: np.ndarray, cond_bob: np.ndarray, errors: list) -> None:
+    """Record, per row, the :class:`~twistqkd.errors.SingularGammaError` of
+    a state matrix whose condition number ``cond(RA) * cond(RB)`` is not
+    below ``COND_LIMIT``."""
+    cond = cond_alice * cond_bob
+    _record(errors, ~(cond < COND_LIMIT), lambda i: SingularGammaError(
+        f"{'Alice' if cond_alice[i] >= cond_bob[i] else 'Bob'}'s ensemble fails the "
+        f"tetrahedron condition: state matrix condition number {float(cond[i]):.3e} is not "
+        f"below {COND_LIMIT:.0e}, so detection statistics cannot determine the Gram matrix"
+    ))
 
 
-def _solve_rows(RA_inv: np.ndarray, RB_inv: np.ndarray, p_det: np.ndarray):
+def _solve_rows(RA_inv: np.ndarray, RB_inv: np.ndarray, p_det: np.ndarray, errors: list):
     """Repaired Gram matrices for N rows of statistics ``p_det`` (N, 16),
     from the inverse state-matrix factors of one pair, or of each row's pair
     stacked (N, 4, 4).
 
     With ``gamma = RA (x) RB`` the linear system is
     ``RA X RB^T = P`` for ``P = p_det.reshape(4, 4)``, so ``X = RA^-1 P RB^-T``
-    and ``raw = vec(X)``.  Returns ``(E, clipped, raw, errors)``: the repaired
-    matrices (N, 4, 4), the clipped mass and raw solution per row, and per
-    row the :class:`~twistqkd.errors.QkdError` it fails with, or None.
+    and ``raw = vec(X)``.  Returns ``(E, clipped, raw)``: the repaired
+    matrices (N, 4, 4), and the clipped mass and raw solution per row; the
+    :class:`~twistqkd.errors.QkdError` a row fails with is recorded in
+    ``errors``.
     """
     P = np.asarray(p_det, dtype=float).reshape(-1, 4, 4)
     raw = (RA_inv @ P @ RB_inv.swapaxes(-1, -2)).reshape(-1, 16)
     E = _vector_to_matrix(raw)
     E = 0.5 * (E + E.conj().swapaxes(-1, -2))
-    errors = [None] * len(E)
     finite = np.isfinite(E).all(axis=(-2, -1))
-    for i in np.flatnonzero(~finite):
-        errors[i] = NotHermitianError("matrix contains NaN or Inf entries")
+    _record(errors, ~finite, lambda i: NotHermitianError("matrix contains NaN or Inf entries"))
     E[~finite] = 0.0
     E, clipped = psd_project(E, tol=1e-10)
+    _record(errors, clipped > CLIP_ERROR, lambda i: UnphysicalStatsError(
+        f"PSD repair removed eigenvalue mass {clipped[i]:.3e} (> {CLIP_ERROR:.0e}); "
+        "statistics are not consistent with any quantum channel"
+    ))
     for i in np.flatnonzero(clipped > CLIP_WARN):
-        if errors[i] is not None:
-            continue
-        if clipped[i] > CLIP_ERROR:
-            errors[i] = UnphysicalStatsError(
-                f"PSD repair removed eigenvalue mass {clipped[i]:.3e} (> {CLIP_ERROR:.0e}); "
-                "statistics are not consistent with any quantum channel"
-            )
-        else:
+        if errors[i] is None:
             warnings.warn(
                 f"Gram reconstruction clipped eigenvalue mass {clipped[i]:.3e}",
                 RuntimeWarning,
                 stacklevel=3,
             )
-    return E, clipped, raw, errors
+    return E, clipped, raw
 
 
-def _gram_rows(gamma: GammaMatrix, p_det: np.ndarray):
+def _gram_rows(gamma: GammaMatrix, p_det: np.ndarray, errors: list):
     """:func:`_solve_rows` for one pair's state matrix; a singular one
     (see :func:`_singular_errors`) fails every row and is raised."""
-    error = _singular_errors(np.array([gamma.cond_alice]), np.array([gamma.cond_bob]))[0]
-    if error is not None:
-        raise error
-    return _solve_rows(np.linalg.inv(gamma.RA), np.linalg.inv(gamma.RB), p_det)
+    singular = [None]
+    _singular_errors(np.array([gamma.cond_alice]), np.array([gamma.cond_bob]), singular)
+    if singular[0] is not None:
+        raise singular[0]
+    return _solve_rows(np.linalg.inv(gamma.RA), np.linalg.inv(gamma.RB), p_det, errors)
 
 
 def solve_eve(gamma: GammaMatrix, stats: DetectionStats) -> EveGram:
@@ -143,7 +135,8 @@ def solve_eve(gamma: GammaMatrix, stats: DetectionStats) -> EveGram:
     1e-4 the statistics are rejected as inconsistent with any quantum
     channel under this package's conventions.
     """
-    E, clipped, raw, errors = _gram_rows(gamma, stats.p_det[None])
+    errors = [None]
+    E, clipped, raw = _gram_rows(gamma, stats.p_det[None], errors)
     if errors[0] is not None:
         raise errors[0]
     return EveGram(e_matrix=E[0], clipped_mass=float(clipped[0]), raw=raw[0])
@@ -153,15 +146,16 @@ _KEYS = [stats_index(0, 0, x, y) for x in (0, 1) for y in (0, 1)]
 _MISMATCH = (stats_index(0, 0, 0, 1), stats_index(0, 0, 1, 0))
 
 
-def _key_rows(p_det: np.ndarray):
-    """``(p_det00, e_z, errors)`` for N rows of statistics ``p_det`` (N, 16)."""
+def _key_rows(p_det: np.ndarray, errors: list):
+    """``(p_det00, e_z)`` for N rows of statistics ``p_det`` (N, 16); a row
+    without key-basis detections is recorded in ``errors``."""
     p00 = p_det[:, _KEYS].sum(axis=1)
-    errors = [None] * len(p00)
-    for i in np.flatnonzero(p00 < 1e-300):
-        errors[i] = NoDetectionsError("key-basis detection probability is zero")
+    _record(errors, p00 < 1e-300, lambda i: NoDetectionsError(
+        "key-basis detection probability is zero"
+    ))
     with np.errstate(divide="ignore", invalid="ignore"):
         e_z = (p_det[:, _MISMATCH[0]] + p_det[:, _MISMATCH[1]]) / p00
-    return p00, e_z, errors
+    return p00, e_z
 
 
 def key_basis_stats(stats: DetectionStats) -> tuple[float, float]:
@@ -170,7 +164,8 @@ def key_basis_stats(stats: DetectionStats) -> tuple[float, float]:
     ``p_det00`` sums the four (i, j) = (0, 0) entries; the bit error rate is
     the mismatch fraction ``(p[0,0,0,1] + p[0,0,1,0]) / p_det00``.
     """
-    p00, e_z, errors = _key_rows(stats.p_det[None])
+    errors = [None]
+    p00, e_z = _key_rows(stats.p_det[None], errors)
     if errors[0] is not None:
         raise errors[0]
     return float(p00[0]), float(e_z[0])

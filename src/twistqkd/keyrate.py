@@ -7,24 +7,27 @@ errors (and the fixed-purification baseline), then evaluate the six-state
 key rate for both.
 
 Every evaluation goes through one kernel, :func:`_evaluate`, which takes M
-ensemble pairs as stacked arrays and N rows, each row one pair at one
-channel (or with injected statistics).  The work that depends only on the
-ensembles is done once per pair, over (M, ...) stacks: the per-party state
-matrices with their inverses and condition numbers (one singularity test),
-the square roots of the ancilla blocks as Kronecker products of per-state
-2x2 roots, and the baseline's purification pairings.  Each row then picks
-its pair's values, and everything that depends on the statistics (Gram
-solve, PSD repair, key-basis statistics, trace norms, baseline values and
-rates) runs on arrays over the N rows.  Each row fails on its own with the
-error a single point would raise, and an error of a pair's ensembles fails
-only that pair's rows.  :func:`keyrate_point` is the kernel with
-M = N = 1; :func:`scan` makes one call for its whole delta x depol x
+ensemble pairs as stacked arrays, one channel, and N rows, each row one
+pair at one distance (or with injected statistics).  The work that depends
+only on the ensembles is done once per pair, over (M, ...) stacks: the
+per-party state matrices with their inverses and condition numbers (one
+singularity test), the square roots of the ancilla blocks as Kronecker
+products of per-state 2x2 roots, and the baseline's purification pairings.
+Only the photon loss depends on the distance, and it is computed once over
+the distance axis.  Each row then picks its pair's values, and everything
+that depends on the statistics (Gram solve, PSD repair, key-basis
+statistics, trace norms, baseline values and rates) runs on arrays over the
+N rows.  Every stage records its errors into one list, and each row keeps
+its first error, the one a single point would raise; an error of a pair's
+ensembles fails only that pair's rows.  :func:`keyrate_point` is the kernel
+with M = N = 1; :func:`scan` makes one call for its whole delta x depol x
 distance grid.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,9 +35,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelParams, DetectionStats, _detection_rows, _state_rows
-from .errors import DomainError, InvalidParamsError, InvalidPhaseError, QkdError
+from .errors import DomainError, InvalidParamsError, InvalidPhaseError, QkdError, _record
 from .evegram import _key_rows, _singular_errors, _solve_rows
-from .states import ModelParams, SignalEnsemble, _model_grid, ensemble_from_dict, model_states
+from .states import (
+    COND_LIMIT,
+    ModelParams,
+    SignalEnsemble,
+    _model_grid,
+    ensemble_from_dict,
+    model_states,
+)
 from .twist import (
     _naive_pairings,
     _naive_rows,
@@ -75,17 +85,10 @@ def binary_entropy(x: float) -> float:
     return float(_entropy(min(max(x, 0.0), 1.0)))
 
 
-def _merge(errors: list, new: list) -> None:
-    """Record each row's first error: keep earlier errors, add new ones."""
-    for i, error in enumerate(new):
-        if errors[i] is None:
-            errors[i] = error
-
-
-def _rates(p_det00, e_z, e_minus, e_plus, f):
-    """Per row: the six-state rate clamped at zero, the formula value before
-    that clamp, and the :class:`InvalidPhaseError` of the first violated
-    window (or None).
+def _rates(p_det00, e_z, e_minus, e_plus, f, errors):
+    """Per row: the six-state rate clamped at zero and the formula value
+    before that clamp; the :class:`InvalidPhaseError` of a row's first
+    violated window is recorded in ``errors``.
 
     The formula is evaluated once, on ``e_z``, ``e_minus`` and ``e_plus``
     clipped to their windows ``[0, 1]``, ``[0, e_z]`` and ``[e_z, 1]``;
@@ -98,11 +101,10 @@ def _rates(p_det00, e_z, e_minus, e_plus, f):
         (e_plus >= e_z - _PHASE_TOL, "e_plus = {p} < e_z = {z}"),
         (e_plus <= 1.0 + _PHASE_TOL, "e_plus = {p} > 1"),
     )
-    errors = [None] * len(p_det00)
-    for ok, message in reversed(checks):  # the later write wins
-        for i in np.flatnonzero(~ok):
-            values = {"m": float(e_minus[i]), "z": float(e_z[i]), "p": float(e_plus[i])}
-            errors[i] = InvalidPhaseError(message.format(**values))
+    for ok, message in checks:
+        _record(errors, ~ok, lambda i: InvalidPhaseError(message.format(
+            m=float(e_minus[i]), z=float(e_z[i]), p=float(e_plus[i])
+        )))
     e_z = np.clip(e_z, 0.0, 1.0)
     e_minus = np.clip(e_minus, 0.0, e_z)
     e_plus = np.clip(e_plus, e_z, 1.0)
@@ -116,7 +118,7 @@ def _rates(p_det00, e_z, e_minus, e_plus, f):
     bit_flip = np.where(low, 0.0, e_z * h_first)
     h_phase = np.where(low, h_first, np.where(high, 0.0, _entropy(phase_arg)))
     raw = p_det00 * (1.0 - f * _entropy(e_z) - bit_flip - (1.0 - e_z) * h_phase)
-    return np.maximum(raw, 0.0), raw, errors
+    return np.maximum(raw, 0.0), raw
 
 
 def six_state_rate(
@@ -133,7 +135,8 @@ def six_state_rate(
     last term uses its limit ``h2(1 - e_plus/2)``.
     """
     values = (np.array([float(v)]) for v in (p_det00, e_z, e_minus, e_plus))
-    rate, _, errors = _rates(*values, _require_f(f))
+    errors = [None]
+    rate, _ = _rates(*values, _require_f(f), errors)
     if errors[0] is not None:
         raise errors[0]
     return float(rate[0])
@@ -160,20 +163,16 @@ class KeyRateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _evaluate(
-    alice: tuple,
-    bob: tuple,
-    pairs,
-    channels: list,
-    f: float = 1.0,
-    stats: DetectionStats | None = None,
-) -> list:
-    """Evaluate N points: row r is ensemble pair ``pairs[r]`` at ``channels[r]``.
+def _evaluate(alice: tuple, bob: tuple, pairs, channel: ChannelParams, distances, f, stats) -> list:
+    """Evaluate N points: row r is ensemble pair ``pairs[r]`` over
+    ``channel`` at ``distances[r]``.
 
     ``alice`` and ``bob`` hold M ensembles each as validated arrays
     ``(rho, priors)``, ``rho`` (M, 4, 2, 2) and ``priors`` (M, 4); pair m is
-    Alice's m-th ensemble with Bob's m-th.  The statistics of each row are
-    simulated for its channel, or are the injected ``stats`` on every row.
+    Alice's m-th ensemble with Bob's m-th.  ``channel`` gives the loss and
+    detector parameters of every row, and the loss is computed once over
+    ``distances``, in place of ``channel.distance_km``.  The statistics of
+    each row are simulated, or are the injected ``stats`` on every row.
     Returns per row a :class:`KeyRateResult` or the
     :class:`~twistqkd.errors.QkdError` the point fails with; an error of a
     pair's ensembles fails that pair's rows.
@@ -188,28 +187,21 @@ def _evaluate(
     rho, priors = (np.stack(arrays) for arrays in zip(alice, bob))
     R = _state_rows(rho, priors)  # the state-matrix factors RA, RB, (2, M, 4, 4)
     cond = np.linalg.cond(R)
-    pair_errors = _singular_errors(*cond)
-    errors = [pair_errors[m] for m in pairs.tolist()]
-    good = np.array([error is None for error in pair_errors])
-    if good.all():
-        R_inv = np.linalg.inv(R)
-    else:
-        # A zero prior zeroes a row of RA or RB, so such a pair is singular
-        # too.  The rows of singular pairs solve against zero inverses, which
-        # raise no error and no warning, and stay failed.
-        R_inv = np.zeros_like(R)
-        R_inv[:, good] = np.linalg.inv(R[:, good])
+    cond_alice, cond_bob = rows(cond, 1)
+    errors = [None] * len(pairs)
+    _singular_errors(cond_alice, cond_bob, errors)
+    # A zero prior zeroes a row of RA or RB, so such a pair is singular too.
+    # Singular pairs invert the identity in their place and keep zero
+    # inverses, which their rows solve against without error or warning.
+    good = (cond[0] * cond[1] < COND_LIMIT)[:, None, None]
+    R_inv = np.where(good, np.linalg.inv(np.where(good, R, np.eye(4))), 0.0)
     if stats is None:
-        p_det = _detection_rows(*rows(R, 1), *rows(priors, 1), channels)
+        p_det = _detection_rows(*rows(R, 1), *rows(priors, 1), channel, distances)
     else:
         p_det = np.broadcast_to(stats.p_det, (len(pairs), 16))
-    E, clipped, _, row_errors = _solve_rows(*rows(R_inv, 1), p_det)
-    _merge(errors, row_errors)
-    p00, e_z, row_errors = _key_rows(p_det)
-    _merge(errors, row_errors)
-    _merge(errors, _scalar_errors(p00, e_z))
-    if all(error is not None for error in errors):
-        return errors
+    E, clipped, _ = _solve_rows(*rows(R_inv, 1), p_det, errors)
+    p00, e_z = _key_rows(p_det, errors)
+    _scalar_errors(p00, e_z, errors)
     # Rows that already failed carry values such as p00 = 0 from here on.
     with np.errstate(divide="ignore", invalid="ignore"):
         key_rho, key_priors = rho[:, :, :2], priors[:, :, :2]
@@ -222,10 +214,8 @@ def _evaluate(
         # The rate formula is even in e_minus (h2((1+t)/2) = h2((1-t)/2)),
         # so the signed baseline value enters through its magnitude.
         naive_minus = np.minimum(np.abs(naive_signed), e_z)
-        rate_twisted, raw_twisted, twisted_errors = _rates(p00, e_z, e_minus, e_plus, f)
-        rate_naive, raw_naive, naive_errors = _rates(p00, e_z, naive_minus, naive_plus, f)
-        _merge(errors, twisted_errors)
-        _merge(errors, naive_errors)
+        rate_twisted, raw_twisted = _rates(p00, e_z, e_minus, e_plus, f, errors)
+        rate_naive, raw_naive = _rates(p00, e_z, naive_minus, naive_plus, f, errors)
         pct_gain = np.where(
             rate_naive > 0.0,
             100.0 * (rate_twisted - rate_naive) / rate_naive,
@@ -236,7 +226,6 @@ def _evaluate(
         "p_det00": p00, "e_z": e_z, "e_minus": e_minus, "e_plus": e_plus,
         "rate_twisted": rate_twisted, "rate_naive": rate_naive, "pct_gain": pct_gain,
     }
-    cond_alice, cond_bob = rows(cond, 1)
     diagnostics = {
         "gamma_cond": cond_alice * cond_bob,
         "cond_alice": cond_alice,
@@ -278,7 +267,8 @@ def keyrate_point(
     and at least 1.
     """
     f = _require_f(f)
-    result = _evaluate(_single(alice), _single(bob), [0], [channel], f=f, stats=stats)[0]
+    distances = [channel.distance_km]
+    result = _evaluate(_single(alice), _single(bob), [0], channel, distances, f=f, stats=stats)[0]
     if isinstance(result, QkdError):
         raise result
     return result
@@ -310,9 +300,10 @@ class ScanConfig:
     order.  Explicit ensembles, when given, override the (delta, p) model at
     every grid point, and a measured-statistics CSV replaces the channel
     simulation at every grid point.  ``f`` must be finite and at least 1.
-    The channel parameters, and the model grid when no explicit ensembles
-    are given, are validated at construction, with the messages of
-    :class:`ChannelParams` and :class:`ModelParams`.
+    The whole grid is validated at construction: the channel at every
+    distance, and every delta and depol when no explicit ensembles are
+    given, with the messages of :class:`ChannelParams` and
+    :class:`ModelParams`.
     """
 
     deltas: list
@@ -345,7 +336,8 @@ class ScanConfig:
                 ModelParams(delta=delta, depol=0.0)
             for depol in self.depols:
                 ModelParams(delta=0.0, depol=depol)
-        self.channel_for(0.0)
+        for distance in self.distances:
+            self.channel_for(distance)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScanConfig":
@@ -495,34 +487,31 @@ def scan(config: ScanConfig) -> list[ScanRow]:
     Grid points are evaluated in deterministic order (delta, then depol,
     then distance).  The whole grid is one kernel call: the work of each
     (delta, depol) ensemble pair is done once, and its distances are rows
-    of the call.  A point that fails with a
-    :class:`~twistqkd.errors.QkdError` is recorded in its row with its
-    message and the scan continues; any other exception propagates.
+    of the call.  The config has validated every grid point, so a point
+    fails only in the pipeline: it is recorded in its row with the message
+    of its :class:`~twistqkd.errors.QkdError` and the scan continues; any
+    other exception propagates.
     """
-    channels = []
-    for distance in config.distances:
-        try:
-            channels.append(config.channel_for(distance))
-        except QkdError as exc:
-            channels.append(exc)
-    valid = [c for c in channels if not isinstance(c, QkdError)]
     alice, bob, grid_pairs = _grid_pairs(config)
-    pairs = np.repeat(grid_pairs, len(valid))
-    outcomes = iter(
-        _evaluate(alice, bob, pairs, valid * len(grid_pairs), f=config.f, stats=config.stats)
+    outcomes = _evaluate(
+        alice,
+        bob,
+        np.repeat(grid_pairs, len(config.distances)),
+        config.channel_for(0.0),
+        np.tile(config.distances, len(grid_pairs)),
+        f=config.f,
+        stats=config.stats,
     )
+    grid = itertools.product(config.deltas, config.depols, config.distances.tolist())
     rows = []
-    for delta in config.deltas:
-        for depol in config.depols:
-            for distance, channel in zip(config.distances, channels):
-                outcome = channel if isinstance(channel, QkdError) else next(outcomes)
-                row = ScanRow(delta, depol, float(distance), result=None, status="ok")
-                if isinstance(outcome, QkdError):
-                    row.status = type(outcome).__name__
-                    row.error = str(outcome)
-                else:
-                    row.result = outcome
-                rows.append(row)
+    for (delta, depol, distance), outcome in zip(grid, outcomes):
+        row = ScanRow(delta, depol, distance, result=None, status="ok")
+        if isinstance(outcome, QkdError):
+            row.status = type(outcome).__name__
+            row.error = str(outcome)
+        else:
+            row.result = outcome
+        rows.append(row)
     return rows
 
 

@@ -162,13 +162,12 @@ def _model_grid(deltas, depols, priors=(0.25, 0.25, 0.25, 0.25)):
     validated arrays: ``rho`` (M, 4, 2, 2) and ``priors`` (M, 4).
 
     The parameters are those :class:`ModelParams` accepts; the states are
-    built by broadcasting and checked by one :func:`_check_states` call.
+    built by broadcasting, and they and the priors are checked by one
+    :func:`_check_states` call and the priors' sum by :func:`_check_totals`.
     """
     priors = np.asarray(priors, dtype=float)
     if priors.shape != (4,):
         raise InvalidParamsError(f"priors must have length 4, got shape {priors.shape}")
-    if np.any(priors < 0) or abs(priors.sum() - 1.0) > PROB_TOL:
-        raise InvalidParamsError("priors must be nonnegative and sum to 1")
     kets = _model_kets(deltas)
     p = np.asarray(depols, dtype=float)[:, None, None, None]
     rho = (1.0 - p) * (kets[..., :, None] * kets.conj()[..., None, :]) + p * np.eye(2) / 2.0

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, _record
 from .evegram import EveGram
 from .qmath import kron
 from .states import QubitState, _stack
@@ -79,15 +79,15 @@ def _twist_factors(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return left.swapaxes(-1, -2), right.conj()
 
 
-def _scalar_errors(p_det00: np.ndarray, e_z: np.ndarray) -> list:
-    """Per row, the :class:`InvalidParamsError` of an out-of-range
-    ``p_det00`` or ``e_z`` (checked in that order), or None."""
-    errors = [None] * len(p_det00)
-    for i in np.flatnonzero(~((e_z >= -1e-12) & (e_z <= 1 + 1e-12))):
-        errors[i] = InvalidParamsError(f"e_z must be in [0, 1], got {float(e_z[i])}")
-    for i in np.flatnonzero(p_det00 <= 0):
-        errors[i] = InvalidParamsError(f"p_det00 must be positive, got {float(p_det00[i])}")
-    return errors
+def _scalar_errors(p_det00: np.ndarray, e_z: np.ndarray, errors: list) -> None:
+    """Record, per row, the :class:`InvalidParamsError` of an out-of-range
+    ``p_det00`` or ``e_z``, checked in that order."""
+    _record(errors, p_det00 <= 0, lambda i: InvalidParamsError(
+        f"p_det00 must be positive, got {float(p_det00[i])}"
+    ))
+    _record(errors, ~((e_z >= -1e-12) & (e_z <= 1 + 1e-12)), lambda i: InvalidParamsError(
+        f"e_z must be in [0, 1], got {float(e_z[i])}"
+    ))
 
 
 @dataclass
@@ -106,9 +106,10 @@ class TwistProblem:
     e_z: float
 
     def __post_init__(self):
-        error = _scalar_errors(np.array([self.p_det00]), np.array([self.e_z]))[0]
-        if error is not None:
-            raise error
+        errors = [None]
+        _scalar_errors(np.array([self.p_det00]), np.array([self.e_z]), errors)
+        if errors[0] is not None:
+            raise errors[0]
         self.e_z = min(max(self.e_z, 0.0), 1.0)
 
     @classmethod

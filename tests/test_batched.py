@@ -104,25 +104,20 @@ def test_ok_rows_respect_the_rate_windows(delta_list, depol_list, distance_list,
         assert r.rate_twisted >= r.rate_naive - 1e-9
 
 
-channel_lists = st.lists(
-    st.tuples(st.floats(0.1, 1.0), st.floats(0.0, 0.01), st.floats(0.0, 200.0)),
-    min_size=1, max_size=8,
-)
-
-
 @PROPERTY_SETTINGS
-@given(seeds, channel_lists)
-def test_gram_solve_reproduces_the_statistics(seed, channel_list):
-    # one kernel call over several loss and dark-count levels: every row
-    # solves its own statistics and is the single-row solve of them
+@given(seeds, st.floats(0.1, 1.0), st.floats(0.0, 0.01), distances)
+def test_gram_solve_reproduces_the_statistics(seed, eta, p_dark, distance_list):
+    # one kernel call over a distance axis: every row solves its own
+    # statistics and is the single-row solve of them
     rng = np.random.default_rng(seed)
     alice, bob = random_ensemble(rng), random_ensemble(rng)
-    channels = [ChannelParams(eta=e, p_dark=d, distance_km=km) for e, d, km in channel_list]
+    channel = ChannelParams(eta=eta, p_dark=p_dark, distance_km=0.0)
     gamma = build_gamma(alice, bob)
-    p_det = _detection_rows(gamma.RA, gamma.RB, alice.priors, bob.priors, channels)
-    E, clipped, raw, errors = _gram_rows(gamma, p_det)
-    for i, channel in enumerate(channels):
-        stats = detection_stats(alice, bob, channel)
+    p_det = _detection_rows(gamma.RA, gamma.RB, alice.priors, bob.priors, channel, distance_list)
+    errors = [None] * len(distance_list)
+    E, clipped, raw = _gram_rows(gamma, p_det, errors)
+    for i, distance in enumerate(distance_list):
+        stats = detection_stats(alice, bob, ChannelParams(eta, p_dark, distance))
         np.testing.assert_allclose(p_det[i], stats.p_det, rtol=0.0, atol=1e-15)
         assert np.max(np.abs(gamma.gamma @ raw[i] - p_det[i])) <= 1e-10
         assert errors[i] is None
@@ -177,15 +172,16 @@ def test_bad_pairs_fail_only_their_own_rows():
         (np.stack([e.rho for e in ensembles]), np.stack([e.priors for e in ensembles]))
         for ensembles in (alices, bobs)
     ]
-    pairs, channels = [], []
-    for distance in (0.0, 40.0, 120.0):
-        pairs += [0, 1, 2]
-        channels += [ChannelParams(eta=ETA, p_dark=P_DARK, distance_km=distance)] * 3
-    rows = _evaluate(*stacks, pairs, channels)
+    pairs = [0, 1, 2] * 3
+    distance_list = np.repeat([0.0, 40.0, 120.0], 3)
+    channel = ChannelParams(eta=ETA, p_dark=P_DARK, distance_km=0.0)
+    rows = _evaluate(*stacks, pairs, channel, distance_list, f=1.0, stats=None)
     failed = set()
-    for m, channel, row in zip(pairs, channels, rows):
+    for m, distance, row in zip(pairs, distance_list, rows):
         try:
-            direct = keyrate_point(alices[m], bobs[m], channel)
+            direct = keyrate_point(
+                alices[m], bobs[m], ChannelParams(eta=ETA, p_dark=P_DARK, distance_km=distance)
+            )
         except QkdError as exc:
             assert (type(row), str(row)) == (type(exc), str(exc))
             failed.add((m, type(exc)))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import coplanar_ensemble, random_ensemble
 from twistqkd.channel import ChannelParams, detection_stats
 from twistqkd.cli import main
+from twistqkd.keyrate import keyrate_point
 from twistqkd.states import ModelParams, ensemble_to_json, model_states
 
 POINT_ARGS = [
@@ -45,6 +46,9 @@ class TestKeyrateCommand:
         assert doc["rate_twisted"] >= doc["rate_naive"] - 1e-7
         assert doc["diagnostics"]["twist_bound_minus"] >= doc["e_minus"]
         assert doc["diagnostics"]["twist_bound_plus"] <= doc["e_plus"]
+        ens = model_states(ModelParams(delta=0.1, depol=0.05))
+        direct = keyrate_point(ens, ens, ChannelParams(eta=0.5, p_dark=1e-5, distance_km=50.0))
+        assert doc["diagnostics"].keys() == direct.diagnostics.keys()
 
     def test_priors_flag(self, capsys):
         code, out, _ = run_main(
@@ -215,6 +219,14 @@ class TestScanCommand:
         code, out, err = run_main(["scan", "--config", str(config), "--out", str(out_csv)], capsys)
         assert (code, out) == (2, "")
         assert err == "error: depol must be in [0, 1), got 1.5\n"
+        assert not out_csv.exists()
+
+    def test_negative_distance_exit_2_before_any_row(self, tmp_path, capsys):
+        config = write_config(tmp_path, distance={"min": -10, "max": 10, "step": 5})
+        out_csv = tmp_path / "rates.csv"
+        code, out, err = run_main(["scan", "--config", str(config), "--out", str(out_csv)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: distance_km must be >= 0, got -10.0\n"
         assert not out_csv.exists()
 
 

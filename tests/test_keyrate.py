@@ -114,6 +114,9 @@ class TestSixStateRate:
             six_state_rate(1.0, 0.1, 0.0, 0.05)  # e_plus < e_z
         with pytest.raises(InvalidPhaseError):
             six_state_rate(1.0, 0.1, 0.0, 1.1)
+        # both e_minus and e_plus are out of their windows: the first check wins
+        with pytest.raises(InvalidPhaseError, match=r"^e_minus = -0.01 < 0$"):
+            six_state_rate(1.0, 0.1, -0.01, 1.1)
 
     @pytest.mark.parametrize("f", [math.nan, -1.0, 0.5])
     def test_rejects_bad_error_correction_efficiency(self, f):
@@ -305,6 +308,10 @@ class TestScanConfig:
             ScanConfig(deltas=[0.1, math.inf], depols=0.0, distances=0.0, eta=0.5, p_dark=0.0)
         with pytest.raises(InvalidParamsError, match="atten_db_per_km must be >= 0, got -1.0"):
             ScanConfig.from_dict(base_config(atten_db_per_km=-1))
+        with pytest.raises(InvalidParamsError, match="distance_km must be >= 0, got -5.0"):
+            ScanConfig(deltas=0.0, depols=0.0, distances=[10.0, -5.0], eta=0.5, p_dark=0.0)
+        with pytest.raises(InvalidParamsError, match="distance_km must be finite, got inf"):
+            ScanConfig(deltas=0.0, depols=0.0, distances=[0.0, math.inf], eta=0.5, p_dark=0.0)
 
     def test_explicit_states(self):
         ens = model_states(ModelParams(delta=0.07, depol=0.02))
@@ -363,8 +370,8 @@ class TestScan:
     def test_error_message_recorded(self, monkeypatch):
         import twistqkd.keyrate as keyrate_module
 
-        def decline(alice, bob, pairs, channels, **kwargs):
-            return [InvalidPhaseError("e_plus = 1.5 > 1") for _ in channels]
+        def decline(alice, bob, pairs, channel, distances, **kwargs):
+            return [InvalidPhaseError("e_plus = 1.5 > 1") for _ in pairs]
 
         monkeypatch.setattr(keyrate_module, "_evaluate", decline)
         rows = scan(ScanConfig.from_dict(base_config(distance=10.0)))
@@ -389,9 +396,9 @@ class TestScan:
         calls = []
         kernel = keyrate_module._evaluate
 
-        def counted(alice, bob, pairs, channels, **kwargs):
-            calls.append(len(channels))
-            return kernel(alice, bob, pairs, channels, **kwargs)
+        def counted(alice, bob, pairs, channel, distances, **kwargs):
+            calls.append(len(pairs))
+            return kernel(alice, bob, pairs, channel, distances, **kwargs)
 
         monkeypatch.setattr(keyrate_module, "_evaluate", counted)
         doc = base_config(delta=[0.0, 0.1], depol=[0.01, 0.05, 0.1])

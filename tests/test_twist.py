@@ -385,6 +385,9 @@ class TestErrors:
         ens, eve, p00, e_z = pipeline_inputs(0.0, 0.0)
         with pytest.raises(InvalidParamsError):
             TwistProblem.from_key_states(ens.key_states(), ens.key_states(), eve, 0.0, e_z)
+        # p_det00 is checked before e_z
+        with pytest.raises(InvalidParamsError, match="p_det00 must be positive"):
+            TwistProblem.from_key_states(ens.key_states(), ens.key_states(), eve, 0.0, 2.0)
 
     def test_zero_prior_block_raises(self):
         ens, eve, p00, e_z = pipeline_inputs(0.1, 0.05)
