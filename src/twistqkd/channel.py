@@ -167,24 +167,24 @@ def _state_rows(rho: np.ndarray, priors: np.ndarray) -> np.ndarray:
 
 
 def _detection_rows(RA, RB, priors_a, priors_b, channel, distances) -> np.ndarray:
-    """Pass probabilities of all 16 state pairs over ``channel`` at each of
-    ``distances``, one row per distance.
+    """Pass probabilities of all 16 state pairs of M ensemble pairs over
+    ``channel`` at each of D ``distances``: (M * D, 16), rows pair-major.
 
     Both terms of :func:`detection_stats` factor into a channel scalar times
     a fixed 16-vector: ``p q Tr[(rho (x) sigma)|Phi+><Phi+|]`` is
     ``Re(RA RB^T)[a, b] / 2``, and the dark-count term is ``p q``.  Only the
-    loss depends on the distance.  The factors and priors are one pair's,
-    or stacks with one pair per distance.
+    loss depends on the distance, so the rows are the outer product of the
+    pairs' 16-vectors with the distances' two scalars.  The factors and
+    priors are stacked (M, 4, 4) and (M, 4), or are one pair's.
     """
     p0 = _loss(channel, np.asarray(distances, dtype=float))
     pd = channel.p_dark
     clear = (1.0 - pd) * (1.0 - pd)  # (1-pd)^2, rounded as numpy squares an array
     both_arrive = (1.0 - p0) ** 2 * clear
     dark = 2.0 * (p0**2 * (pd * pd) * clear + p0 * (1.0 - p0) * pd * clear)
-    shape = np.shape(priors_a)[:-1]
-    p_pass = 0.5 * (RA @ RB.swapaxes(-1, -2)).real.reshape(*shape, 16)
-    p_dark = (priors_a[..., :, None] * priors_b[..., None, :]).reshape(*shape, 16)
-    return both_arrive[:, None] * p_pass + dark[:, None] * p_dark
+    p_pass = 0.5 * (RA @ RB.swapaxes(-1, -2)).real.reshape(-1, 1, 16)
+    p_dark = (priors_a[..., :, None] * priors_b[..., None, :]).reshape(-1, 1, 16)
+    return (both_arrive[:, None] * p_pass + dark[:, None] * p_dark).reshape(-1, 16)
 
 
 def detection_stats(

@@ -14,6 +14,7 @@ inputs, 4 phase errors outside the rate formula's domain.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -26,8 +27,8 @@ from .errors import (
     SingularGammaError,
     UnphysicalStatsError,
 )
-from .keyrate import ScanConfig, keyrate_point, read_config_doc, scan, scan_to_csv
-from .states import ModelParams, model_states, tetrahedron_check
+from .keyrate import ScanConfig, _grid_pairs, keyrate_point, read_config_doc, scan, scan_to_csv
+from .states import ModelParams, SignalEnsemble, model_states, tetrahedron_check
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,16 +61,14 @@ def _add_point_args(parser: argparse.ArgumentParser) -> None:
 
 def _point_result(args):
     priors = _parse_priors(args.priors)
-    params = ModelParams(delta=args.delta, depol=args.depol)
-    alice = model_states(params, priors)
-    bob = model_states(params, priors)
+    ensemble = model_states(ModelParams(delta=args.delta, depol=args.depol), priors)
     channel = ChannelParams(
         eta=args.eta,
         p_dark=args.dark,
         distance_km=args.distance,
         atten_divisor=args.divisor,
     )
-    return keyrate_point(alice, bob, channel, f=args.f)
+    return keyrate_point(ensemble, ensemble, channel, f=args.f)
 
 
 def _result_doc(result) -> dict:
@@ -113,21 +112,22 @@ def _cmd_check_states(args) -> int:
     if isinstance(doc, dict):
         doc.pop("stats_csv", None)  # the ensembles do not depend on the statistics
     config = ScanConfig.from_dict(doc)
+    stacks = _grid_pairs(config)  # the grid's ensembles, built as scan builds them
+    grid = itertools.product(config.deltas, config.depols)
     ok = True
-    for delta in config.deltas:
-        for depol in config.depols:
-            alice, bob = config.ensembles_for(delta, depol)
-            gamma = build_gamma(alice, bob)
-            print(f"delta={delta:g} depol={depol:g}")
-            for name, ens in (("alice", alice), ("bob", bob)):
-                diag = tetrahedron_check(ens)
-                verdict = "pass" if diag.passed else "FAIL"
-                print(
-                    f"  {name}: tetrahedron {verdict}"
-                    f" (|det|={abs(diag.determinant):.6g}, cond={diag.cond:.6g})"
-                )
-                ok = ok and diag.passed
-            print(f"  state matrix condition number = {gamma.cond:.6g}")
+    for k, (delta, depol) in enumerate(grid):
+        alice, bob = (SignalEnsemble._of_checked(rho[k], priors[k]) for rho, priors in stacks)
+        gamma = build_gamma(alice, bob)
+        print(f"delta={delta:g} depol={depol:g}")
+        for name, ens in (("alice", alice), ("bob", bob)):
+            diag = tetrahedron_check(ens)
+            verdict = "pass" if diag.passed else "FAIL"
+            print(
+                f"  {name}: tetrahedron {verdict}"
+                f" (|det|={abs(diag.determinant):.6g}, cond={diag.cond:.6g})"
+            )
+            ok = ok and diag.passed
+        print(f"  state matrix condition number = {gamma.cond:.6g}")
     return EXIT_OK if ok else EXIT_SINGULAR
 
 

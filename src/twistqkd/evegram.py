@@ -82,18 +82,20 @@ def _singular_errors(cond_alice: np.ndarray, cond_bob: np.ndarray, errors: list)
 
 
 def _solve_rows(RA_inv: np.ndarray, RB_inv: np.ndarray, p_det: np.ndarray, errors: list):
-    """Repaired Gram matrices for N rows of statistics ``p_det`` (N, 16),
-    from the inverse state-matrix factors of one pair, or of each row's pair
-    stacked (N, 4, 4).
+    """Repaired Gram matrices for the M * D rows of statistics ``p_det``
+    (M * D, 16), pair-major, of M ensemble pairs with inverse state-matrix
+    factors stacked (M, 4, 4), or of one pair's.
 
     With ``gamma = RA (x) RB`` the linear system is
     ``RA X RB^T = P`` for ``P = p_det.reshape(4, 4)``, so ``X = RA^-1 P RB^-T``
-    and ``raw = vec(X)``.  Returns ``(E, clipped, raw)``: the repaired
-    matrices (N, 4, 4), and the clipped mass and raw solution per row; the
+    and ``raw = vec(X)``; each pair's factors broadcast over its D rows.
+    Returns ``(E, clipped, raw)``: the repaired matrices (M * D, 4, 4), and
+    the clipped mass and raw solution per row; the
     :class:`~twistqkd.errors.QkdError` a row fails with is recorded in
     ``errors``.
     """
-    P = np.asarray(p_det, dtype=float).reshape(-1, 4, 4)
+    RA_inv, RB_inv = (R.reshape(-1, 1, 4, 4) for R in (RA_inv, RB_inv))
+    P = np.asarray(p_det, dtype=float).reshape(len(RA_inv), -1, 4, 4)
     raw = (RA_inv @ P @ RB_inv.swapaxes(-1, -2)).reshape(-1, 16)
     E = _vector_to_matrix(raw)
     E = 0.5 * (E + E.conj().swapaxes(-1, -2))

@@ -7,21 +7,22 @@ errors (and the fixed-purification baseline), then evaluate the six-state
 key rate for both.
 
 Every evaluation goes through one kernel, :func:`_evaluate`, which takes M
-ensemble pairs as stacked arrays, one channel, and N rows, each row one
-pair at one distance (or with injected statistics).  The work that depends
-only on the ensembles is done once per pair, over (M, ...) stacks: the
-per-party state matrices with their inverses and condition numbers (one
-singularity test), the square roots of the ancilla blocks as Kronecker
-products of per-state 2x2 roots, and the baseline's purification pairings.
-Only the photon loss depends on the distance, and it is computed once over
-the distance axis.  Each row then picks its pair's values, and everything
-that depends on the statistics (Gram solve, PSD repair, key-basis
-statistics, trace norms, baseline values and rates) runs on arrays over the
-N rows.  Every stage records its errors into one list, and each row keeps
-its first error, the one a single point would raise; an error of a pair's
-ensembles fails only that pair's rows.  :func:`keyrate_point` is the kernel
-with M = N = 1; :func:`scan` makes one call for its whole delta x depol x
-distance grid.
+ensemble pairs as stacked arrays, one channel and D distances, and
+evaluates each pair at each distance: M * D rows, pair-major (or with
+injected statistics on every row).  The work that depends only on the
+ensembles is done once per pair, over (M, ...) stacks: the per-party state
+matrices with their inverses and condition numbers (one singularity test),
+the square roots of the ancilla blocks as Kronecker products of per-state
+2x2 roots, and the baseline's purification pairings.  Only the photon loss
+depends on the distance, and it is computed once over the distance axis.
+Everything that depends on the statistics (Gram solve, PSD repair,
+key-basis statistics, trace norms, baseline values and rates) runs on
+arrays over the M * D rows, which view them as (M, D, ...) so that each
+pair's arrays broadcast over its D rows.  Every stage records its errors
+into one list, and each row keeps its first error, the one a single point
+would raise; an error of a pair's ensembles fails only that pair's rows.
+:func:`keyrate_point` is the kernel with M = D = 1; :func:`scan` makes one
+call for its whole delta x depol x distance grid.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .states import (
     SignalEnsemble,
     _model_grid,
     ensemble_from_dict,
-    model_states,
 )
 from .twist import (
     _naive_pairings,
@@ -163,9 +163,9 @@ class KeyRateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _evaluate(alice: tuple, bob: tuple, pairs, channel: ChannelParams, distances, f, stats) -> list:
-    """Evaluate N points: row r is ensemble pair ``pairs[r]`` over
-    ``channel`` at ``distances[r]``.
+def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, stats) -> list:
+    """Evaluate each of M ensemble pairs over ``channel`` at each of the D
+    ``distances``: M * D rows, pair-major.
 
     ``alice`` and ``bob`` hold M ensembles each as validated arrays
     ``(rho, priors)``, ``rho`` (M, 4, 2, 2) and ``priors`` (M, 4); pair m is
@@ -173,22 +173,16 @@ def _evaluate(alice: tuple, bob: tuple, pairs, channel: ChannelParams, distances
     detector parameters of every row, and the loss is computed once over
     ``distances``, in place of ``channel.distance_km``.  The statistics of
     each row are simulated, or are the injected ``stats`` on every row.
-    Returns per row a :class:`KeyRateResult` or the
-    :class:`~twistqkd.errors.QkdError` the point fails with; an error of a
-    pair's ensembles fails that pair's rows.
+    Every per-pair array broadcasts over its pair's D rows.  Returns per row
+    a :class:`KeyRateResult` or the :class:`~twistqkd.errors.QkdError` the
+    point fails with; an error of a pair's ensembles fails that pair's rows.
     """
-    pairs = np.asarray(pairs, dtype=int)
-
-    def rows(values, axis=0):
-        """Each row's entry of per-pair ``values``, whose pair axis is ``axis``."""
-        return values.take(pairs, axis=axis)
-
     # Party axis first: index 0 is Alice's ensembles, 1 is Bob's.
     rho, priors = (np.stack(arrays) for arrays in zip(alice, bob))
     R = _state_rows(rho, priors)  # the state-matrix factors RA, RB, (2, M, 4, 4)
     cond = np.linalg.cond(R)
-    cond_alice, cond_bob = rows(cond, 1)
-    errors = [None] * len(pairs)
+    cond_alice, cond_bob = np.repeat(cond, len(distances), axis=1)
+    errors = [None] * cond_alice.size
     _singular_errors(cond_alice, cond_bob, errors)
     # A zero prior zeroes a row of RA or RB, so such a pair is singular too.
     # Singular pairs invert the identity in their place and keep zero
@@ -196,21 +190,20 @@ def _evaluate(alice: tuple, bob: tuple, pairs, channel: ChannelParams, distances
     good = (cond[0] * cond[1] < COND_LIMIT)[:, None, None]
     R_inv = np.where(good, np.linalg.inv(np.where(good, R, np.eye(4))), 0.0)
     if stats is None:
-        p_det = _detection_rows(*rows(R, 1), *rows(priors, 1), channel, distances)
+        p_det = _detection_rows(*R, *priors, channel, distances)
     else:
-        p_det = np.broadcast_to(stats.p_det, (len(pairs), 16))
-    E, clipped, _ = _solve_rows(*rows(R_inv, 1), p_det, errors)
+        p_det = np.broadcast_to(stats.p_det, (len(errors), 16))
+    E, clipped = _solve_rows(*R_inv, p_det, errors)[:2]
     p00, e_z = _key_rows(p_det, errors)
     _scalar_errors(p00, e_z, errors)
     # Rows that already failed carry values such as p00 = 0 from here on.
     with np.errstate(divide="ignore", invalid="ignore"):
         key_rho, key_priors = rho[:, :, :2], priors[:, :, :2]
-        left, right = _twist_factors(key_priors[..., None, None] * key_rho)
+        factors = _twist_factors(key_priors[..., None, None] * key_rho)
         e_minus, e_plus, bound_minus, bound_plus = _phase_error_rows(
-            (rows(left), rows(right)), E, p00, np.clip(e_z, 0.0, 1.0)
+            factors, E, p00, np.clip(e_z, 0.0, 1.0)
         )
-        plus, minus = _naive_pairings(key_rho, key_priors)
-        naive_signed, naive_plus = _naive_rows((rows(plus), rows(minus)), E, p00)
+        naive_signed, naive_plus = _naive_rows(_naive_pairings(key_rho, key_priors), E, p00)
         # The rate formula is even in e_minus (h2((1+t)/2) = h2((1-t)/2)),
         # so the signed baseline value enters through its magnitude.
         naive_minus = np.minimum(np.abs(naive_signed), e_z)
@@ -268,7 +261,7 @@ def keyrate_point(
     """
     f = _require_f(f)
     distances = [channel.distance_km]
-    result = _evaluate(_single(alice), _single(bob), [0], channel, distances, f=f, stats=stats)[0]
+    result = _evaluate(_single(alice), _single(bob), channel, distances, f=f, stats=stats)[0]
     if isinstance(result, QkdError):
         raise result
     return result
@@ -300,10 +293,11 @@ class ScanConfig:
     order.  Explicit ensembles, when given, override the (delta, p) model at
     every grid point, and a measured-statistics CSV replaces the channel
     simulation at every grid point.  ``f`` must be finite and at least 1.
-    The whole grid is validated at construction: the channel at every
-    distance, and every delta and depol when no explicit ensembles are
-    given, with the messages of :class:`ChannelParams` and
-    :class:`ModelParams`.
+    Bob's explicit ensembles default to Alice's and need them.  The whole
+    grid is validated at construction: the channel at every distance, and
+    every delta, depol and both parties' priors when no explicit ensembles
+    are given, with the messages of :class:`ChannelParams`,
+    :class:`ModelParams` and the model-grid builder that :func:`scan` uses.
     """
 
     deltas: list
@@ -322,13 +316,23 @@ class ScanConfig:
     out: str | None = None
 
     def __post_init__(self):
+        if self.alice_states is None and self.bob_states is not None:
+            raise InvalidParamsError("bob_states given without alice_states")
+        if self.bob_states is None:
+            self.bob_states = self.alice_states
         try:
             self.deltas = [float(d) for d in np.atleast_1d(self.deltas)]
             self.depols = [float(p) for p in np.atleast_1d(self.depols)]
             self.distances = np.atleast_1d(np.asarray(self.distances, dtype=float))
             self.f = _require_f(self.f)
+            if self.alice_states is None:
+                for priors in (self.priors_alice, self.priors_bob):
+                    _model_grid([0.0], [0.0], priors)  # the model grid's checks of priors
         except (TypeError, ValueError) as exc:
-            raise InvalidParamsError(f"scan grid values and f must be numbers: {exc}") from exc
+            message = f"scan grid values, priors and f must be numbers: {exc}"
+            raise InvalidParamsError(message) from exc
+        if self.distances.ndim != 1:
+            raise InvalidParamsError(f"distances must be a flat list, got {self.distances.ndim}-D")
         if not (len(self.deltas) and len(self.depols) and self.distances.size):
             raise InvalidParamsError("scan grid must be nonempty")
         if self.alice_states is None:
@@ -379,14 +383,10 @@ class ScanConfig:
         else:
             priors_a = priors_b = tuple(float(p) for p in priors)
 
-        alice_states = bob_states = None
-        if "alice_states" in doc:
-            alice_states = ensemble_from_dict(doc["alice_states"])
-            bob_states = (
-                ensemble_from_dict(doc["bob_states"]) if "bob_states" in doc else alice_states
-            )
-        elif "bob_states" in doc:
-            raise InvalidParamsError("bob_states given without alice_states")
+        alice_states, bob_states = (
+            ensemble_from_dict(doc[name]) if name in doc else None
+            for name in ("alice_states", "bob_states")
+        )
 
         stats_csv = _path_field(doc, "stats_csv")
         stats = None if stats_csv is None else DetectionStats.from_csv(stats_csv)
@@ -411,14 +411,6 @@ class ScanConfig:
     @classmethod
     def from_json_file(cls, path) -> "ScanConfig":
         return cls.from_dict(read_config_doc(path))
-
-    def ensembles_for(self, delta: float, depol: float) -> tuple[SignalEnsemble, SignalEnsemble]:
-        if self.alice_states is not None:
-            return self.alice_states, self.bob_states
-        params = ModelParams(delta=delta, depol=depol)
-        alice = model_states(params, self.priors_alice)
-        bob = model_states(params, self.priors_bob)
-        return alice, bob
 
     def channel_for(self, distance_km: float) -> ChannelParams:
         return ChannelParams(
@@ -463,44 +455,42 @@ SCAN_COLUMNS = (
 
 
 def _grid_pairs(config: ScanConfig) -> tuple:
-    """Alice's and Bob's ensembles as the stacks :func:`_evaluate` takes,
-    and the pair of each (delta, depol) grid point in scan order.
+    """Alice's and Bob's ensembles of the (delta, depol) grid points, in
+    scan order, as the stacks :func:`_evaluate` takes.
 
     The model ensembles of all grid points are built as one array per
-    party; explicit ensembles are one pair that every grid point shares.
+    party; explicit ensembles are one pair that every grid point shares,
+    broadcast without a copy.
     """
     n = len(config.deltas) * len(config.depols)
     if config.alice_states is not None:
-        alice, bob = _single(config.alice_states), _single(config.bob_states)
-        return alice, bob, np.zeros(n, dtype=int)
+        return tuple(
+            (np.broadcast_to(e.rho, (n, 4, 2, 2)), np.broadcast_to(e.priors, (n, 4)))
+            for e in (config.alice_states, config.bob_states)
+        )
     deltas = np.repeat(config.deltas, len(config.depols))
     depols = np.tile(config.depols, len(config.deltas))
     alice = _model_grid(deltas, depols, config.priors_alice)
     if np.array_equal(config.priors_bob, config.priors_alice):
-        return alice, alice, np.arange(n)
-    return alice, _model_grid(deltas, depols, config.priors_bob), np.arange(n)
+        return alice, alice
+    return alice, _model_grid(deltas, depols, config.priors_bob)
 
 
 def scan(config: ScanConfig) -> list[ScanRow]:
     """Evaluate the pipeline over the whole grid.
 
     Grid points are evaluated in deterministic order (delta, then depol,
-    then distance).  The whole grid is one kernel call: the work of each
-    (delta, depol) ensemble pair is done once, and its distances are rows
-    of the call.  The config has validated every grid point, so a point
-    fails only in the pipeline: it is recorded in its row with the message
-    of its :class:`~twistqkd.errors.QkdError` and the scan continues; any
-    other exception propagates.
+    then distance).  The whole grid is one kernel call over its
+    (delta, depol) ensemble pairs at its distances, whose rows are
+    pair-major, in that same order: the work of each pair is done once,
+    and its arrays broadcast over its distances.  The config has validated
+    every grid point, so a point fails only in the pipeline: it is recorded
+    in its row with the message of its :class:`~twistqkd.errors.QkdError`
+    and the scan continues; any other exception propagates.
     """
-    alice, bob, grid_pairs = _grid_pairs(config)
+    alice, bob = _grid_pairs(config)
     outcomes = _evaluate(
-        alice,
-        bob,
-        np.repeat(grid_pairs, len(config.distances)),
-        config.channel_for(0.0),
-        np.tile(config.distances, len(grid_pairs)),
-        f=config.f,
-        stats=config.stats,
+        alice, bob, config.channel_for(0.0), config.distances, f=config.f, stats=config.stats
     )
     grid = itertools.product(config.deltas, config.depols, config.distances.tolist())
     rows = []

@@ -142,14 +142,16 @@ class PhaseErrors:
 
 
 def _phase_error_rows(factors: tuple, E: np.ndarray, p_det00: np.ndarray, e_z: np.ndarray):
-    """Optimized ``(e_minus, e_plus, s_minus, 1 - s_plus)`` for N Gram
-    matrices ``E`` (N, 4, 4), from the :func:`_twist_factors` of one pair's
-    key states or of each row's pair; ``e_z`` is the clamped bit error rate
-    of each row.
+    """Optimized ``(e_minus, e_plus, s_minus, 1 - s_plus)`` for the M * D
+    Gram matrices ``E`` (M * D, 4, 4), pair-major, of M ensemble pairs with
+    :func:`_twist_factors` stacked (M, 2, 4, 4), or of one pair's; ``e_z``
+    is the clamped bit error rate of each row.
 
-    Both trace norms of every row come from one batched ``svd``."""
-    left, right = factors
-    norms = np.sum(np.linalg.svd(left @ E[:, None] @ right, compute_uv=False), axis=-1)
+    Each pair's factors broadcast over its D rows, and both trace norms of
+    every row come from one batched ``svd``."""
+    left, right = (F.reshape(-1, 1, 2, 4, 4) for F in factors)
+    E = E.reshape(len(left), -1, 1, 4, 4)
+    norms = np.sum(np.linalg.svd(left @ E @ right, compute_uv=False), axis=-1).reshape(-1, 2)
     s = 2.0 / p_det00[:, None] * norms
     s_minus, s_plus = s[:, 0], s[:, 1]
     return np.minimum(s_minus, e_z), np.maximum(1.0 - s_plus, e_z), s_minus, 1.0 - s_plus
@@ -261,9 +263,11 @@ def _naive_pairings(rho: np.ndarray, prob: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _naive_rows(pairings: tuple, E: np.ndarray, p_det00: np.ndarray):
     """Signed ``e_minus`` and ``e_plus`` of the eigenbasis purification for
-    N Gram matrices ``E`` (N, 4, 4), from the :func:`_naive_pairings` of one
-    pair or of each row's pair."""
-    pairing_plus, pairing_minus = pairings
-    s_plus = np.real(np.sum(E * pairing_plus, axis=(-2, -1)))
-    s_minus = np.real(np.sum(E * pairing_minus, axis=(-2, -1)))
+    the M * D Gram matrices ``E`` (M * D, 4, 4), pair-major, of M ensemble
+    pairs with :func:`_naive_pairings` stacked (M, 4, 4), or of one pair's;
+    each pair's pairings broadcast over its D rows."""
+    pairing_plus, pairing_minus = (P.reshape(-1, 1, 4, 4) for P in pairings)
+    E = E.reshape(len(pairing_plus), -1, 4, 4)
+    s_plus = np.real(np.sum(E * pairing_plus, axis=(-2, -1))).reshape(-1)
+    s_minus = np.real(np.sum(E * pairing_minus, axis=(-2, -1))).reshape(-1)
     return -2.0 * s_minus / p_det00, 1.0 - 2.0 * s_plus / p_det00

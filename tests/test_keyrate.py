@@ -22,6 +22,7 @@ from twistqkd.errors import (
 from twistqkd.keyrate import (
     SCAN_COLUMNS,
     ScanConfig,
+    _grid_pairs,
     binary_entropy,
     keyrate_point,
     scan,
@@ -312,14 +313,33 @@ class TestScanConfig:
             ScanConfig(deltas=0.0, depols=0.0, distances=[10.0, -5.0], eta=0.5, p_dark=0.0)
         with pytest.raises(InvalidParamsError, match="distance_km must be finite, got inf"):
             ScanConfig(deltas=0.0, depols=0.0, distances=[0.0, math.inf], eta=0.5, p_dark=0.0)
+        with pytest.raises(InvalidParamsError, match=r"distances must be a flat list"):
+            ScanConfig(deltas=0.0, depols=0.0, distances=[[0.0, 10.0]], eta=0.5, p_dark=0.0)
+        for priors, message in (
+            ((0.5, 0.5), r"priors must have length 4"),
+            ((0.5, 0.5, 0.5, 0.5), r"send probabilities sum to 2.0"),
+            ((0.75, 0.5, -0.25, 0.0), r"prob must be in \[0, 1\], got -0.25"),
+        ):
+            with pytest.raises(InvalidParamsError, match=message):
+                ScanConfig(deltas=0.0, depols=0.0, distances=0.0, eta=0.5, p_dark=0.0,
+                           priors_bob=priors)
+        ens = model_states(ModelParams(delta=0.07, depol=0.02))
+        with pytest.raises(InvalidParamsError, match="bob_states given without alice_states"):
+            ScanConfig(deltas=0.0, depols=0.0, distances=0.0, eta=0.5, p_dark=0.0, bob_states=ens)
+        alice_only = ScanConfig(
+            deltas=0.0, depols=0.0, distances=0.0, eta=0.5, p_dark=0.0, alice_states=ens
+        )
+        assert alice_only.bob_states is ens
+        assert [row.status for row in scan(alice_only)] == ["ok"]
 
     def test_explicit_states(self):
         ens = model_states(ModelParams(delta=0.07, depol=0.02))
         doc = base_config(alice_states=json.loads(ensemble_to_json(ens)))
         cfg = ScanConfig.from_dict(doc)
-        alice, bob = cfg.ensembles_for(0.0, 0.0)
-        np.testing.assert_allclose(alice[0].rho, ens[0].rho, atol=1e-15)
-        assert bob is alice
+        assert cfg.bob_states is cfg.alice_states
+        for rho, priors in _grid_pairs(cfg):
+            np.testing.assert_allclose(rho[0], ens.rho, atol=1e-15)
+            np.testing.assert_array_equal(priors[0], ens.priors)
 
     def test_stats_csv(self, tmp_path):
         alice, bob, ch = ideal_point()
@@ -370,8 +390,9 @@ class TestScan:
     def test_error_message_recorded(self, monkeypatch):
         import twistqkd.keyrate as keyrate_module
 
-        def decline(alice, bob, pairs, channel, distances, **kwargs):
-            return [InvalidPhaseError("e_plus = 1.5 > 1") for _ in pairs]
+        def decline(alice, bob, channel, distances, **kwargs):
+            rows = len(alice[0]) * len(distances)
+            return [InvalidPhaseError("e_plus = 1.5 > 1") for _ in range(rows)]
 
         monkeypatch.setattr(keyrate_module, "_evaluate", decline)
         rows = scan(ScanConfig.from_dict(base_config(distance=10.0)))
@@ -396,9 +417,9 @@ class TestScan:
         calls = []
         kernel = keyrate_module._evaluate
 
-        def counted(alice, bob, pairs, channel, distances, **kwargs):
-            calls.append(len(pairs))
-            return kernel(alice, bob, pairs, channel, distances, **kwargs)
+        def counted(alice, bob, channel, distances, **kwargs):
+            calls.append((len(alice[0]), len(bob[0]), len(distances)))
+            return kernel(alice, bob, channel, distances, **kwargs)
 
         monkeypatch.setattr(keyrate_module, "_evaluate", counted)
         doc = base_config(delta=[0.0, 0.1], depol=[0.01, 0.05, 0.1])
@@ -406,7 +427,7 @@ class TestScan:
             ens = model_states(ModelParams(delta=0.07, depol=0.02))
             doc["alice_states"] = json.loads(ensemble_to_json(ens))
         rows = scan(ScanConfig.from_dict(doc))
-        assert calls == [18]
+        assert calls == [(6, 6, 3)]
         assert [r.status for r in rows] == ["ok"] * 18
 
     def test_ok_rows_have_no_error(self):
