@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, _numeric
 from .qmath import kron
 from .states import SignalEnsemble
 
@@ -46,7 +46,7 @@ class ChannelParams:
 
     def __post_init__(self):
         for name in ("eta", "p_dark", "distance_km", "atten_db_per_km", "atten_divisor"):
-            value = float(getattr(self, name))
+            value = _numeric(getattr(self, name), name)
             setattr(self, name, value)
             if not math.isfinite(value):
                 raise InvalidParamsError(f"{name} must be finite, got {value}")
@@ -74,7 +74,7 @@ class DetectionStats:
     p_det: np.ndarray
 
     def __post_init__(self):
-        self.p_det = np.asarray(self.p_det, dtype=float)
+        self.p_det = _numeric(self.p_det, "p_det", lambda p: np.asarray(p, dtype=float))
         if self.p_det.shape != (16,):
             raise InvalidParamsError(f"p_det must have shape (16,), got {self.p_det.shape}")
         if not np.isfinite(self.p_det).all():
@@ -83,9 +83,6 @@ class DetectionStats:
             raise InvalidParamsError("p_det entries must lie in [0, 1]")
         if self.p_det.sum() > 1.0 + 1e-9:
             raise InvalidParamsError("p_det entries sum above 1")
-
-    def __getitem__(self, t):
-        return self.p_det[t]
 
     def to_csv(self, path) -> None:
         """Write rows ``i,j,x,y,p_det`` (with header) for all 16 settings."""

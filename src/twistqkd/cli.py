@@ -27,7 +27,7 @@ from .errors import (
     SingularGammaError,
     UnphysicalStatsError,
 )
-from .keyrate import ScanConfig, _grid_pairs, keyrate_point, read_config_doc, scan, scan_to_csv
+from .keyrate import ScanConfig, keyrate_point, read_config_doc, scan, scan_to_csv
 from .states import ModelParams, SignalEnsemble, model_states, tetrahedron_check
 
 EXIT_OK = 0
@@ -97,10 +97,11 @@ def _cmd_point(args) -> int:
 
 def _cmd_scan(args) -> int:
     config = ScanConfig.from_json_file(args.config)
-    rows = scan(config)
     out = args.out or config.out
     if out is None:
         raise InvalidParamsError("no output path: pass --out or set 'out' in the config")
+    open(out, "a").close()  # an output that cannot be opened fails before any row is computed
+    rows = scan(config)
     scan_to_csv(rows, out)
     failed = sum(1 for r in rows if r.status != "ok")
     print(f"wrote {len(rows)} rows to {out} ({failed} failed)")
@@ -112,11 +113,10 @@ def _cmd_check_states(args) -> int:
     if isinstance(doc, dict):
         doc.pop("stats_csv", None)  # the ensembles do not depend on the statistics
     config = ScanConfig.from_dict(doc)
-    stacks = _grid_pairs(config)  # the grid's ensembles, built as scan builds them
     grid = itertools.product(config.deltas, config.depols)
     ok = True
-    for k, (delta, depol) in enumerate(grid):
-        alice, bob = (SignalEnsemble._of_checked(rho[k], priors[k]) for rho, priors in stacks)
+    for k, (delta, depol) in enumerate(grid):  # the ensembles the config built and checked
+        alice, bob = (SignalEnsemble._of_checked(r[k], p[k]) for r, p in config._ensembles)
         gamma = build_gamma(alice, bob)
         print(f"delta={delta:g} depol={depol:g}")
         for name, ens in (("alice", alice), ("bob", bob)):

@@ -1,5 +1,5 @@
-"""Exception types raised across the package, and the rule by which a
-batch of rows records them."""
+"""Exception types raised across the package, the typed conversion of
+numeric parameters, and the rule by which a batch of rows records errors."""
 
 import numpy as np
 
@@ -49,3 +49,11 @@ def _record(errors: list, failed, error_of) -> None:
     for i in np.flatnonzero(failed):
         if errors[i] is None:
             errors[i] = error_of(i)
+
+
+def _numeric(value, name: str, convert=float):
+    """``convert(value)``, ``float`` by default, or InvalidParamsError naming ``name``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParamsError(f"{name} must be numeric, got {value!r}") from exc

@@ -102,7 +102,7 @@ def _solve_rows(RA_inv: np.ndarray, RB_inv: np.ndarray, p_det: np.ndarray, error
     finite = np.isfinite(E).all(axis=(-2, -1))
     _record(errors, ~finite, lambda i: NotHermitianError("matrix contains NaN or Inf entries"))
     E[~finite] = 0.0
-    E, clipped = psd_project(E, tol=1e-10)
+    E, clipped = psd_project(E)
     _record(errors, clipped > CLIP_ERROR, lambda i: UnphysicalStatsError(
         f"PSD repair removed eigenvalue mass {clipped[i]:.3e} (> {CLIP_ERROR:.0e}); "
         "statistics are not consistent with any quantum channel"

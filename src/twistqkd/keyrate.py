@@ -22,7 +22,8 @@ pair's arrays broadcast over its D rows.  Every stage records its errors
 into one list, and each row keeps its first error, the one a single point
 would raise; an error of a pair's ensembles fails only that pair's rows.
 :func:`keyrate_point` is the kernel with M = D = 1; :func:`scan` makes one
-call for its whole delta x depol x distance grid.
+call for the grid whose ensembles an immutable :class:`ScanConfig` built and
+checked once, at construction.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelParams, DetectionStats, _detection_rows, _state_rows
-from .errors import DomainError, InvalidParamsError, InvalidPhaseError, QkdError, _record
+from .errors import DomainError, InvalidParamsError, InvalidPhaseError, QkdError, _numeric, _record
 from .evegram import _key_rows, _singular_errors, _solve_rows
 from .states import (
     COND_LIMIT,
@@ -67,7 +68,7 @@ def _entropy(x):
 
 def _require_f(f) -> float:
     """The error-correction efficiency as a float; it must be finite and >= 1."""
-    f = float(f)
+    f = _numeric(f, "f")
     if not (math.isfinite(f) and f >= 1.0):
         raise InvalidParamsError(f"error correction efficiency f must be finite and >= 1, got {f}")
     return f
@@ -285,7 +286,7 @@ def read_config_doc(path):
             raise InvalidParamsError(f"config is not valid JSON: {exc}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanConfig:
     """Grid of model/channel parameters for a key-rate scan.
 
@@ -294,10 +295,11 @@ class ScanConfig:
     every grid point, and a measured-statistics CSV replaces the channel
     simulation at every grid point.  ``f`` must be finite and at least 1.
     Bob's explicit ensembles default to Alice's and need them.  The whole
-    grid is validated at construction: the channel at every distance, and
-    every delta, depol and both parties' priors when no explicit ensembles
-    are given, with the messages of :class:`ChannelParams`,
-    :class:`ModelParams` and the model-grid builder that :func:`scan` uses.
+    grid is built and validated once, at construction: the channel at every
+    distance, each model delta and depol, then the ensembles of every grid
+    point, with the messages of :class:`ChannelParams`, :class:`ModelParams`
+    and :func:`~twistqkd.states._model_grid`.  The config is immutable, so
+    the ensembles that :func:`scan` reads always match its fields.
     """
 
     deltas: list
@@ -314,34 +316,51 @@ class ScanConfig:
     bob_states: SignalEnsemble | None = None
     stats: DetectionStats | None = None
     out: str | None = None
+    # Alice's and Bob's grid ensembles in scan order, as _evaluate's stacks.
+    _ensembles: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.alice_states is None and self.bob_states is not None:
+        model = self.alice_states is None
+        if model and self.bob_states is not None:
             raise InvalidParamsError("bob_states given without alice_states")
-        if self.bob_states is None:
-            self.bob_states = self.alice_states
-        try:
-            self.deltas = [float(d) for d in np.atleast_1d(self.deltas)]
-            self.depols = [float(p) for p in np.atleast_1d(self.depols)]
-            self.distances = np.atleast_1d(np.asarray(self.distances, dtype=float))
-            self.f = _require_f(self.f)
-            if self.alice_states is None:
-                for priors in (self.priors_alice, self.priors_bob):
-                    _model_grid([0.0], [0.0], priors)  # the model grid's checks of priors
+        try:  # float(f) first, so that an f that is not a number is reported here
+            normal = dict(
+                deltas=[float(d) for d in np.atleast_1d(self.deltas)],
+                depols=[float(p) for p in np.atleast_1d(self.depols)],
+                distances=np.atleast_1d(np.asarray(self.distances, dtype=float)),
+                f=_require_f(float(self.f)),
+                bob_states=self.alice_states if self.bob_states is None else self.bob_states,
+            )
+            priors = [np.asarray(p, dtype=float) for p in (self.priors_alice, self.priors_bob)
+                      if model]
         except (TypeError, ValueError) as exc:
             message = f"scan grid values, priors and f must be numbers: {exc}"
             raise InvalidParamsError(message) from exc
+        for name, value in normal.items():
+            object.__setattr__(self, name, value)
         if self.distances.ndim != 1:
             raise InvalidParamsError(f"distances must be a flat list, got {self.distances.ndim}-D")
         if not (len(self.deltas) and len(self.depols) and self.distances.size):
             raise InvalidParamsError("scan grid must be nonempty")
-        if self.alice_states is None:
+        if model:
             for delta in self.deltas:
                 ModelParams(delta=delta, depol=0.0)
             for depol in self.depols:
                 ModelParams(delta=0.0, depol=depol)
         for distance in self.distances:
             self.channel_for(distance)
+        # Built last, so that a non-finite delta fails as such, not in _check_states.
+        if model:
+            grid = np.repeat(self.deltas, len(self.depols)), np.tile(self.depols, len(self.deltas))
+            alice = _model_grid(*grid, priors[0])
+            bob = alice if np.array_equal(*priors) else _model_grid(*grid, priors[1])
+        else:
+            n = len(self.deltas) * len(self.depols)
+            alice, bob = (
+                (np.broadcast_to(e.rho, (n, 4, 2, 2)), np.broadcast_to(e.priors, (n, 4)))
+                for e in (self.alice_states, self.bob_states)
+            )
+        object.__setattr__(self, "_ensembles", (alice, bob))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScanConfig":
@@ -454,28 +473,6 @@ SCAN_COLUMNS = (
 )
 
 
-def _grid_pairs(config: ScanConfig) -> tuple:
-    """Alice's and Bob's ensembles of the (delta, depol) grid points, in
-    scan order, as the stacks :func:`_evaluate` takes.
-
-    The model ensembles of all grid points are built as one array per
-    party; explicit ensembles are one pair that every grid point shares,
-    broadcast without a copy.
-    """
-    n = len(config.deltas) * len(config.depols)
-    if config.alice_states is not None:
-        return tuple(
-            (np.broadcast_to(e.rho, (n, 4, 2, 2)), np.broadcast_to(e.priors, (n, 4)))
-            for e in (config.alice_states, config.bob_states)
-        )
-    deltas = np.repeat(config.deltas, len(config.depols))
-    depols = np.tile(config.depols, len(config.deltas))
-    alice = _model_grid(deltas, depols, config.priors_alice)
-    if np.array_equal(config.priors_bob, config.priors_alice):
-        return alice, alice
-    return alice, _model_grid(deltas, depols, config.priors_bob)
-
-
 def scan(config: ScanConfig) -> list[ScanRow]:
     """Evaluate the pipeline over the whole grid.
 
@@ -483,26 +480,23 @@ def scan(config: ScanConfig) -> list[ScanRow]:
     then distance).  The whole grid is one kernel call over its
     (delta, depol) ensemble pairs at its distances, whose rows are
     pair-major, in that same order: the work of each pair is done once,
-    and its arrays broadcast over its distances.  The config has validated
-    every grid point, so a point fails only in the pipeline: it is recorded
-    in its row with the message of its :class:`~twistqkd.errors.QkdError`
-    and the scan continues; any other exception propagates.
+    and its arrays broadcast over its distances.  The ensembles are the
+    ones the immutable config built and validated at construction; they
+    are read, not built or checked again.  A point therefore fails only in
+    the pipeline: it is recorded in its row with the message of its
+    :class:`~twistqkd.errors.QkdError` and the scan continues; any other
+    exception propagates.
     """
-    alice, bob = _grid_pairs(config)
+    alice, bob = config._ensembles
     outcomes = _evaluate(
         alice, bob, config.channel_for(0.0), config.distances, f=config.f, stats=config.stats
     )
     grid = itertools.product(config.deltas, config.depols, config.distances.tolist())
-    rows = []
-    for (delta, depol, distance), outcome in zip(grid, outcomes):
-        row = ScanRow(delta, depol, distance, result=None, status="ok")
-        if isinstance(outcome, QkdError):
-            row.status = type(outcome).__name__
-            row.error = str(outcome)
-        else:
-            row.result = outcome
-        rows.append(row)
-    return rows
+    return [
+        ScanRow(*point, result=None, status=type(outcome).__name__, error=str(outcome))
+        if isinstance(outcome, QkdError) else ScanRow(*point, result=outcome, status="ok")
+        for point, outcome in zip(grid, outcomes)
+    ]
 
 
 def _row_values(row: ScanRow) -> list:

@@ -69,18 +69,17 @@ def kron(A, B) -> np.ndarray:
     return K.reshape(*K.shape[:-4], rA * rB, cA * cB)
 
 
-def psd_project(M, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, float | np.ndarray]:
+def psd_project(M: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """Project a Hermitian matrix, or each of a stack ``(..., n, n)``, onto
     the PSD cone by eigenvalue clipping.
 
-    Returns ``(M_psd, clipped_mass)`` where ``clipped_mass`` is the total
-    magnitude of the negative eigenvalues that were zeroed, one per matrix.
-    A matrix that is already PSD is returned unchanged (the input itself
-    when no matrix needs clipping).  ``tol`` is the Hermiticity validation
-    tolerance; the clipping floor itself is exactly zero, which yields the
-    nearest PSD matrix in Frobenius norm.
+    ``M`` must be finite and Hermitian; it is not checked.  Returns
+    ``(M_psd, clipped_mass)`` where ``clipped_mass`` is the total magnitude
+    of the negative eigenvalues that were zeroed, one per matrix.  A matrix
+    that is already PSD is returned unchanged (the input itself when no
+    matrix needs clipping).  The clipping floor is exactly zero, which
+    yields the nearest PSD matrix in Frobenius norm.
     """
-    M = require_hermitian(M, tol=tol)
     w, V = np.linalg.eigh(M)
     clipped_mass = np.sum(np.maximum(-w, 0.0), axis=-1)
     if not np.any(clipped_mass):

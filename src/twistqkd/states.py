@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySubspaceError, InvalidParamsError
+from .errors import EmptySubspaceError, InvalidParamsError, _numeric
 from .qmath import PAULI, require_hermitian
 
 TRACE_TOL = 1e-10
@@ -73,7 +73,7 @@ class QubitState:
     prob: float
 
     def __post_init__(self):
-        self.prob = float(self.prob)
+        self.prob = _numeric(self.prob, "prob")
         self.rho = _check_states(self.rho, self.prob)
 
     def weighted(self) -> np.ndarray:
@@ -137,8 +137,8 @@ class ModelParams:
     depol: float
 
     def __post_init__(self):
-        self.delta = float(self.delta)
-        self.depol = float(self.depol)
+        self.delta = _numeric(self.delta, "delta")
+        self.depol = _numeric(self.depol, "depol")
         if not math.isfinite(self.delta):
             raise InvalidParamsError("delta must be finite")
         if not (0.0 <= self.depol < 1.0):
@@ -164,8 +164,9 @@ def _model_grid(deltas, depols, priors=(0.25, 0.25, 0.25, 0.25)):
     The parameters are those :class:`ModelParams` accepts; the states are
     built by broadcasting, and they and the priors are checked by one
     :func:`_check_states` call and the priors' sum by :func:`_check_totals`.
+    A :class:`~twistqkd.keyrate.ScanConfig` builds its grid with it, once.
     """
-    priors = np.asarray(priors, dtype=float)
+    priors = _numeric(priors, "priors", lambda p: np.asarray(p, dtype=float))
     if priors.shape != (4,):
         raise InvalidParamsError(f"priors must have length 4, got shape {priors.shape}")
     kets = _model_kets(deltas)

@@ -229,6 +229,19 @@ class TestScanCommand:
         assert err == "error: distance_km must be >= 0, got -10.0\n"
         assert not out_csv.exists()
 
+    def test_unopenable_out_exit_2_before_any_row(self, tmp_path, capsys, monkeypatch):
+        import twistqkd.keyrate as keyrate_module
+
+        def evaluated(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(keyrate_module, "_evaluate", evaluated)
+        config = write_config(tmp_path)
+        out_csv = tmp_path / "missing" / "rates.csv"
+        code, out, err = run_main(["scan", "--config", str(config), "--out", str(out_csv)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2]")
+
 
 class TestCheckStatesCommand:
     def test_good_states_pass(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -22,14 +23,13 @@ from twistqkd.errors import (
 from twistqkd.keyrate import (
     SCAN_COLUMNS,
     ScanConfig,
-    _grid_pairs,
     binary_entropy,
     keyrate_point,
     scan,
     scan_to_csv,
     six_state_rate,
 )
-from twistqkd.states import ModelParams, ensemble_to_json, model_states
+from twistqkd.states import ModelParams, QubitState, ensemble_to_json, model_states
 
 
 def mp_entropy(x):
@@ -245,6 +245,28 @@ def base_config(**overrides):
     return doc
 
 
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("eta", lambda ens: ChannelParams(eta="x", p_dark=0.0, distance_km=0.0)),
+        ("p_dark", lambda ens: ChannelParams(eta=0.5, p_dark=None, distance_km=0.0)),
+        ("delta", lambda ens: ModelParams(delta="x", depol=0.0)),
+        ("prob", lambda ens: QubitState(np.eye(2) / 2, prob="x")),
+        ("p_det", lambda ens: DetectionStats(p_det="abc")),
+        ("f", lambda ens: keyrate_point(ens, ens, ChannelParams(0.5, 0.0, 0.0), f="x")),
+        ("priors", lambda ens: model_states(ModelParams(delta=0.0, depol=0.0), priors="abcd")),
+        ("eta", lambda ens: ScanConfig(deltas=0.0, depols=0.0, distances=0.0, eta="half",
+                                       p_dark=0.0)),
+    ],
+    ids=["ChannelParams.eta", "ChannelParams.p_dark", "ModelParams.delta", "QubitState.prob",
+         "DetectionStats.p_det", "keyrate_point.f", "model_states.priors", "ScanConfig.eta"],
+)
+def test_non_numeric_parameters_are_typed(name, build):
+    ens = model_states(ModelParams(delta=0.1, depol=0.05))
+    with pytest.raises(InvalidParamsError, match=f"^{name} must be numeric, got "):
+        build(ens)
+
+
 class TestScanConfig:
     def test_defaults(self):
         cfg = ScanConfig.from_dict(base_config())
@@ -332,12 +354,25 @@ class TestScanConfig:
         assert alice_only.bob_states is ens
         assert [row.status for row in scan(alice_only)] == ["ok"]
 
+    @pytest.mark.parametrize("explicit", [False, True])
+    @pytest.mark.parametrize("empty", ["deltas", "depols", "distances"])
+    def test_empty_grid_is_rejected(self, empty, explicit):
+        grid = {"deltas": 0.0, "depols": 0.0, "distances": 0.0, empty: []}
+        states = {"alice_states": model_states(ModelParams(delta=0.07, depol=0.02))}
+        with pytest.raises(InvalidParamsError, match="scan grid must be nonempty"):
+            ScanConfig(**grid, eta=0.5, p_dark=0.0, **(states if explicit else {}))
+
+    def test_is_immutable(self):
+        cfg = ScanConfig(deltas=0.0, depols=0.0, distances=0.0, eta=0.5, p_dark=0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.deltas = [0.1]
+
     def test_explicit_states(self):
         ens = model_states(ModelParams(delta=0.07, depol=0.02))
         doc = base_config(alice_states=json.loads(ensemble_to_json(ens)))
         cfg = ScanConfig.from_dict(doc)
         assert cfg.bob_states is cfg.alice_states
-        for rho, priors in _grid_pairs(cfg):
+        for rho, priors in cfg._ensembles:
             np.testing.assert_allclose(rho[0], ens.rho, atol=1e-15)
             np.testing.assert_array_equal(priors[0], ens.priors)
 
@@ -429,6 +464,23 @@ class TestScan:
         rows = scan(ScanConfig.from_dict(doc))
         assert calls == [(6, 6, 3)]
         assert [r.status for r in rows] == ["ok"] * 18
+
+    def test_reads_the_grid_built_at_construction(self, monkeypatch):
+        import twistqkd.keyrate as keyrate_module
+        import twistqkd.states as states_module
+
+        doc = base_config(delta=[0.0, 0.1], depol=[0.01, 0.05],
+                          priors={"alice": [0.25] * 4, "bob": [0.3, 0.2, 0.25, 0.25]})
+        cfg = ScanConfig.from_dict(doc)
+        expected = [r.result.rate_twisted for r in scan(cfg)]
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("scan built or checked the grid's ensembles again")
+
+        for module in (keyrate_module, states_module):
+            monkeypatch.setattr(module, "_model_grid", rebuilt)
+        monkeypatch.setattr(states_module, "_check_states", rebuilt)
+        assert [r.result.rate_twisted for r in scan(cfg)] == expected
 
     def test_ok_rows_have_no_error(self):
         rows = scan(ScanConfig.from_dict(base_config(distance=10.0)))
