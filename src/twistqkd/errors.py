@@ -41,14 +41,18 @@ class InvalidPhaseError(QkdError):
     """Phase/bit error rates violate the bounds of the key rate formula."""
 
 
-def _record(errors: list, failed, error_of) -> None:
-    """Record ``error_of(i)`` for each row ``i`` flagged in ``failed`` that
-    has no error yet, so that every row keeps the first error recorded for
-    it.  The stages of the pipeline record into one list in pipeline order.
+def _record(errors: list, failed: np.ndarray, error_of) -> None:
+    """Record one stage's errors: ``failed`` (C, N) flags, per row, the
+    failures of the stage's C checks in pipeline order, and each row ``i``
+    that fails one and has no error yet gets ``error_of(c, i)`` of its first
+    failed check ``c``.
+
+    Every row thus keeps the first error of the pipeline: the stages record
+    into one list in pipeline order, each in one pass over its rows.
     """
-    for i in np.flatnonzero(failed):
+    for i in failed.any(axis=0).nonzero()[0]:
         if errors[i] is None:
-            errors[i] = error_of(i)
+            errors[i] = error_of(int(failed[:, i].argmax()), i)
 
 
 def _numeric(value, name: str, convert=float):

@@ -21,6 +21,7 @@ import numpy as np
 
 from .channel import DetectionStats, GammaMatrix, stats_index
 from .errors import (
+    InvalidParamsError,
     NoDetectionsError,
     NotHermitianError,
     SingularGammaError,
@@ -74,7 +75,7 @@ def _singular_errors(cond_alice: np.ndarray, cond_bob: np.ndarray, errors: list)
     a state matrix whose condition number ``cond(RA) * cond(RB)`` is not
     below ``COND_LIMIT``."""
     cond = cond_alice * cond_bob
-    _record(errors, ~(cond < COND_LIMIT), lambda i: SingularGammaError(
+    _record(errors, ~(cond < COND_LIMIT)[None], lambda c, i: SingularGammaError(
         f"{'Alice' if cond_alice[i] >= cond_bob[i] else 'Bob'}'s ensemble fails the "
         f"tetrahedron condition: state matrix condition number {float(cond[i]):.3e} is not "
         f"below {COND_LIMIT:.0e}, so detection statistics cannot determine the Gram matrix"
@@ -100,14 +101,15 @@ def _solve_rows(RA_inv: np.ndarray, RB_inv: np.ndarray, p_det: np.ndarray, error
     E = _vector_to_matrix(raw)
     E = 0.5 * (E + E.conj().swapaxes(-1, -2))
     finite = np.isfinite(E).all(axis=(-2, -1))
-    _record(errors, ~finite, lambda i: NotHermitianError("matrix contains NaN or Inf entries"))
     E[~finite] = 0.0
     E, clipped = psd_project(E)
-    _record(errors, clipped > CLIP_ERROR, lambda i: UnphysicalStatsError(
-        f"PSD repair removed eigenvalue mass {clipped[i]:.3e} (> {CLIP_ERROR:.0e}); "
-        "statistics are not consistent with any quantum channel"
+    _record(errors, np.array((~finite, clipped > CLIP_ERROR)), lambda c, i: (
+        UnphysicalStatsError(
+            f"PSD repair removed eigenvalue mass {clipped[i]:.3e} (> {CLIP_ERROR:.0e}); "
+            "statistics are not consistent with any quantum channel"
+        ) if c else NotHermitianError("matrix contains NaN or Inf entries")
     ))
-    for i in np.flatnonzero(clipped > CLIP_WARN):
+    for i in (clipped > CLIP_WARN).nonzero()[0]:
         if errors[i] is None:
             warnings.warn(
                 f"Gram reconstruction clipped eigenvalue mass {clipped[i]:.3e}",
@@ -144,20 +146,36 @@ def solve_eve(gamma: GammaMatrix, stats: DetectionStats) -> EveGram:
     return EveGram(e_matrix=E[0], clipped_mass=float(clipped[0]), raw=raw[0])
 
 
-_KEYS = [stats_index(0, 0, x, y) for x in (0, 1) for y in (0, 1)]
+_KEYS = np.array([stats_index(0, 0, x, y) for x in (0, 1) for y in (0, 1)])
 _MISMATCH = (stats_index(0, 0, 0, 1), stats_index(0, 0, 1, 0))
 
 
-def _key_rows(p_det: np.ndarray, errors: list):
+def _key_rows(p_det: np.ndarray):
     """``(p_det00, e_z)`` for N rows of statistics ``p_det`` (N, 16); a row
-    without key-basis detections is recorded in ``errors``."""
+    without key-basis detections has ``e_z`` NaN or infinite, which the
+    caller's ``np.errstate`` lets pass."""
     p00 = p_det[:, _KEYS].sum(axis=1)
-    _record(errors, p00 < 1e-300, lambda i: NoDetectionsError(
-        "key-basis detection probability is zero"
+    return p00, (p_det[:, _MISMATCH[0]] + p_det[:, _MISMATCH[1]]) / p00
+
+
+def _key_checks(p_det00: np.ndarray, e_z: np.ndarray):
+    """The checks of N rows' key-basis statistics, in pipeline order, for
+    :func:`~twistqkd.errors._record`: no key-basis detections, ``p_det00``
+    not positive, ``e_z`` outside [0, 1] by more than 1e-12.  Returns their
+    failure masks (3, N) and the ``error_of(c, i)`` of check ``c`` at row ``i``.
+    """
+    failed = np.array((
+        p_det00 < 1e-300, p_det00 <= 0, ~((e_z >= -1e-12) & (e_z <= 1 + 1e-12))
     ))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e_z = (p_det[:, _MISMATCH[0]] + p_det[:, _MISMATCH[1]]) / p00
-    return p00, e_z
+
+    def error_of(c, i):
+        if c == 0:
+            return NoDetectionsError("key-basis detection probability is zero")
+        if c == 1:
+            return InvalidParamsError(f"p_det00 must be positive, got {float(p_det00[i])}")
+        return InvalidParamsError(f"e_z must be in [0, 1], got {float(e_z[i])}")
+
+    return failed, error_of
 
 
 def key_basis_stats(stats: DetectionStats) -> tuple[float, float]:
@@ -167,7 +185,10 @@ def key_basis_stats(stats: DetectionStats) -> tuple[float, float]:
     the mismatch fraction ``(p[0,0,0,1] + p[0,0,1,0]) / p_det00``.
     """
     errors = [None]
-    p00, e_z = _key_rows(stats.p_det[None], errors)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p00, e_z = _key_rows(stats.p_det[None])
+    failed, error_of = _key_checks(p00, e_z)
+    _record(errors, failed[:1], error_of)  # no detections only
     if errors[0] is not None:
         raise errors[0]
     return float(p00[0]), float(e_z[0])

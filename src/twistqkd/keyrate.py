@@ -18,9 +18,17 @@ depends on the distance, and it is computed once over the distance axis.
 Everything that depends on the statistics (Gram solve, PSD repair,
 key-basis statistics, trace norms, baseline values and rates) runs on
 arrays over the M * D rows, which view them as (M, D, ...) so that each
-pair's arrays broadcast over its D rows.  Every stage records its errors
-into one list, and each row keeps its first error, the one a single point
-would raise; an error of a pair's ensembles fails only that pair's rows.
+pair's arrays broadcast over its D rows.  The twisted phase errors and the
+baseline's are stacked (2, M * D), so one pass of the rate formula checks
+both purifications' windows and evaluates both rates.  Every stage records
+its errors into one list in one pass (:func:`~twistqkd.errors._record`):
+a stage stacks its checks' failure masks in pipeline order, and each row
+keeps its first error, the one a single point would raise.  The order is
+singular state matrix, non-finite then unphysical Gram solve, no key-basis
+detections, ``p_det00`` and ``e_z`` out of range, then the five windows of
+the twisted rate and the five of the baseline's.  An error of a pair's
+ensembles fails only that pair's rows.  The kernel runs under one
+``np.errstate`` that lets the failed rows' divisions pass.
 :func:`keyrate_point` is the kernel with M = D = 1; :func:`scan` makes one
 call for the grid whose ensembles an immutable :class:`ScanConfig` built and
 checked once, at construction.
@@ -38,7 +46,7 @@ import numpy as np
 
 from .channel import ChannelParams, DetectionStats, _detection_rows, _state_rows
 from .errors import DomainError, InvalidParamsError, InvalidPhaseError, QkdError, _numeric, _record
-from .evegram import _key_rows, _singular_errors, _solve_rows
+from .evegram import _key_checks, _key_rows, _singular_errors, _solve_rows
 from .states import (
     COND_LIMIT,
     ModelParams,
@@ -46,13 +54,7 @@ from .states import (
     _model_grid,
     ensemble_from_dict,
 )
-from .twist import (
-    _naive_pairings,
-    _naive_rows,
-    _phase_error_rows,
-    _scalar_errors,
-    _twist_factors,
-)
+from .twist import _naive_pairings, _naive_rows, _phase_error_rows, _twist_factors
 
 _LN2 = math.log(2.0)
 _EZ_FLOOR = 1e-12
@@ -80,45 +82,69 @@ def binary_entropy(x: float) -> float:
     Accepts arguments within 1e-12 of [0, 1] (clamped); anything further out,
     or NaN, raises ``DomainError``.  ``h2(0) = h2(1) = 0``.
     """
-    x = float(x)
+    x = _numeric(x, "binary entropy argument")
     if not -_ENTROPY_TOL <= x <= 1.0 + _ENTROPY_TOL:
         raise DomainError(f"binary entropy argument {x} outside [0, 1]")
     return float(_entropy(min(max(x, 0.0), 1.0)))
 
 
-def _rates(p_det00, e_z, e_minus, e_plus, f, errors):
-    """Per row: the six-state rate clamped at zero and the formula value
-    before that clamp; the :class:`InvalidPhaseError` of a row's first
-    violated window is recorded in ``errors``.
+# The windows of the rate formula, in the order _rates checks them.
+_WINDOWS = (
+    "e_minus = {m} < 0",
+    "e_minus = {m} > e_z = {z}",
+    "e_z = {z} outside [0, 1]",
+    "e_plus = {p} < e_z = {z}",
+    "e_plus = {p} > 1",
+)
 
-    The formula is evaluated once, on ``e_z``, ``e_minus`` and ``e_plus``
-    clipped to their windows ``[0, 1]``, ``[0, e_z]`` and ``[e_z, 1]``;
-    there every entropy argument lies in [0, 1].
+
+def _rates(p_det00, e_z, e_minus, e_plus, f, errors):
+    """Per purification and row: the six-state rate clamped at zero and the
+    formula value before that clamp, each (K, N), for N rows of
+    ``p_det00`` and ``e_z`` (N,) with the phase errors ``e_minus`` and
+    ``e_plus`` (K, N) of K purifications of each row (the kernel stacks the
+    twisted one and the baseline, K = 2).
+
+    All K purifications are evaluated together.  One pass checks the five
+    windows of every row and records in ``errors`` the
+    :class:`InvalidPhaseError` of its first violation: purification 0's
+    windows in order, then purification 1's, and so on.  The formula is
+    then evaluated once, on ``e_z``, ``e_minus`` and ``e_plus`` clamped to
+    their windows ``[0, 1]``, ``[0, e_z]`` and ``[e_z, 1]``, where every
+    entropy argument lies in [0, 1]; one :func:`_entropy` call takes all
+    of them.  The caller ignores divide and invalid floating-point errors.
     """
-    checks = (
-        (e_minus >= -_PHASE_TOL, "e_minus = {m} < 0"),
-        (e_minus <= e_z + _PHASE_TOL, "e_minus = {m} > e_z = {z}"),
-        ((-_PHASE_TOL <= e_z) & (e_z <= 1.0 + _PHASE_TOL), "e_z = {z} outside [0, 1]"),
-        (e_plus >= e_z - _PHASE_TOL, "e_plus = {p} < e_z = {z}"),
-        (e_plus <= 1.0 + _PHASE_TOL, "e_plus = {p} > 1"),
-    )
-    for ok, message in checks:
-        _record(errors, ~ok, lambda i: InvalidPhaseError(message.format(
-            m=float(e_minus[i]), z=float(e_z[i]), p=float(e_plus[i])
-        )))
-    e_z = np.clip(e_z, 0.0, 1.0)
-    e_minus = np.clip(e_minus, 0.0, e_z)
-    e_plus = np.clip(e_plus, e_z, 1.0)
+    K, N = e_minus.shape
+    ok = np.empty((K, len(_WINDOWS), N), dtype=bool)
+    ok[:, 0] = e_minus >= -_PHASE_TOL
+    ok[:, 1] = e_minus <= e_z + _PHASE_TOL
+    ok[:, 2] = (-_PHASE_TOL <= e_z) & (e_z <= 1.0 + _PHASE_TOL)
+    ok[:, 3] = e_plus >= e_z - _PHASE_TOL
+    ok[:, 4] = e_plus <= 1.0 + _PHASE_TOL
+    _record(errors, ~ok.reshape(-1, N), lambda c, i: InvalidPhaseError(
+        _WINDOWS[c % len(_WINDOWS)].format(
+            m=float(e_minus[c // len(_WINDOWS), i]),
+            z=float(e_z[i]),
+            p=float(e_plus[c // len(_WINDOWS), i]),
+        )
+    ))
+    # np.clip's values, signed zeros and NaN included, without its dispatch.
+    e_z = np.minimum(np.maximum(e_z, 0.0), 1.0)
+    e_minus = np.minimum(np.maximum(e_minus, 0.0), e_z)
+    e_plus = np.minimum(np.maximum(e_plus, e_z), 1.0)
     low = e_z < _EZ_FLOOR
     high = 1.0 - e_z < _EZ_FLOOR
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # h2 argument of the bit-flip term, or of the phase term when e_z is 0
-        first = np.where(low, 1.0 - e_plus / 2.0, (1.0 + e_minus / e_z) / 2.0)
-        phase_arg = np.clip((1.0 - (e_plus + e_z) / 2.0) / (1.0 - e_z), 0.0, 1.0)
-    h_first = _entropy(first)
+    # The entropy arguments: e_z, then per purification the h2 argument of
+    # the bit-flip term (of the phase term when e_z is 0), then the phase term's.
+    h = np.empty((2 * K + 1, N))
+    h[0] = e_z
+    h[1:K + 1] = np.where(low, 1.0 - e_plus / 2.0, (1.0 + e_minus / e_z) / 2.0)
+    h[K + 1:] = np.minimum(np.maximum((1.0 - (e_plus + e_z) / 2.0) / (1.0 - e_z), 0.0), 1.0)
+    h = _entropy(h)
+    h_first = h[1:K + 1]
     bit_flip = np.where(low, 0.0, e_z * h_first)
-    h_phase = np.where(low, h_first, np.where(high, 0.0, _entropy(phase_arg)))
-    raw = p_det00 * (1.0 - f * _entropy(e_z) - bit_flip - (1.0 - e_z) * h_phase)
+    h_phase = np.where(low, h_first, np.where(high, 0.0, h[K + 1:]))
+    raw = p_det00 * (1.0 - f * h[0] - bit_flip - (1.0 - e_z) * h_phase)
     return np.maximum(raw, 0.0), raw
 
 
@@ -135,12 +161,17 @@ def six_state_rate(
     ``h2(e_Z)``.  For ``e_Z`` below 1e-12 the bit-flip term vanishes and the
     last term uses its limit ``h2(1 - e_plus/2)``.
     """
-    values = (np.array([float(v)]) for v in (p_det00, e_z, e_minus, e_plus))
+    names = ("p_det00", "e_z", "e_minus", "e_plus")
+    p_det00, e_z, e_minus, e_plus = (
+        np.array([_numeric(v, name)]) for v, name in zip((p_det00, e_z, e_minus, e_plus), names)
+    )
+    f = _require_f(f)
     errors = [None]
-    rate, _ = _rates(*values, _require_f(f), errors)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rate, _ = _rates(p_det00, e_z, e_minus[None], e_plus[None], f, errors)
     if errors[0] is not None:
         raise errors[0]
-    return float(rate[0])
+    return float(rate[0, 0])
 
 
 @dataclass
@@ -179,47 +210,47 @@ def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, st
     point fails with; an error of a pair's ensembles fails that pair's rows.
     """
     # Party axis first: index 0 is Alice's ensembles, 1 is Bob's.
-    rho, priors = (np.stack(arrays) for arrays in zip(alice, bob))
+    rho, priors = (np.array(arrays) for arrays in zip(alice, bob))
     R = _state_rows(rho, priors)  # the state-matrix factors RA, RB, (2, M, 4, 4)
-    cond = np.linalg.cond(R)
-    cond_alice, cond_bob = np.repeat(cond, len(distances), axis=1)
-    errors = [None] * cond_alice.size
-    _singular_errors(cond_alice, cond_bob, errors)
-    # A zero prior zeroes a row of RA or RB, so such a pair is singular too.
-    # Singular pairs invert the identity in their place and keep zero
-    # inverses, which their rows solve against without error or warning.
-    good = (cond[0] * cond[1] < COND_LIMIT)[:, None, None]
-    R_inv = np.where(good, np.linalg.inv(np.where(good, R, np.eye(4))), 0.0)
-    if stats is None:
-        p_det = _detection_rows(*R, *priors, channel, distances)
-    else:
-        p_det = np.broadcast_to(stats.p_det, (len(errors), 16))
-    E, clipped = _solve_rows(*R_inv, p_det, errors)[:2]
-    p00, e_z = _key_rows(p_det, errors)
-    _scalar_errors(p00, e_z, errors)
-    # Rows that already failed carry values such as p00 = 0 from here on.
+    # Rows that fail carry values such as p00 = 0 or cond = inf onwards.
     with np.errstate(divide="ignore", invalid="ignore"):
+        singular_values = np.linalg.svd(R, compute_uv=False)
+        cond = singular_values[..., 0] / singular_values[..., -1]  # np.linalg.cond's 2-norm
+        cond_alice, cond_bob = np.repeat(cond, len(distances), axis=1)
+        errors = [None] * cond_alice.size
+        _singular_errors(cond_alice, cond_bob, errors)
+        # A zero prior zeroes a row of RA or RB, so such a pair is singular too.
+        # Singular pairs invert the identity in their place and keep zero
+        # inverses, which their rows solve against without error or warning.
+        good = (cond[0] * cond[1] < COND_LIMIT)[:, None, None]
+        R_inv = np.where(good, np.linalg.inv(np.where(good, R, np.eye(4))), 0.0)
+        if stats is None:
+            p_det = _detection_rows(*R, *priors, channel, distances)
+        else:
+            p_det = np.broadcast_to(stats.p_det, (len(errors), 16))
+        E, clipped = _solve_rows(*R_inv, p_det, errors)[:2]
+        p00, e_z = _key_rows(p_det)
+        _record(errors, *_key_checks(p00, e_z))
         key_rho, key_priors = rho[:, :, :2], priors[:, :, :2]
         factors = _twist_factors(key_priors[..., None, None] * key_rho)
         e_minus, e_plus, bound_minus, bound_plus = _phase_error_rows(
-            factors, E, p00, np.clip(e_z, 0.0, 1.0)
+            factors, E, p00, np.minimum(np.maximum(e_z, 0.0), 1.0)
         )
         naive_signed, naive_plus = _naive_rows(_naive_pairings(key_rho, key_priors), E, p00)
         # The rate formula is even in e_minus (h2((1+t)/2) = h2((1-t)/2)),
         # so the signed baseline value enters through its magnitude.
         naive_minus = np.minimum(np.abs(naive_signed), e_z)
-        rate_twisted, raw_twisted = _rates(p00, e_z, e_minus, e_plus, f, errors)
-        rate_naive, raw_naive = _rates(p00, e_z, naive_minus, naive_plus, f, errors)
+        (rate_twisted, rate_naive), (raw_twisted, raw_naive) = _rates(
+            p00, e_z, np.array((e_minus, naive_minus)), np.array((e_plus, naive_plus)), f, errors
+        )
         pct_gain = np.where(
             rate_naive > 0.0,
             100.0 * (rate_twisted - rate_naive) / rate_naive,
             np.where(rate_twisted > 0.0, math.inf, 0.0),
         )
 
-    fields = {
-        "p_det00": p00, "e_z": e_z, "e_minus": e_minus, "e_plus": e_plus,
-        "rate_twisted": rate_twisted, "rate_naive": rate_naive, "pct_gain": pct_gain,
-    }
+    # In KeyRateResult's field order.
+    fields = (p00, e_z, e_minus, e_plus, rate_twisted, rate_naive, pct_gain)
     diagnostics = {
         "gamma_cond": cond_alice * cond_bob,
         "cond_alice": cond_alice,
@@ -232,8 +263,8 @@ def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, st
         "naive_e_minus_signed": naive_signed,
         "naive_e_plus": naive_plus,
     }
-    values = zip(*(v.tolist() for v in fields.values()))  # in KeyRateResult's field order
-    diags = zip(*(v.tolist() for v in diagnostics.values()))
+    values = np.array(fields).T.tolist()
+    diags = np.array(tuple(diagnostics.values())).T.tolist()
     return [
         error if error is not None
         else KeyRateResult(*row, diagnostics=dict(zip(diagnostics, diag)))
@@ -299,11 +330,13 @@ class ScanConfig:
     distance, each model delta and depol, then the ensembles of every grid
     point, with the messages of :class:`ChannelParams`, :class:`ModelParams`
     and :func:`~twistqkd.states._model_grid`.  The config is immutable, so
-    the ensembles that :func:`scan` reads always match its fields.
+    the ensembles that :func:`scan` reads always match its fields:
+    ``deltas`` and ``depols`` are stored as tuples of floats and
+    ``distances`` as a read-only copy of the array given.
     """
 
-    deltas: list
-    depols: list
+    deltas: tuple
+    depols: tuple
     distances: np.ndarray
     eta: float
     p_dark: float
@@ -325,9 +358,10 @@ class ScanConfig:
             raise InvalidParamsError("bob_states given without alice_states")
         try:  # float(f) first, so that an f that is not a number is reported here
             normal = dict(
-                deltas=[float(d) for d in np.atleast_1d(self.deltas)],
-                depols=[float(p) for p in np.atleast_1d(self.depols)],
-                distances=np.atleast_1d(np.asarray(self.distances, dtype=float)),
+                deltas=tuple(float(d) for d in np.atleast_1d(self.deltas)),
+                depols=tuple(float(p) for p in np.atleast_1d(self.depols)),
+                # A read-only copy: an edit of the caller's array cannot reach the grid.
+                distances=np.array(self.distances, dtype=float, ndmin=1),
                 f=_require_f(float(self.f)),
                 bob_states=self.alice_states if self.bob_states is None else self.bob_states,
             )
@@ -336,6 +370,7 @@ class ScanConfig:
         except (TypeError, ValueError) as exc:
             message = f"scan grid values, priors and f must be numbers: {exc}"
             raise InvalidParamsError(message) from exc
+        normal["distances"].flags.writeable = False
         for name, value in normal.items():
             object.__setattr__(self, name, value)
         if self.distances.ndim != 1:

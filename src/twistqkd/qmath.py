@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotHermitianError
+from .errors import NotHermitianError, _numeric
 
 HERMITIAN_TOL = 1e-12
 
@@ -27,22 +27,29 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
+def _frobenius(M: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of a stack ``(..., n, n)``, as the
+    ufunc reduction ``np.linalg.norm`` evaluates it, without its dispatch."""
+    return np.sqrt(np.add.reduce((M.conj() * M).real, axis=(-2, -1)))
+
+
 def require_hermitian(M, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
     """Validate that ``M`` is a finite square Hermitian matrix, or a stack
     ``(..., n, n)`` of them.
 
     The asymmetry ``||M - M^dag||_F`` of each matrix is compared against
     ``tol * max(1, ||M||_F)``; the worst matrix is reported.  Returns ``M``
-    as a complex array.
+    as a complex array; entries that are not numbers raise
+    ``InvalidParamsError``.
     """
-    M = np.asarray(M, dtype=complex)
+    M = _numeric(M, name, lambda m: np.asarray(m, dtype=complex))
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise NotHermitianError(f"{name} must be square, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise NotHermitianError(f"{name} contains NaN or Inf entries")
-    scale = np.maximum(1.0, np.linalg.norm(M, axis=(-2, -1)))
-    asym = np.linalg.norm(M - M.conj().swapaxes(-1, -2), axis=(-2, -1))
-    if np.any(asym > tol * scale):
+    scale = np.maximum(1.0, _frobenius(M))
+    asym = _frobenius(M - M.conj().swapaxes(-1, -2))
+    if (asym > tol * scale).any():
         worst = np.unravel_index(np.argmax(asym / scale), asym.shape)
         raise NotHermitianError(
             f"{name} is not Hermitian: asymmetry {asym[worst]:.3e} exceeds "

@@ -28,6 +28,8 @@ PROB_TOL = 1e-10
 #: the one singularity test of the package, scale-invariant in the priors.
 COND_LIMIT = 1e9
 
+_IDENTITY = np.eye(2)
+
 
 def _check_states(rho, prob) -> np.ndarray:
     """Validate qubit states stacked ``(..., 2, 2)`` with their send
@@ -35,34 +37,37 @@ def _check_states(rho, prob) -> np.ndarray:
 
     Each matrix must be finite, 2x2 and Hermitian (:func:`require_hermitian`),
     with trace within ``TRACE_TOL`` of 1 and smallest eigenvalue at least
-    ``-PSD_TOL``; each probability must lie in [0, 1].  The checks run in
-    that order and the first failing state is reported.  Returns ``rho`` as
-    a complex array.
+    ``-PSD_TOL``; each probability must lie in [0, 1].  The last three
+    checks are evaluated together, and the first failing one, in that
+    order, is reported for its first failing state.  Returns ``rho`` as a
+    complex array.
     """
     rho = require_hermitian(rho, name="rho")
     if rho.shape[-2:] != (2, 2):
         raise InvalidParamsError(f"rho must be 2x2, got {rho.shape[-2:]}")
-    tr = np.trace(rho, axis1=-2, axis2=-1).real.reshape(-1)
-    bad = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
-    if bad.size:
-        raise InvalidParamsError(f"rho has trace {float(tr[bad[0]])}, expected 1")
+    tr = rho.trace(axis1=-2, axis2=-1).real.reshape(-1)
     wmin = np.linalg.eigvalsh(rho)[..., 0].reshape(-1)
-    bad = np.flatnonzero(wmin < -PSD_TOL)
-    if bad.size:
-        raise InvalidParamsError(f"rho is not PSD (min eigenvalue {wmin[bad[0]]:.3e})")
     prob = np.asarray(prob, dtype=float).reshape(-1)
-    bad = np.flatnonzero(~((prob >= 0.0) & (prob <= 1.0)))
-    if bad.size:
-        raise InvalidParamsError(f"prob must be in [0, 1], got {float(prob[bad[0]])}")
+    failed = np.array((
+        np.abs(tr - 1.0) > TRACE_TOL, wmin < -PSD_TOL, ~((prob >= 0.0) & (prob <= 1.0))
+    ))
+    if failed.any():
+        check, i = divmod(int(failed.argmax()), len(tr))
+        raise InvalidParamsError((
+            f"rho has trace {float(tr[i])}, expected 1",
+            f"rho is not PSD (min eigenvalue {wmin[i]:.3e})",
+            f"prob must be in [0, 1], got {float(prob[i])}",
+        )[check])
     return rho
 
 
 def _check_totals(priors) -> None:
     """Each ensemble's priors, the last axis of ``priors``, must sum to 1."""
     total = np.sum(priors, axis=-1).reshape(-1)
-    bad = np.flatnonzero(np.abs(total - 1.0) > PROB_TOL)
-    if bad.size:
-        raise InvalidParamsError(f"send probabilities sum to {float(total[bad[0]])}, expected 1")
+    bad = np.abs(total - 1.0) > PROB_TOL
+    if bad.any():
+        total = float(total[bad.argmax()])
+        raise InvalidParamsError(f"send probabilities sum to {total}, expected 1")
 
 
 @dataclass
@@ -150,11 +155,14 @@ def _model_kets(delta) -> np.ndarray:
     own constant offset parametrized by delta, stacked ``(..., 4, 2)`` over
     an array of deltas."""
     delta = np.asarray(delta, dtype=float)
-    s, c = np.sin(delta / 2), np.cos(delta / 2)
-    a, b = (np.pi + delta) / 4, (-np.pi + delta) / 4
-    one, zero = np.ones_like(delta), np.zeros_like(delta)
-    kets = [one, zero, -s, c, np.cos(a), np.sin(a), np.cos(b), 1j * np.sin(b)]
-    return np.stack(kets, axis=-1).reshape(*delta.shape, 4, 2)
+    angles = np.array((delta / 2, (np.pi + delta) / 4, (-np.pi + delta) / 4))
+    sin, cos = np.sin(angles), np.cos(angles)
+    kets = np.empty((*delta.shape, 4, 2), dtype=complex)
+    kets[..., 0, :] = (1.0, 0.0)
+    kets[..., 1, 0], kets[..., 1, 1] = -sin[0], cos[0]
+    kets[..., 2, 0], kets[..., 2, 1] = cos[1], sin[1]
+    kets[..., 3, 0], kets[..., 3, 1] = cos[2], 1j * sin[2]
+    return kets
 
 
 def _model_grid(deltas, depols, priors=(0.25, 0.25, 0.25, 0.25)):
@@ -171,11 +179,11 @@ def _model_grid(deltas, depols, priors=(0.25, 0.25, 0.25, 0.25)):
         raise InvalidParamsError(f"priors must have length 4, got shape {priors.shape}")
     kets = _model_kets(deltas)
     p = np.asarray(depols, dtype=float)[:, None, None, None]
-    rho = (1.0 - p) * (kets[..., :, None] * kets.conj()[..., None, :]) + p * np.eye(2) / 2.0
-    priors = np.broadcast_to(priors, rho.shape[:2])
-    rho = _check_states(rho, priors)
+    rho = (1.0 - p) * (kets[..., :, None] * kets.conj()[..., None, :]) + p * _IDENTITY / 2.0
+    grid_priors = np.broadcast_to(priors, rho.shape[:2])
+    rho = _check_states(rho, grid_priors)
     _check_totals(priors)
-    return rho, priors
+    return rho, grid_priors
 
 
 def model_states(params: ModelParams, priors=(0.25, 0.25, 0.25, 0.25)) -> SignalEnsemble:
@@ -343,6 +351,8 @@ def ensemble_from_dict(doc: dict) -> SignalEnsemble:
         raise InvalidParamsError("ensemble document must list 4 priors and 4 states")
     states = []
     for prior, rho in zip(priors, rhos):
-        mat = np.array([[complex(e[0], e[1]) for e in row] for row in rho])
-        states.append(QubitState(rho=mat, prob=float(prior)))
+        mat = _numeric(
+            rho, "rho", lambda r: np.array([[complex(e[0], e[1]) for e in row] for row in r])
+        )
+        states.append(QubitState(rho=mat, prob=prior))
     return SignalEnsemble(states=tuple(states))

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError, _record
-from .evegram import EveGram
+from .evegram import EveGram, _key_checks
 from .qmath import kron
 from .states import QubitState, _stack
 
@@ -71,23 +71,11 @@ def _twist_factors(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     ``S_xy = sqrt(p_x rho_x) (x) sqrt(q_y sigma_y)`` is the square root of
     the ancilla block of key pair (x, y); e_minus pairs (0,1) with (1,0)
-    and e_plus pairs (0,0) with (1,1).
+    and e_plus pairs (0,0) with (1,1).  The four roots are one ``kron``.
     """
     A, B = _weighted_roots(key)
-    left = kron(A[..., [0, 0], :, :], B[..., [1, 0], :, :])
-    right = kron(A[..., [1, 1], :, :], B[..., [0, 1], :, :])
-    return left.swapaxes(-1, -2), right.conj()
-
-
-def _scalar_errors(p_det00: np.ndarray, e_z: np.ndarray, errors: list) -> None:
-    """Record, per row, the :class:`InvalidParamsError` of an out-of-range
-    ``p_det00`` or ``e_z``, checked in that order."""
-    _record(errors, p_det00 <= 0, lambda i: InvalidParamsError(
-        f"p_det00 must be positive, got {float(p_det00[i])}"
-    ))
-    _record(errors, ~((e_z >= -1e-12) & (e_z <= 1 + 1e-12)), lambda i: InvalidParamsError(
-        f"e_z must be in [0, 1], got {float(e_z[i])}"
-    ))
+    S = kron(A[..., [0, 0, 1, 1], :, :], B[..., [1, 0, 0, 1], :, :])
+    return S[..., :2, :, :].swapaxes(-1, -2), S[..., 2:, :, :].conj()
 
 
 @dataclass
@@ -107,7 +95,8 @@ class TwistProblem:
 
     def __post_init__(self):
         errors = [None]
-        _scalar_errors(np.array([self.p_det00]), np.array([self.e_z]), errors)
+        failed, error_of = _key_checks(np.array([self.p_det00]), np.array([self.e_z]))
+        _record(errors, failed[1:], lambda c, i: error_of(c + 1, i))  # all but no detections
         if errors[0] is not None:
             raise errors[0]
         self.e_z = min(max(self.e_z, 0.0), 1.0)
@@ -151,7 +140,7 @@ def _phase_error_rows(factors: tuple, E: np.ndarray, p_det00: np.ndarray, e_z: n
     every row come from one batched ``svd``."""
     left, right = (F.reshape(-1, 1, 2, 4, 4) for F in factors)
     E = E.reshape(len(left), -1, 1, 4, 4)
-    norms = np.sum(np.linalg.svd(left @ E @ right, compute_uv=False), axis=-1).reshape(-1, 2)
+    norms = np.linalg.svd(left @ E @ right, compute_uv=False).sum(axis=-1).reshape(-1, 2)
     s = 2.0 / p_det00[:, None] * norms
     s_minus, s_plus = s[:, 0], s[:, 1]
     return np.minimum(s_minus, e_z), np.maximum(1.0 - s_plus, e_z), s_minus, 1.0 - s_plus
@@ -244,30 +233,30 @@ def naive_phase_errors(alice_key, bob_key, eve: EveGram, p_det00: float) -> Phas
     return PhaseErrors(e_minus=float(e_minus[0]), e_plus=float(e_plus[0]))
 
 
-def _naive_pairings(rho: np.ndarray, prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _naive_pairings(rho: np.ndarray, prob: np.ndarray) -> np.ndarray:
     """The pairings ``G00 G11^dag`` and ``G01 G10^dag`` of the eigenbasis
-    purification vectors, each (..., 4, 4), from the key states of Alice and
-    of Bob, ``rho`` (2, ..., 2, 2, 2) with send probabilities ``prob``
-    (2, ..., 2).
+    purification vectors, stacked (2, ..., 4, 4) in that order, from the
+    key states of Alice and of Bob, ``rho`` (2, ..., 2, 2, 2) with send
+    probabilities ``prob`` (2, ..., 2).
 
-    The factors of all key states come from one batched ``eigh``, and the
-    pairings are Kronecker products of the parties' factors.
+    The factors of all key states come from one batched ``eigh``; each
+    pairing is the Kronecker product of Alice's factor pairing ``A0 A1^dag``
+    with one of Bob's, ``B0 B1^dag`` or ``B1 B0^dag``, and the three factor
+    pairings are one batched product, the two Kronecker products one ``kron``.
     """
-    A, B = _purification_factors(rho, prob)
-    A0, A1, B0, B1 = (F[..., x, :, :] for F in (A, B) for x in (0, 1))
-    alice_pairing = A0 @ A1.conj().swapaxes(-1, -2)
-    pairing_plus = kron(alice_pairing, B0 @ B1.conj().swapaxes(-1, -2))
-    pairing_minus = kron(alice_pairing, B1 @ B0.conj().swapaxes(-1, -2))
-    return pairing_plus, pairing_minus
+    F = _purification_factors(rho, prob)
+    left, right = F[[0, 1, 1], ..., [0, 0, 1], :, :], F[[0, 1, 1], ..., [1, 1, 0], :, :]
+    pairings = left @ right.conj().swapaxes(-1, -2)
+    return kron(pairings[0], pairings[1:])
 
 
-def _naive_rows(pairings: tuple, E: np.ndarray, p_det00: np.ndarray):
+def _naive_rows(pairings: np.ndarray, E: np.ndarray, p_det00: np.ndarray):
     """Signed ``e_minus`` and ``e_plus`` of the eigenbasis purification for
     the M * D Gram matrices ``E`` (M * D, 4, 4), pair-major, of M ensemble
-    pairs with :func:`_naive_pairings` stacked (M, 4, 4), or of one pair's;
-    each pair's pairings broadcast over its D rows."""
-    pairing_plus, pairing_minus = (P.reshape(-1, 1, 4, 4) for P in pairings)
-    E = E.reshape(len(pairing_plus), -1, 4, 4)
-    s_plus = np.real(np.sum(E * pairing_plus, axis=(-2, -1))).reshape(-1)
-    s_minus = np.real(np.sum(E * pairing_minus, axis=(-2, -1))).reshape(-1)
+    pairs with :func:`_naive_pairings` stacked (2, M, 4, 4), or of one
+    pair's; each pair's pairings broadcast over its D rows, and both
+    pairings are one multiply-and-sum."""
+    pairings = pairings.reshape(2, -1, 1, 4, 4)
+    E = E.reshape(pairings.shape[1], -1, 4, 4)
+    s_plus, s_minus = (E * pairings).sum(axis=(-2, -1)).real.reshape(2, -1)
     return -2.0 * s_minus / p_det00, 1.0 - 2.0 * s_plus / p_det00

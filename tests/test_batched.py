@@ -18,9 +18,23 @@ from twistqkd.channel import (
     build_gamma,
     detection_stats,
 )
-from twistqkd.errors import QkdError, SingularGammaError
+from twistqkd.errors import (
+    InvalidParamsError,
+    InvalidPhaseError,
+    NoDetectionsError,
+    QkdError,
+    SingularGammaError,
+    UnphysicalStatsError,
+)
 from twistqkd.evegram import _gram_rows, _matrix_to_vector, _vector_to_matrix, solve_eve
-from twistqkd.keyrate import ScanConfig, _evaluate, keyrate_point, scan
+from twistqkd.keyrate import (
+    KeyRateResult,
+    ScanConfig,
+    _evaluate,
+    keyrate_point,
+    scan,
+    six_state_rate,
+)
 from twistqkd.states import ModelParams, QubitState, SignalEnsemble, model_states
 
 ETA, P_DARK = 0.5, 1e-5
@@ -104,6 +118,31 @@ def test_ok_rows_respect_the_rate_windows(delta_list, depol_list, distance_list,
         r = row.result
         assert 0.0 <= r.e_minus <= r.e_z <= r.e_plus <= 1.0
         assert r.rate_twisted >= r.rate_naive - 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(deltas, depols, distances, seeds, st.sampled_from([1.0, 1.16]))
+def test_ok_rows_are_the_six_state_rate_of_their_values(
+    delta_list, depol_list, distance_list, seed, f
+):
+    # the kernel evaluates the twisted and the baseline windows of all rows
+    # as one stack; each rate is the one-point formula on its row's values,
+    # bit for bit
+    model = ScanConfig(
+        deltas=delta_list, depols=depol_list, distances=distance_list, eta=ETA, p_dark=P_DARK, f=f
+    )
+    asym = asym_config(seed, distance_list[:1])
+    asym = ScanConfig(
+        deltas=[0.0], depols=[0.0], distances=asym.distances, eta=ETA, p_dark=P_DARK, f=f,
+        alice_states=asym.alice_states, bob_states=asym.bob_states, stats=asym.stats,
+    )
+    for row in scan(model) + scan(asym):
+        if row.status != "ok":
+            continue
+        r, d = row.result, row.result.diagnostics
+        naive_minus = min(abs(d["naive_e_minus_signed"]), r.e_z)
+        assert r.rate_twisted == six_state_rate(r.p_det00, r.e_z, r.e_minus, r.e_plus, f)
+        assert r.rate_naive == six_state_rate(r.p_det00, r.e_z, naive_minus, d["naive_e_plus"], f)
 
 
 @PROPERTY_SETTINGS
@@ -211,3 +250,71 @@ def test_scan_memory_does_not_grow_with_copies_per_row():
     finally:
         tracemalloc.stop()
     assert (peak - held) / len(rows) < 1000
+
+
+
+def test_each_row_keeps_its_first_error_across_stages_and_windows(monkeypatch):
+    # One kernel call over a good pair and a coplanar one at eight distances.
+    # The stage functions bound in the kernel's module are patched so that
+    # the good pair's rows fail in different stages and rate windows, some
+    # in several at once, the twisted and the baseline window together in
+    # rows 6 and 7; every row keeps the first error of the pipeline order
+    # (singular, Gram solve, key statistics, twisted windows 1-5, baseline
+    # windows 1-5).
+    import twistqkd.keyrate as keyrate_module
+
+    good = model_states(ModelParams(delta=0.1, depol=0.05))
+    alices = (good, coplanar_ensemble(np.random.default_rng(181)))
+    stacks = [
+        (np.stack([e.rho for e in ensembles]), np.stack([e.priors for e in ensembles]))
+        for ensembles in (alices, (good, good))
+    ]
+    stages = {name: getattr(keyrate_module, name) for name in
+              ("_detection_rows", "_key_rows", "_phase_error_rows", "_naive_rows")}
+    seen = {}
+
+    def detection_rows(*args):
+        p_det = stages["_detection_rows"](*args)
+        p_det[1] = np.linspace(0.0, 0.02, 16)  # statistics no channel gives
+        return p_det
+
+    def key_rows(p_det):
+        p00, e_z = stages["_key_rows"](p_det)
+        p00[2] = 0.0
+        e_z[3] = 1.5
+        seen["e_z"] = e_z
+        return p00, e_z
+
+    def phase_error_rows(*args):
+        e_minus, e_plus, bound_minus, bound_plus = stages["_phase_error_rows"](*args)
+        e_minus[[1, 2, 3, 4, 8]] = -0.1
+        e_plus[6] = 1.5
+        e_minus[7], e_plus[7] = 0.9, 1.5
+        return e_minus, e_plus, bound_minus, bound_plus
+
+    def naive_rows(*args):
+        signed, plus = stages["_naive_rows"](*args)
+        plus[5] = 1.25
+        plus[6] = plus[7] = 0.0  # an earlier window (e_plus >= e_z) than the twisted one's
+        return signed, plus
+
+    for name, patch in (("_detection_rows", detection_rows), ("_key_rows", key_rows),
+                        ("_phase_error_rows", phase_error_rows), ("_naive_rows", naive_rows)):
+        monkeypatch.setattr(keyrate_module, name, patch)
+    channel = ChannelParams(eta=ETA, p_dark=P_DARK, distance_km=0.0)
+    rows = keyrate_module._evaluate(
+        *stacks, channel, np.linspace(0.0, 140.0, 8), f=1.0, stats=None
+    )
+    first = [(type(row), str(row)) for row in rows[2:8]]
+    assert first == [
+        (NoDetectionsError, "key-basis detection probability is zero"),
+        (InvalidParamsError, "e_z must be in [0, 1], got 1.5"),
+        (InvalidPhaseError, "e_minus = -0.1 < 0"),
+        (InvalidPhaseError, "e_plus = 1.25 > 1"),
+        (InvalidPhaseError, "e_plus = 1.5 > 1"),
+        (InvalidPhaseError, f"e_minus = 0.9 > e_z = {float(seen['e_z'][7])}"),
+    ]
+    assert isinstance(rows[0], KeyRateResult)
+    assert type(rows[1]) is UnphysicalStatsError
+    assert str(rows[1]).startswith("PSD repair removed eigenvalue mass")
+    assert all(type(row) is SingularGammaError for row in rows[8:])

@@ -29,7 +29,13 @@ from twistqkd.keyrate import (
     scan_to_csv,
     six_state_rate,
 )
-from twistqkd.states import ModelParams, QubitState, ensemble_to_json, model_states
+from twistqkd.states import (
+    ModelParams,
+    QubitState,
+    ensemble_from_json,
+    ensemble_to_json,
+    model_states,
+)
 
 
 def mp_entropy(x):
@@ -245,6 +251,17 @@ def base_config(**overrides):
     return doc
 
 
+def ensemble_doc(ens, prior=None, entry=None):
+    """The JSON text of ``ens`` with its first prior, or the first entry of
+    its first matrix, replaced."""
+    doc = json.loads(ensemble_to_json(ens))
+    if prior is not None:
+        doc["priors"][0] = prior
+    if entry is not None:
+        doc["rhos"][0][0][0] = entry
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "name, build",
     [
@@ -257,9 +274,16 @@ def base_config(**overrides):
         ("priors", lambda ens: model_states(ModelParams(delta=0.0, depol=0.0), priors="abcd")),
         ("eta", lambda ens: ScanConfig(deltas=0.0, depols=0.0, distances=0.0, eta="half",
                                        p_dark=0.0)),
+        ("rho", lambda ens: QubitState(rho="x", prob=0.25)),
+        ("prob", lambda ens: ensemble_from_json(ensemble_doc(ens, prior="a"))),
+        ("rho", lambda ens: ensemble_from_json(ensemble_doc(ens, entry=["a", 0.0]))),
+        ("e_plus", lambda ens: six_state_rate(0.1, 0.05, 0.01, "x")),
+        ("binary entropy argument", lambda ens: binary_entropy("x")),
     ],
     ids=["ChannelParams.eta", "ChannelParams.p_dark", "ModelParams.delta", "QubitState.prob",
-         "DetectionStats.p_det", "keyrate_point.f", "model_states.priors", "ScanConfig.eta"],
+         "DetectionStats.p_det", "keyrate_point.f", "model_states.priors", "ScanConfig.eta",
+         "QubitState.rho", "ensemble_from_json.prior", "ensemble_from_json.rho",
+         "six_state_rate", "binary_entropy"],
 )
 def test_non_numeric_parameters_are_typed(name, build):
     ens = model_states(ModelParams(delta=0.1, depol=0.05))
@@ -270,16 +294,16 @@ def test_non_numeric_parameters_are_typed(name, build):
 class TestScanConfig:
     def test_defaults(self):
         cfg = ScanConfig.from_dict(base_config())
-        assert cfg.deltas == [0.1]
-        assert cfg.depols == [0.05]
+        assert cfg.deltas == (0.1,)
+        assert cfg.depols == (0.05,)
         np.testing.assert_allclose(cfg.distances, [0.0, 20.0, 40.0])
         assert cfg.f == 1.0
         assert cfg.priors_alice == (0.25, 0.25, 0.25, 0.25)
 
     def test_grid_lists(self):
         cfg = ScanConfig.from_dict(base_config(delta=[0.0, 0.1], depol=[0.01, 0.05]))
-        assert cfg.deltas == [0.0, 0.1]
-        assert cfg.depols == [0.01, 0.05]
+        assert cfg.deltas == (0.0, 0.1)
+        assert cfg.depols == (0.01, 0.05)
 
     def test_scalar_distance(self):
         cfg = ScanConfig.from_dict(base_config(distance=25.0))
@@ -366,6 +390,23 @@ class TestScanConfig:
         cfg = ScanConfig(deltas=0.0, depols=0.0, distances=0.0, eta=0.5, p_dark=0.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.deltas = [0.1]
+
+    def test_grid_values_cannot_be_edited_in_place(self):
+        # the labels scan gives its rows must stay those of the ensembles
+        # and distances the constructor checked and built
+        distances = np.array([0.0, 50.0])
+        cfg = ScanConfig(deltas=[0.0, 0.1], depols=[0.02], distances=distances, eta=0.5,
+                         p_dark=1e-5)
+        before = [(r.delta, r.depol, r.distance_km, r.result.rate_twisted) for r in scan(cfg)]
+        distances[0] = -50.0
+        assert [(r.delta, r.depol, r.distance_km, r.result.rate_twisted)
+                for r in scan(cfg)] == before
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.distances[0] = -50.0
+        with pytest.raises(TypeError):
+            cfg.deltas[0] = 0.3
+        with pytest.raises(TypeError):
+            cfg.depols[0] = 0.3
 
     def test_explicit_states(self):
         ens = model_states(ModelParams(delta=0.07, depol=0.02))
