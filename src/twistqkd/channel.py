@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidParamsError, _numeric
 from .qmath import kron
-from .states import SignalEnsemble
+from .states import SignalEnsemble, _conditioning, _state_rows
 
 @dataclass
 class ChannelParams:
@@ -157,12 +157,6 @@ def photon_loss(params: ChannelParams) -> float:
     return _loss(params, params.distance_km)
 
 
-def _state_rows(rho: np.ndarray, priors: np.ndarray) -> np.ndarray:
-    """The state-matrix factor whose row a is ``vec(p_a rho_a)``, of each
-    ensemble ``rho`` (..., 4, 2, 2) with ``priors`` (..., 4): (..., 4, 4)."""
-    return (priors[..., None, None] * rho).reshape(*priors.shape, 4)
-
-
 def _detection_rows(RA, RB, priors_a, priors_b, channel, distances) -> np.ndarray:
     """Pass probabilities of all 16 state pairs of M ensemble pairs over
     ``channel`` at each of D ``distances``: (M * D, 16), rows pair-major.
@@ -206,8 +200,9 @@ def build_gamma(alice: SignalEnsemble, bob: SignalEnsemble) -> GammaMatrix:
 
     Row t factorizes as the Kronecker product of the two parties'
     vectorized weighted states, so the full matrix is ``RA (x) RB`` and its
-    singular values are the products of theirs.  Singularity is not an
-    error here; it surfaces when the matrix is inverted downstream.
+    singular values are the products of theirs.  Each party's cond is the
+    kernel's and the tetrahedron check's, :func:`~twistqkd.states._conditioning`.
+    Singularity is not an error here; it surfaces when inverted downstream.
     """
     RA, RB = _state_rows(alice.rho, alice.priors), _state_rows(bob.rho, bob.priors)
-    return GammaMatrix(RA, RB, float(np.linalg.cond(RA)), float(np.linalg.cond(RB)))
+    return GammaMatrix(RA, RB, *_conditioning(np.array((RA, RB))).tolist())

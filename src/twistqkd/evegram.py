@@ -70,16 +70,26 @@ def _matrix_to_vector(E: np.ndarray) -> np.ndarray:
     return E.reshape(*shape, 2, 2, 2, 2).swapaxes(-3, -2).reshape(*shape, 16)
 
 
-def _singular_errors(cond_alice: np.ndarray, cond_bob: np.ndarray, errors: list) -> None:
-    """Record, per row, the :class:`~twistqkd.errors.SingularGammaError` of
-    a state matrix whose condition number ``cond(RA) * cond(RB)`` is not
-    below ``COND_LIMIT``."""
-    cond = cond_alice * cond_bob
-    _record(errors, ~(cond < COND_LIMIT)[None], lambda c, i: SingularGammaError(
-        f"{'Alice' if cond_alice[i] >= cond_bob[i] else 'Bob'}'s ensemble fails the "
-        f"tetrahedron condition: state matrix condition number {float(cond[i]):.3e} is not "
-        f"below {COND_LIMIT:.0e}, so detection statistics cannot determine the Gram matrix"
+def _invert_factors(R: np.ndarray, cond: np.ndarray, errors: list) -> np.ndarray:
+    """The inverse factors ``RA^-1, RB^-1`` (2, M, 4, 4) of M ensemble pairs'
+    factors ``R`` with conds ``cond`` (2, M), for ``errors``' rows, pair-major.
+
+    The package's one singularity test and inverse: a pair is usable iff
+    ``cond(RA) * cond(RB) < COND_LIMIT`` (a zero prior zeroes a factor's row,
+    so fails it).  Each row of another pair records a ``SingularGammaError``,
+    and the pair gets zero inverses (of the identity in its place), which
+    its rows solve against without error or warning.
+    """
+    good = cond[0] * cond[1] < COND_LIMIT
+    rows = len(errors) // len(good)  # per pair; row i is pair i // rows's
+    _record(errors, ~np.repeat(good, rows)[None], lambda c, i: SingularGammaError(
+        f"{'Alice' if cond[0, i // rows] >= cond[1, i // rows] else 'Bob'}'s ensemble fails "
+        f"the tetrahedron condition: state matrix condition number "
+        f"{float(cond[0, i // rows] * cond[1, i // rows]):.3e} is not below {COND_LIMIT:.0e}, "
+        "so detection statistics cannot determine the Gram matrix"
     ))
+    good = good[:, None, None]
+    return np.where(good, np.linalg.inv(np.where(good, R, np.eye(4))), 0.0)
 
 
 def _solve_rows(RA_inv: np.ndarray, RB_inv: np.ndarray, p_det: np.ndarray, errors: list):
@@ -119,16 +129,6 @@ def _solve_rows(RA_inv: np.ndarray, RB_inv: np.ndarray, p_det: np.ndarray, error
     return E, clipped, raw
 
 
-def _gram_rows(gamma: GammaMatrix, p_det: np.ndarray, errors: list):
-    """:func:`_solve_rows` for one pair's state matrix; a singular one
-    (see :func:`_singular_errors`) fails every row and is raised."""
-    singular = [None]
-    _singular_errors(np.array([gamma.cond_alice]), np.array([gamma.cond_bob]), singular)
-    if singular[0] is not None:
-        raise singular[0]
-    return _solve_rows(np.linalg.inv(gamma.RA), np.linalg.inv(gamma.RB), p_det, errors)
-
-
 def solve_eve(gamma: GammaMatrix, stats: DetectionStats) -> EveGram:
     """Recover the Gram matrix by solving the statistics linear system.
 
@@ -140,7 +140,9 @@ def solve_eve(gamma: GammaMatrix, stats: DetectionStats) -> EveGram:
     channel under this package's conventions.
     """
     errors = [None]
-    E, clipped, raw = _gram_rows(gamma, stats.p_det[None], errors)
+    cond = np.array([[gamma.cond_alice], [gamma.cond_bob]])
+    R_inv = _invert_factors(np.array((gamma.RA, gamma.RB))[:, None], cond, errors)
+    E, clipped, raw = _solve_rows(*R_inv, stats.p_det[None], errors)
     if errors[0] is not None:
         raise errors[0]
     return EveGram(e_matrix=E[0], clipped_mass=float(clipped[0]), raw=raw[0])

@@ -11,10 +11,13 @@ ensemble pairs as stacked arrays, one channel and D distances, and
 evaluates each pair at each distance: M * D rows, pair-major (or with
 injected statistics on every row).  The work that depends only on the
 ensembles is done once per pair, over (M, ...) stacks: the per-party state
-matrices with their inverses and condition numbers (one singularity test),
-the square roots of the ancilla blocks as Kronecker products of per-state
-2x2 roots, and the baseline's purification pairings.  Only the photon loss
-depends on the distance, and it is computed once over the distance axis.
+matrices, their condition numbers (``states._conditioning``, the one
+computation that ``build_gamma`` and ``tetrahedron_check`` also report)
+and their inverses (``evegram._invert_factors``, the one singularity test,
+which ``solve_eve`` also calls), the square roots of the ancilla blocks as
+Kronecker products of per-state 2x2 roots, and the baseline's purification
+pairings.  Only the photon loss depends on the distance, and it is computed
+once over the distance axis.
 Everything that depends on the statistics (Gram solve, PSD repair,
 key-basis statistics, trace norms, baseline values and rates) runs on
 arrays over the M * D rows, which view them as (M, D, ...) so that each
@@ -44,15 +47,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelParams, DetectionStats, _detection_rows, _state_rows
+from .channel import ChannelParams, DetectionStats, _detection_rows
 from .errors import DomainError, InvalidParamsError, InvalidPhaseError, QkdError, _numeric, _record
-from .evegram import _key_checks, _key_rows, _singular_errors, _solve_rows
+from .evegram import _invert_factors, _key_checks, _key_rows, _solve_rows
 from .states import (
-    COND_LIMIT,
-    ModelParams,
-    SignalEnsemble,
-    _model_grid,
-    ensemble_from_dict,
+    ModelParams, SignalEnsemble, _conditioning, _model_grid, _state_rows, ensemble_from_dict
 )
 from .twist import _naive_pairings, _naive_rows, _phase_error_rows, _twist_factors
 
@@ -212,18 +211,12 @@ def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, st
     # Party axis first: index 0 is Alice's ensembles, 1 is Bob's.
     rho, priors = (np.array(arrays) for arrays in zip(alice, bob))
     R = _state_rows(rho, priors)  # the state-matrix factors RA, RB, (2, M, 4, 4)
+    cond = _conditioning(R)
+    cond_alice, cond_bob = np.repeat(cond, len(distances), axis=1)
+    errors = [None] * cond_alice.size
+    R_inv = _invert_factors(R, cond, errors)
     # Rows that fail carry values such as p00 = 0 or cond = inf onwards.
     with np.errstate(divide="ignore", invalid="ignore"):
-        singular_values = np.linalg.svd(R, compute_uv=False)
-        cond = singular_values[..., 0] / singular_values[..., -1]  # np.linalg.cond's 2-norm
-        cond_alice, cond_bob = np.repeat(cond, len(distances), axis=1)
-        errors = [None] * cond_alice.size
-        _singular_errors(cond_alice, cond_bob, errors)
-        # A zero prior zeroes a row of RA or RB, so such a pair is singular too.
-        # Singular pairs invert the identity in their place and keep zero
-        # inverses, which their rows solve against without error or warning.
-        good = (cond[0] * cond[1] < COND_LIMIT)[:, None, None]
-        R_inv = np.where(good, np.linalg.inv(np.where(good, R, np.eye(4))), 0.0)
         if stats is None:
             p_det = _detection_rows(*R, *priors, channel, distances)
         else:
@@ -331,8 +324,9 @@ class ScanConfig:
     point, with the messages of :class:`ChannelParams`, :class:`ModelParams`
     and :func:`~twistqkd.states._model_grid`.  The config is immutable, so
     the ensembles that :func:`scan` reads always match its fields:
-    ``deltas`` and ``depols`` are stored as tuples of floats and
-    ``distances`` as a read-only copy of the array given.
+    ``deltas`` and ``depols`` are stored as tuples of floats, ``distances``
+    as a read-only copy of the array given, and ``f`` and the channel
+    fields as floats.
     """
 
     deltas: tuple
@@ -364,6 +358,10 @@ class ScanConfig:
                 distances=np.array(self.distances, dtype=float, ndmin=1),
                 f=_require_f(float(self.f)),
                 bob_states=self.alice_states if self.bob_states is None else self.bob_states,
+                eta=_numeric(self.eta, "eta"),
+                p_dark=_numeric(self.p_dark, "p_dark"),
+                atten_db_per_km=_numeric(self.atten_db_per_km, "atten_db_per_km"),
+                atten_divisor=_numeric(self.atten_divisor, "atten_divisor"),
             )
             priors = [np.asarray(p, dtype=float) for p in (self.priors_alice, self.priors_bob)
                       if model]

@@ -31,6 +31,20 @@ COND_LIMIT = 1e9
 _IDENTITY = np.eye(2)
 
 
+def _state_rows(rho: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    """The state-matrix factor whose row a is ``vec(p_a rho_a)``, of each
+    ensemble ``rho`` (..., 4, 2, 2) with ``priors`` (..., 4): (..., 4, 4)."""
+    return (priors[..., None, None] * rho).reshape(*priors.shape, 4)
+
+
+def _conditioning(R: np.ndarray) -> np.ndarray:
+    """The package's one condition number: each matrix ``R`` (..., 4, 4)'s
+    ratio of extreme singular values, the 2-norm value numpy's ``cond`` gives."""
+    s = np.linalg.svd(R, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return s[..., 0] / s[..., -1]
+
+
 def _check_states(rho, prob) -> np.ndarray:
     """Validate qubit states stacked ``(..., 2, 2)`` with their send
     probabilities ``(...)``, in a fixed number of numpy calls.
@@ -232,14 +246,14 @@ def tetrahedron_check(ensemble: SignalEnsemble) -> TetrahedronDiagnostics:
     Independence (the states' Bloch vectors not all falling in one plane,
     with nonzero priors) is exactly what makes the 16x16 state matrix built
     downstream invertible.  The Stokes matrix ``S`` is the party's factor
-    ``RA`` of that matrix times a fixed scaled unitary, so
-    ``cond(S) == cond(RA)``, and the check is the package's one singularity
-    test applied to the ensemble paired with itself: it passes iff
-    ``cond(S)**2 < COND_LIMIT``.  ``determinant`` is reported as a
-    diagnostic only.
+    ``RA`` of that matrix times a fixed scaled unitary, so ``cond`` is read
+    from ``RA`` by :func:`_conditioning`, as in ``build_gamma`` and the
+    kernel.  The check is the package's one singularity test applied to the
+    ensemble paired with itself: it passes iff ``cond**2 < COND_LIMIT``.
+    ``determinant`` (of ``S``) is reported as a diagnostic only.
     """
     S = np.vstack([stokes(s) for s in ensemble.states])
-    cond = float(np.linalg.cond(S))
+    cond = float(_conditioning(_state_rows(ensemble.rho, ensemble.priors)))
     return TetrahedronDiagnostics(
         determinant=float(np.linalg.det(S)),
         cond=cond,
@@ -336,7 +350,10 @@ def ensemble_to_json(ensemble: SignalEnsemble) -> str:
 
 def ensemble_from_json(text: str) -> SignalEnsemble:
     """Inverse of :func:`ensemble_to_json`; validates the resulting states."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        raise InvalidParamsError(f"ensemble document is not valid JSON: {exc}") from exc
     return ensemble_from_dict(doc)
 
 
@@ -347,12 +364,16 @@ def ensemble_from_dict(doc: dict) -> SignalEnsemble:
         rhos = doc["rhos"]
     except (KeyError, TypeError) as exc:
         raise InvalidParamsError(f"ensemble document missing field: {exc}") from exc
+    for name, value in (("priors", priors), ("rhos", rhos)):
+        if not isinstance(value, (list, tuple, np.ndarray)):
+            raise InvalidParamsError(f"ensemble field {name} must be a list, got {value!r}")
     if len(priors) != 4 or len(rhos) != 4:
         raise InvalidParamsError("ensemble document must list 4 priors and 4 states")
     states = []
     for prior, rho in zip(priors, rhos):
+        # Each entry is one [re, im] pair; any other form fails to unpack.
         mat = _numeric(
-            rho, "rho", lambda r: np.array([[complex(e[0], e[1]) for e in row] for row in r])
+            rho, "rho", lambda r: np.array([[complex(re, im) for re, im in row] for row in r])
         )
         states.append(QubitState(rho=mat, prob=prior))
     return SignalEnsemble(states=tuple(states))

@@ -26,7 +26,14 @@ from twistqkd.errors import (
     SingularGammaError,
     UnphysicalStatsError,
 )
-from twistqkd.evegram import _gram_rows, _matrix_to_vector, _vector_to_matrix, solve_eve
+from twistqkd.evegram import (
+    _invert_factors,
+    _matrix_to_vector,
+    _solve_rows,
+    _vector_to_matrix,
+    key_basis_stats,
+    solve_eve,
+)
 from twistqkd.keyrate import (
     KeyRateResult,
     ScanConfig,
@@ -35,7 +42,14 @@ from twistqkd.keyrate import (
     scan,
     six_state_rate,
 )
-from twistqkd.states import ModelParams, QubitState, SignalEnsemble, model_states
+from twistqkd.states import (
+    ModelParams,
+    QubitState,
+    SignalEnsemble,
+    model_states,
+    tetrahedron_check,
+)
+from twistqkd.twist import TwistProblem, naive_phase_errors, optimize_phase_errors
 
 ETA, P_DARK = 0.5, 1e-5
 FIELDS = ("p_det00", "e_z", "e_minus", "e_plus", "rate_twisted", "rate_naive", "pct_gain")
@@ -156,7 +170,9 @@ def test_gram_solve_reproduces_the_statistics(seed, eta, p_dark, distance_list):
     gamma = build_gamma(alice, bob)
     p_det = _detection_rows(gamma.RA, gamma.RB, alice.priors, bob.priors, channel, distance_list)
     errors = [None] * len(distance_list)
-    E, clipped, raw = _gram_rows(gamma, p_det, errors)
+    cond = np.array([[gamma.cond_alice], [gamma.cond_bob]])
+    R_inv = _invert_factors(np.array((gamma.RA, gamma.RB))[:, None], cond, errors)
+    E, clipped, raw = _solve_rows(*R_inv, p_det, errors)
     for i, distance in enumerate(distance_list):
         stats = detection_stats(alice, bob, ChannelParams(eta, p_dark, distance))
         np.testing.assert_allclose(p_det[i], stats.p_det, rtol=0.0, atol=1e-15)
@@ -166,6 +182,48 @@ def test_gram_solve_reproduces_the_statistics(seed, eta, p_dark, distance_list):
         np.testing.assert_allclose(raw[i], eve.raw, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(E[i], eve.e_matrix, rtol=0.0, atol=1e-12)
         assert clipped[i] == eve.clipped_mass
+
+
+def bits(*values):
+    """The bit patterns of float values: equal iff the values are bitwise equal."""
+    return [float(v).hex() for v in values]
+
+
+@PROPERTY_SETTINGS
+@given(seeds, st.floats(0.1, 1.0), st.floats(0.0, 0.01), distances)
+def test_stage_api_and_kernel_are_one_code_path(seed, eta, p_dark, distance_list):
+    # each ok row of the kernel holds, bit for bit, what the single-point
+    # stage functions give for its pair and distance
+    rng = np.random.default_rng(seed)
+    alice, bob = random_ensemble(rng), random_ensemble(rng)
+    gamma = build_gamma(alice, bob)
+    alice_key, bob_key = alice.key_states(), bob.key_states()
+    for distance in distance_list:
+        channel = ChannelParams(eta=eta, p_dark=p_dark, distance_km=distance)
+        try:
+            r = keyrate_point(alice, bob, channel)
+        except QkdError:
+            continue
+        d = r.diagnostics
+        stats = detection_stats(alice, bob, channel)
+        eve = solve_eve(gamma, stats)
+        p00, e_z = key_basis_stats(stats)
+        twisted = optimize_phase_errors(
+            TwistProblem.from_key_states(alice_key, bob_key, eve, p00, e_z)
+        )
+        naive = naive_phase_errors(alice_key, bob_key, eve, p00)
+        assert bits(d["cond_alice"], d["cond_bob"], d["gamma_cond"]) == bits(
+            gamma.cond_alice, gamma.cond_bob, gamma.cond
+        )
+        assert bits(d["cond_alice"]) == bits(tetrahedron_check(alice).cond)
+        assert bits(d["clipped_mass"]) == bits(eve.clipped_mass)
+        assert bits(r.p_det00, r.e_z) == bits(p00, e_z)
+        assert bits(r.e_minus, r.e_plus, d["twist_bound_minus"]) == bits(
+            twisted.e_minus, twisted.e_plus, twisted.bound_minus
+        )
+        assert bits(d["naive_e_minus_signed"], d["naive_e_plus"]) == bits(
+            naive.e_minus, naive.e_plus
+        )
 
 
 def test_vector_to_matrix_index_map():

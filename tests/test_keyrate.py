@@ -391,6 +391,15 @@ class TestScanConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.deltas = [0.1]
 
+    def test_channel_fields_are_stored_as_floats(self):
+        # like deltas, depols and f: numeric strings and ints become floats,
+        # so the config equals the float config it evaluates identically to
+        grid = dict(deltas=0.0, depols=0.0, distances=10.0)
+        cfg = ScanConfig(**grid, eta="0.5", p_dark=0, atten_db_per_km=1, atten_divisor="20")
+        for name in ("eta", "p_dark", "atten_db_per_km", "atten_divisor", "f"):
+            assert type(getattr(cfg, name)) is float, name
+        assert cfg == ScanConfig(**grid, eta=0.5, p_dark=0.0, atten_db_per_km=1.0)
+
     def test_grid_values_cannot_be_edited_in_place(self):
         # the labels scan gives its rows must stay those of the ensembles
         # and distances the constructor checked and built

@@ -225,6 +225,29 @@ class TestJsonRoundTrip:
         with pytest.raises(InvalidParamsError):
             ensemble_from_json(json.dumps({"priors": [1, 0, 0, 0]}))
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("entry", [0.5], "^rho must be numeric"),
+            ("entry", [0.5, 0.0, 0.0], "^rho must be numeric"),
+            ("priors", 5, "^ensemble field priors must be a list"),
+            ("rhos", 5, "^ensemble field rhos must be a list"),
+            (None, None, "^ensemble document is not valid JSON"),
+        ],
+        ids=["one-number-entry", "three-number-entry", "scalar-priors", "scalar-rhos", "not-json"],
+    )
+    def test_structural_faults_are_typed(self, field, value, match):
+        # each fault names its field; none escapes as IndexError, TypeError
+        # or JSONDecodeError
+        doc = json.loads(ensemble_to_json(model_states(ModelParams(delta=0.1, depol=0.05))))
+        if field == "entry":
+            doc["rhos"][0][0][0] = value
+        elif field is not None:
+            doc[field] = value
+        text = "{'priors': [" if field is None else json.dumps(doc)
+        with pytest.raises(InvalidParamsError, match=match):
+            ensemble_from_json(text)
+
 
 def test_random_bloch_states_validate():
     rng = np.random.default_rng(43)
