@@ -84,6 +84,12 @@ class DetectionStats:
         if self.p_det.sum() > 1.0 + 1e-9:
             raise InvalidParamsError("p_det entries sum above 1")
 
+    def __eq__(self, other):
+        """Equal statistics: ``p_det`` compared by value."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.p_det, other.p_det)
+
     def to_csv(self, path) -> None:
         """Write rows ``i,j,x,y,p_det`` (with header) for all 16 settings."""
         with open(path, "w", newline="") as fh:

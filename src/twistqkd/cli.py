@@ -4,7 +4,7 @@ Subcommands:
 
 * ``keyrate``      one parameter point, twisted rate
 * ``compare``      same point, twisted vs fixed-purification baseline
-* ``scan``         grid scan from a JSON config, CSV output
+* ``scan``         grid scan from a JSON config, CSV output streamed in chunks
 * ``check-states`` tetrahedron diagnostics and state-matrix conditioning
 
 Exit codes: 0 success, 2 invalid configuration, 3 singular or unphysical
@@ -27,7 +27,7 @@ from .errors import (
     SingularGammaError,
     UnphysicalStatsError,
 )
-from .keyrate import ScanConfig, keyrate_point, read_config_doc, scan, scan_to_csv
+from .keyrate import ScanConfig, _scan_csv, keyrate_point, read_config_doc
 from .states import ModelParams, SignalEnsemble, model_states, tetrahedron_check
 
 EXIT_OK = 0
@@ -101,10 +101,8 @@ def _cmd_scan(args) -> int:
     if out is None:
         raise InvalidParamsError("no output path: pass --out or set 'out' in the config")
     open(out, "a").close()  # an output that cannot be opened fails before any row is computed
-    rows = scan(config)
-    scan_to_csv(rows, out)
-    failed = sum(1 for r in rows if r.status != "ok")
-    print(f"wrote {len(rows)} rows to {out} ({failed} failed)")
+    rows, failed = _scan_csv(config, out)
+    print(f"wrote {rows} rows to {out} ({failed} failed)")
     return EXIT_OK
 
 

@@ -50,7 +50,7 @@ def _record(errors: list, failed: np.ndarray, error_of) -> None:
     Every row thus keeps the first error of the pipeline: the stages record
     into one list in pipeline order, each in one pass over its rows.
     """
-    for i in failed.any(axis=0).nonzero()[0]:
+    for i in np.logical_or.reduce(failed, axis=0).nonzero()[0]:
         if errors[i] is None:
             errors[i] = error_of(int(failed[:, i].argmax()), i)
 

@@ -34,6 +34,8 @@ from .states import COND_LIMIT
 CLIP_WARN = 1e-8
 CLIP_ERROR = 1e-4
 
+_EYE4 = np.eye(4)
+
 
 @dataclass
 class EveGram:
@@ -89,7 +91,7 @@ def _invert_factors(R: np.ndarray, cond: np.ndarray, errors: list) -> np.ndarray
         "so detection statistics cannot determine the Gram matrix"
     ))
     good = good[:, None, None]
-    return np.where(good, np.linalg.inv(np.where(good, R, np.eye(4))), 0.0)
+    return np.where(good, np.linalg.inv(np.where(good, R, _EYE4)), 0.0)
 
 
 def _solve_rows(RA_inv: np.ndarray, RB_inv: np.ndarray, p_det: np.ndarray, errors: list):
@@ -156,7 +158,7 @@ def _key_rows(p_det: np.ndarray):
     """``(p_det00, e_z)`` for N rows of statistics ``p_det`` (N, 16); a row
     without key-basis detections has ``e_z`` NaN or infinite, which the
     caller's ``np.errstate`` lets pass."""
-    p00 = p_det[:, _KEYS].sum(axis=1)
+    p00 = np.add.reduce(p_det[:, _KEYS], axis=1)
     return p00, (p_det[:, _MISMATCH[0]] + p_det[:, _MISMATCH[1]]) / p00
 
 

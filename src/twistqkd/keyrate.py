@@ -35,20 +35,28 @@ ensembles fails only that pair's rows.  The kernel runs under one
 :func:`keyrate_point` is the kernel with M = D = 1; :func:`scan` makes one
 call for the grid whose ensembles an immutable :class:`ScanConfig` built and
 checked once, at construction.
+
+The kernel returns its rows as columns: the result fields (7, M * D), each
+row's diagnostics as a list, and each row's error or None.  Its callers
+build what they return straight from these columns: :func:`keyrate_point`
+its one :class:`KeyRateResult`, :func:`scan` its :class:`ScanRow` list, and
+the streamed CSV of ``twistqkd scan`` the lines of each chunk of whole
+(delta, depol) pairs, so that its memory is bounded by the chunk.  One line
+formatter writes the CSV of :func:`scan_to_csv` and of ``twistqkd scan``,
+in the bytes that ``csv.writer`` gives.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .channel import ChannelParams, DetectionStats, _detection_rows
-from .errors import DomainError, InvalidParamsError, InvalidPhaseError, QkdError, _numeric, _record
+from .errors import DomainError, InvalidParamsError, InvalidPhaseError, _numeric, _record
 from .evegram import _invert_factors, _key_checks, _key_rows, _solve_rows
 from .states import (
     ModelParams, SignalEnsemble, _conditioning, _model_grid, _state_rows, ensemble_from_dict
@@ -194,7 +202,15 @@ class KeyRateResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, stats) -> list:
+# The names of a result's diagnostics, in the order of _evaluate's diagnostic columns.
+_DIAGNOSTICS = (
+    "gamma_cond", "cond_alice", "cond_bob", "clipped_mass", "twist_bound_minus",
+    "twist_bound_plus", "rate_twisted_raw", "rate_naive_raw", "naive_e_minus_signed",
+    "naive_e_plus",
+)
+
+
+def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, stats) -> tuple:
     """Evaluate each of M ensemble pairs over ``channel`` at each of the D
     ``distances``: M * D rows, pair-major.
 
@@ -204,9 +220,15 @@ def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, st
     detector parameters of every row, and the loss is computed once over
     ``distances``, in place of ``channel.distance_km``.  The statistics of
     each row are simulated, or are the injected ``stats`` on every row.
-    Every per-pair array broadcasts over its pair's D rows.  Returns per row
-    a :class:`KeyRateResult` or the :class:`~twistqkd.errors.QkdError` the
-    point fails with; an error of a pair's ensembles fails that pair's rows.
+    Every per-pair array broadcasts over its pair's D rows.
+
+    Returns the rows as columns, ``(fields, diagnostics, errors)``:
+    ``fields`` (7, M * D) holds the values of :class:`KeyRateResult`'s
+    fields in their order, ``diagnostics`` is a list with each row's
+    diagnostics as a list of floats in the order of ``_DIAGNOSTICS``, and
+    ``errors`` per row the :class:`~twistqkd.errors.QkdError` the point
+    fails with, or None.  A failed row's values are not a result; an error
+    of a pair's ensembles fails that pair's rows.
     """
     # Party axis first: index 0 is Alice's ensembles, 1 is Bob's.
     rho, priors = (np.array(arrays) for arrays in zip(alice, bob))
@@ -220,16 +242,18 @@ def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, st
         if stats is None:
             p_det = _detection_rows(*R, *priors, channel, distances)
         else:
-            p_det = np.broadcast_to(stats.p_det, (len(errors), 16))
+            p_det = stats.p_det[None].repeat(len(errors), 0)
         E, clipped = _solve_rows(*R_inv, p_det, errors)[:2]
         p00, e_z = _key_rows(p_det)
         _record(errors, *_key_checks(p00, e_z))
-        key_rho, key_priors = rho[:, :, :2], priors[:, :, :2]
-        factors = _twist_factors(key_priors[..., None, None] * key_rho)
+        # The rows of R are the weighted states p_a rho_a; the key states are a = 0, 1.
+        factors = _twist_factors(R.reshape(rho.shape)[:, :, :2])
         e_minus, e_plus, bound_minus, bound_plus = _phase_error_rows(
             factors, E, p00, np.minimum(np.maximum(e_z, 0.0), 1.0)
         )
-        naive_signed, naive_plus = _naive_rows(_naive_pairings(key_rho, key_priors), E, p00)
+        naive_signed, naive_plus = _naive_rows(
+            _naive_pairings(rho[:, :, :2], priors[:, :, :2]), E, p00
+        )
         # The rate formula is even in e_minus (h2((1+t)/2) = h2((1-t)/2)),
         # so the signed baseline value enters through its magnitude.
         naive_minus = np.minimum(np.abs(naive_signed), e_z)
@@ -242,27 +266,17 @@ def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, st
             np.where(rate_twisted > 0.0, math.inf, 0.0),
         )
 
-    # In KeyRateResult's field order.
-    fields = (p00, e_z, e_minus, e_plus, rate_twisted, rate_naive, pct_gain)
-    diagnostics = {
-        "gamma_cond": cond_alice * cond_bob,
-        "cond_alice": cond_alice,
-        "cond_bob": cond_bob,
-        "clipped_mass": clipped,
-        "twist_bound_minus": bound_minus,
-        "twist_bound_plus": bound_plus,
-        "rate_twisted_raw": raw_twisted,
-        "rate_naive_raw": raw_naive,
-        "naive_e_minus_signed": naive_signed,
-        "naive_e_plus": naive_plus,
-    }
-    values = np.array(fields).T.tolist()
-    diags = np.array(tuple(diagnostics.values())).T.tolist()
-    return [
-        error if error is not None
-        else KeyRateResult(*row, diagnostics=dict(zip(diagnostics, diag)))
-        for error, row, diag in zip(errors, values, diags)
-    ]
+    fields = np.array((p00, e_z, e_minus, e_plus, rate_twisted, rate_naive, pct_gain))
+    diagnostics = np.array((
+        cond_alice * cond_bob, cond_alice, cond_bob, clipped, bound_minus, bound_plus,
+        raw_twisted, raw_naive, naive_signed, naive_plus,
+    ))
+    return fields, diagnostics.T.tolist(), errors
+
+
+def _result(values: list, diagnostics: list) -> KeyRateResult:
+    """The result of one row of the kernel's columns."""
+    return KeyRateResult(*values, diagnostics=dict(zip(_DIAGNOSTICS, diagnostics)))
 
 
 def _single(ensemble: SignalEnsemble) -> tuple:
@@ -286,10 +300,12 @@ def keyrate_point(
     """
     f = _require_f(f)
     distances = [channel.distance_km]
-    result = _evaluate(_single(alice), _single(bob), channel, distances, f=f, stats=stats)[0]
-    if isinstance(result, QkdError):
-        raise result
-    return result
+    fields, diagnostics, errors = _evaluate(
+        _single(alice), _single(bob), channel, distances, f=f, stats=stats
+    )
+    if errors[0] is not None:
+        raise errors[0]
+    return _result(fields[:, 0].tolist(), diagnostics[0])
 
 
 def _path_field(doc: dict, name: str) -> str | None:
@@ -394,6 +410,17 @@ class ScanConfig:
                 for e in (self.alice_states, self.bob_states)
             )
         object.__setattr__(self, "_ensembles", (alice, bob))
+
+    def __eq__(self, other):
+        """Field by field, ``distances`` by value (the generated equality
+        would take the truth value of an array comparison)."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(self.distances, other.distances) if f.name == "distances"
+            else getattr(self, f.name) == getattr(other, f.name)
+            for f in fields(self) if f.compare
+        )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScanConfig":
@@ -506,6 +533,15 @@ SCAN_COLUMNS = (
 )
 
 
+def _evaluate_grid(config: ScanConfig, pairs: slice = slice(None)) -> tuple:
+    """The kernel's columns for the (delta, depol) pairs ``pairs`` of
+    ``config``'s grid, in scan order, at all of its distances."""
+    alice, bob = ((rho[pairs], priors[pairs]) for rho, priors in config._ensembles)
+    return _evaluate(
+        alice, bob, config.channel_for(0.0), config.distances, f=config.f, stats=config.stats
+    )
+
+
 def scan(config: ScanConfig) -> list[ScanRow]:
     """Evaluate the pipeline over the whole grid.
 
@@ -518,36 +554,105 @@ def scan(config: ScanConfig) -> list[ScanRow]:
     are read, not built or checked again.  A point therefore fails only in
     the pipeline: it is recorded in its row with the message of its
     :class:`~twistqkd.errors.QkdError` and the scan continues; any other
-    exception propagates.
+    exception propagates.  The rows are built straight from the kernel's
+    columns.
     """
-    alice, bob = config._ensembles
-    outcomes = _evaluate(
-        alice, bob, config.channel_for(0.0), config.distances, f=config.f, stats=config.stats
-    )
+    fields, diagnostics, errors = _evaluate_grid(config)
     grid = itertools.product(config.deltas, config.depols, config.distances.tolist())
     return [
-        ScanRow(*point, result=None, status=type(outcome).__name__, error=str(outcome))
-        if isinstance(outcome, QkdError) else ScanRow(*point, result=outcome, status="ok")
-        for point, outcome in zip(grid, outcomes)
+        ScanRow(*point, _result(values, diag), "ok") if error is None
+        else ScanRow(*point, None, type(error).__name__, str(error))
+        for point, values, diag, error in zip(grid, fields.T.tolist(), diagnostics, errors)
     ]
 
 
-def _row_values(row: ScanRow) -> list:
+_CSV_HEADER = ",".join(SCAN_COLUMNS) + "\r\n"
+# The ten numbers of a line, each as f"{v:.12g}" writes it, inf, nan and -0 included.
+_CSV_NUMBERS = ",".join(["%.12g"] * 10)
+# The result columns of a line, as rows of _evaluate's fields.
+_CSV_FIELDS = [0, 1, 2, 3, 5, 4, 6]
+_NO_RESULT = (math.nan,) * len(_CSV_FIELDS)
+
+
+def _csv_text(text: str) -> str:
+    """A text field as ``csv.writer`` writes it (QUOTE_MINIMAL): quoted,
+    with its quotes doubled, when it holds a comma, a quote or a line break
+    (a singular row's message holds commas)."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_lines(rows) -> str:
+    """The CSV lines of ``rows``, each given as ``(numbers, error, status)``
+    with ``numbers`` the tuple of its ten numeric columns: the bytes that
+    ``csv.writer`` writes for them, CRLF line ends included."""
+    return "".join([
+        f"{_CSV_NUMBERS % numbers},{_csv_text(error)},{_csv_text(status)}\r\n"
+        for numbers, error, status in rows
+    ])
+
+
+def _row_numbers(row: ScanRow) -> tuple:
+    """The ten numeric columns of a scan row's CSV line."""
     r = row.result
-    nums = [row.delta, row.depol, row.distance_km]
     if r is None:
-        nums += [math.nan] * 7
-    else:
-        nums += [r.p_det00, r.e_z, r.e_minus, r.e_plus, r.rate_naive, r.rate_twisted, r.pct_gain]
-    return [f"{v:.12g}" for v in nums] + [row.error, row.status]
+        return (row.delta, row.depol, row.distance_km) + _NO_RESULT
+    return (row.delta, row.depol, row.distance_km,
+            r.p_det00, r.e_z, r.e_minus, r.e_plus, r.rate_naive, r.rate_twisted, r.pct_gain)
 
 
 def scan_to_csv(rows: list, path) -> None:
     """Write scan rows as CSV with 12 significant digits per float.
 
     ``error`` holds the message of a failed row and is empty otherwise."""
+    lines = _csv_lines((_row_numbers(row), row.error, row.status) for row in rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SCAN_COLUMNS)
-        for row in rows:
-            writer.writerow(_row_values(row))
+        fh.write(_CSV_HEADER + lines)
+
+
+# The rows of a chunk of a streamed scan, which holds whole pairs, at least one.
+_CHUNK_ROWS = 4096
+
+
+def _scan_csv(config: ScanConfig, path) -> tuple[int, int]:
+    """Write ``scan_to_csv(scan(config), path)``'s bytes a chunk at a time
+    and return the number of rows and of failed rows.
+
+    The rows are pair-major, so a chunk of whole (delta, depol) pairs is a
+    slice of the config's ensemble stacks: one kernel call each, whose
+    columns become the chunk's lines, written at once.  What is held is
+    bounded by the chunk, not the grid.  An exception other than a point's
+    :class:`~twistqkd.errors.QkdError` propagates and leaves the lines of
+    the chunks before it.
+    """
+    D = config.distances.size
+    step = max(1, _CHUNK_ROWS // D)
+    pairs = np.array(list(itertools.product(config.deltas, config.depols)))
+    with open(path, "w", newline="") as fh:
+        fh.write(_CSV_HEADER)
+        failed = sum(
+            _write_chunk(fh, config, pairs, slice(start, start + step))
+            for start in range(0, len(pairs), step)
+        )
+    return len(pairs) * D, failed
+
+
+def _write_chunk(fh, config: ScanConfig, pairs: np.ndarray, chunk: slice) -> int:
+    """Write the lines of the (delta, depol) pairs ``pairs[chunk]`` of
+    ``config``'s grid to ``fh`` and return how many of them failed.  What
+    the chunk allocates is freed on return, before the next chunk runs."""
+    fields, _, errors = _evaluate_grid(config, chunk)
+    D = config.distances.size
+    table = np.empty((10, len(errors)))  # the numeric columns of the lines
+    table[:2] = pairs[chunk].repeat(D, axis=0).T
+    table[2] = np.tile(config.distances, len(errors) // D)
+    table[3:] = fields[_CSV_FIELDS]
+    bad = [i for i, error in enumerate(errors) if error is not None]
+    table[3:, bad] = math.nan
+    fh.write(_csv_lines(zip(
+        map(tuple, table.T.tolist()),
+        ("" if error is None else str(error) for error in errors),
+        ("ok" if error is None else type(error).__name__ for error in errors),
+    )))
+    return len(bad)

@@ -88,7 +88,7 @@ def psd_project(M: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     yields the nearest PSD matrix in Frobenius norm.
     """
     w, V = np.linalg.eigh(M)
-    clipped_mass = np.sum(np.maximum(-w, 0.0), axis=-1)
+    clipped_mass = np.add.reduce(np.maximum(-w, 0.0), axis=-1)
     if not np.any(clipped_mass):
         return M, clipped_mass
     M_psd = (V * np.maximum(w, 0.0)[..., None, :]) @ V.conj().swapaxes(-1, -2)

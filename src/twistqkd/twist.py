@@ -40,7 +40,9 @@ import numpy as np
 from .errors import InvalidParamsError, _record
 from .evegram import EveGram, _key_checks
 from .qmath import kron
-from .states import QubitState, _stack
+from .states import _IDENTITY, QubitState, _stack
+
+_TINY = np.finfo(float).tiny
 
 
 def ancilla_gram_block(alice_state: QubitState, bob_state: QubitState) -> np.ndarray:
@@ -60,8 +62,8 @@ def _weighted_roots(W: np.ndarray) -> np.ndarray:
     det = np.maximum((W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]).real, 0.0)
     root_det = np.sqrt(det)[..., None, None]
     trace = (W[..., 0, 0] + W[..., 1, 1]).real[..., None, None]
-    scale = np.maximum(np.sqrt(trace + 2.0 * root_det), np.finfo(float).tiny)
-    return (W + root_det * np.eye(2)) / scale
+    scale = np.maximum(np.sqrt(trace + 2.0 * root_det), _TINY)
+    return (W + root_det * _IDENTITY) / scale
 
 
 def _twist_factors(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,7 +142,8 @@ def _phase_error_rows(factors: tuple, E: np.ndarray, p_det00: np.ndarray, e_z: n
     every row come from one batched ``svd``."""
     left, right = (F.reshape(-1, 1, 2, 4, 4) for F in factors)
     E = E.reshape(len(left), -1, 1, 4, 4)
-    norms = np.linalg.svd(left @ E @ right, compute_uv=False).sum(axis=-1).reshape(-1, 2)
+    singular_values = np.linalg.svd(left @ E @ right, compute_uv=False)
+    norms = np.add.reduce(singular_values, axis=-1).reshape(-1, 2)
     s = 2.0 / p_det00[:, None] * norms
     s_minus, s_plus = s[:, 0], s[:, 1]
     return np.minimum(s_minus, e_z), np.maximum(1.0 - s_plus, e_z), s_minus, 1.0 - s_plus
@@ -176,7 +179,7 @@ def _purification_factors(rho: np.ndarray, prob: np.ndarray) -> np.ndarray:
     """
     w, V = np.linalg.eigh(rho)
     w, V = w[..., ::-1], V[..., ::-1]
-    return np.sqrt(prob)[..., None, None] * (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :])
+    return np.sqrt(prob)[..., None, None] * (V * np.sqrt(np.maximum(w, 0.0))[..., None, :])
 
 
 def _purification_vectors(alice_state: QubitState, bob_state: QubitState) -> np.ndarray:
@@ -258,5 +261,5 @@ def _naive_rows(pairings: np.ndarray, E: np.ndarray, p_det00: np.ndarray):
     pairings are one multiply-and-sum."""
     pairings = pairings.reshape(2, -1, 1, 4, 4)
     E = E.reshape(pairings.shape[1], -1, 4, 4)
-    s_plus, s_minus = (E * pairings).sum(axis=(-2, -1)).real.reshape(2, -1)
+    s_plus, s_minus = np.add.reduce(E * pairings, axis=(-2, -1)).real.reshape(2, -1)
     return -2.0 * s_minus / p_det00, 1.0 - 2.0 * s_plus / p_det00

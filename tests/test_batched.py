@@ -38,6 +38,7 @@ from twistqkd.keyrate import (
     KeyRateResult,
     ScanConfig,
     _evaluate,
+    _result,
     keyrate_point,
     scan,
     six_state_rate,
@@ -78,6 +79,15 @@ def assert_row_is_point(row, evaluate):
     assert row.result.diagnostics.keys() == direct.diagnostics.keys()
     for key, value in direct.diagnostics.items():
         assert close(row.result.diagnostics[key], value), key
+
+
+def outcomes(columns):
+    """Per row of the kernel's columns, its :class:`KeyRateResult` or error."""
+    fields, diagnostics, errors = columns
+    return [
+        error if error is not None else _result(values, diag)
+        for values, diag, error in zip(fields.T.tolist(), diagnostics, errors)
+    ]
 
 
 def model_config(delta_list, depol_list, distance_list):
@@ -274,7 +284,7 @@ def test_bad_pairs_fail_only_their_own_rows():
     ]
     distance_list = [0.0, 40.0, 120.0]
     channel = ChannelParams(eta=ETA, p_dark=P_DARK, distance_km=0.0)
-    rows = _evaluate(*stacks, channel, distance_list, f=1.0, stats=None)
+    rows = outcomes(_evaluate(*stacks, channel, distance_list, f=1.0, stats=None))
     assert len(rows) == 9
     failed = set()
     for (m, distance), row in zip(itertools.product(range(3), distance_list), rows):
@@ -360,9 +370,9 @@ def test_each_row_keeps_its_first_error_across_stages_and_windows(monkeypatch):
                         ("_phase_error_rows", phase_error_rows), ("_naive_rows", naive_rows)):
         monkeypatch.setattr(keyrate_module, name, patch)
     channel = ChannelParams(eta=ETA, p_dark=P_DARK, distance_km=0.0)
-    rows = keyrate_module._evaluate(
+    rows = outcomes(keyrate_module._evaluate(
         *stacks, channel, np.linspace(0.0, 140.0, 8), f=1.0, stats=None
-    )
+    ))
     first = [(type(row), str(row)) for row in rows[2:8]]
     assert first == [
         (NoDetectionsError, "key-basis detection probability is zero"),

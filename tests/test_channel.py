@@ -72,6 +72,16 @@ def ideal_ensembles():
 
 
 class TestDetectionStats:
+    def test_equality_compares_the_values(self):
+        stats = DetectionStats(np.full(16, 0.01))
+        assert stats == DetectionStats(np.full(16, 0.01)) and not stats != DetectionStats(
+            [0.01] * 16
+        )
+        other = np.full(16, 0.01)
+        other[3] = 0.02
+        assert stats != DetectionStats(other) and not stats == DetectionStats(other)
+        assert stats != np.full(16, 0.01).tolist()
+
     def test_lossless_noiseless_equals_pass(self):
         alice, bob = ideal_ensembles()
         stats = detection_stats(alice, bob, ChannelParams(eta=1.0, p_dark=0.0, distance_km=0.0))

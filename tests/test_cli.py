@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import coplanar_ensemble, random_ensemble
 from twistqkd.channel import ChannelParams, detection_stats
 from twistqkd.cli import main
-from twistqkd.keyrate import keyrate_point
+from twistqkd.keyrate import ScanConfig, keyrate_point, scan, scan_to_csv
 from twistqkd.states import ModelParams, ensemble_to_json, model_states
 
 POINT_ARGS = [
@@ -241,6 +242,61 @@ class TestScanCommand:
         code, out, err = run_main(["scan", "--config", str(config), "--out", str(out_csv)], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: [Errno 2]")
+
+    @pytest.mark.parametrize("stats", [None, "good"])
+    def test_chunks_write_the_library_csv(self, tmp_path, capsys, monkeypatch, stats):
+        # seven pairs at five distances in chunks of two pairs: four kernel
+        # calls, the last one ragged; with the injected statistics of one
+        # model point most rows fail
+        import twistqkd.keyrate as keyrate_module
+
+        doc = dict(delta=[0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3], depol=0.05,
+                   distance={"min": 0.0, "max": 100.0, "step": 25.0})
+        if stats:
+            doc["stats_csv"] = write_stats(tmp_path, stats)
+        config = write_config(tmp_path, **doc)
+        expected = tmp_path / "library.csv"
+        rows = scan(ScanConfig.from_json_file(config))
+        scan_to_csv(rows, expected)
+        failed = sum(row.status != "ok" for row in rows)
+        assert 0 < failed < len(rows) if stats else failed == 0
+
+        calls = []
+        kernel = keyrate_module._evaluate
+
+        def counted(alice, bob, channel, distances, **kwargs):
+            calls.append(len(alice[0]))
+            return kernel(alice, bob, channel, distances, **kwargs)
+
+        monkeypatch.setattr(keyrate_module, "_evaluate", counted)
+        monkeypatch.setattr(keyrate_module, "_CHUNK_ROWS", 13)
+        out_csv = tmp_path / "rates.csv"
+        out_csv.write_text("old contents, longer than nothing\n" * 1000)
+        code, out, _ = run_main(["scan", "--config", str(config), "--out", str(out_csv)], capsys)
+        assert (code, out) == (0, f"wrote 35 rows to {out_csv} ({failed} failed)\n")
+        assert calls == [2, 2, 2, 1]
+        assert out_csv.read_bytes() == expected.read_bytes()
+
+    def test_memory_is_bounded_by_the_chunk(self, tmp_path, capsys, monkeypatch):
+        # the traced peak of a whole `twistqkd scan` stays flat as the grid
+        # grows from one chunk of pairs to four
+        import twistqkd.keyrate as keyrate_module
+
+        monkeypatch.setattr(keyrate_module, "_CHUNK_ROWS", 1000)
+        distance = {"min": 0.0, "max": 149.4, "step": 0.6}  # 250 distances, 4 pairs a chunk
+        peaks = []
+        for pairs in (4, 4, 16):
+            config = write_config(tmp_path, delta=np.linspace(0.0, 0.2, pairs).tolist(),
+                                  depol=0.05, distance=distance)
+            tracemalloc.start()
+            try:
+                code, _, _ = run_main(["scan", "--config", str(config), "--out",
+                                       str(tmp_path / "rates.csv")], capsys)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[2] < 1.1 * peaks[1]  # the first run warms up one-time allocations
 
 
 class TestCheckStatesCommand:

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import subprocess
@@ -23,6 +24,7 @@ from twistqkd.errors import (
 from twistqkd.keyrate import (
     SCAN_COLUMNS,
     ScanConfig,
+    ScanRow,
     binary_entropy,
     keyrate_point,
     scan,
@@ -400,6 +402,18 @@ class TestScanConfig:
             assert type(getattr(cfg, name)) is float, name
         assert cfg == ScanConfig(**grid, eta=0.5, p_dark=0.0, atten_db_per_km=1.0)
 
+    def test_equality_compares_the_distances_by_value(self):
+        grid = dict(deltas=[0.0, 0.1], depols=0.0, eta=0.5, p_dark=0.0)
+        cfg = ScanConfig(**grid, distances=[10.0, 20.0])
+        same = ScanConfig(**grid, distances=np.array([10, 20]))
+        assert cfg == same and not cfg != same
+        for other in (ScanConfig(**grid, distances=[10.0, 30.0]),
+                      ScanConfig(**grid, distances=[10.0, 20.0, 30.0]),
+                      ScanConfig(**grid, distances=[10.0, 20.0], f=1.2)):
+            assert cfg != other and not cfg == other
+        assert cfg != "config"
+        assert type(cfg.distances) is np.ndarray and not cfg.distances.flags.writeable
+
     def test_grid_values_cannot_be_edited_in_place(self):
         # the labels scan gives its rows must stay those of the ensembles
         # and distances the constructor checked and built
@@ -477,7 +491,8 @@ class TestScan:
 
         def decline(alice, bob, channel, distances, **kwargs):
             rows = len(alice[0]) * len(distances)
-            return [InvalidPhaseError("e_plus = 1.5 > 1") for _ in range(rows)]
+            fields, diagnostics = np.full((7, rows), np.nan), [[math.nan] * 10] * rows
+            return fields, diagnostics, [InvalidPhaseError("e_plus = 1.5 > 1")] * rows
 
         monkeypatch.setattr(keyrate_module, "_evaluate", decline)
         rows = scan(ScanConfig.from_dict(base_config(distance=10.0)))
@@ -549,7 +564,46 @@ class TestScan:
         ]
 
 
+def csv_writer_reference(rows) -> bytes:
+    """The CSV bytes that ``csv.writer`` gives for scan rows, each number
+    formatted as ``f"{v:.12g}"``."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(SCAN_COLUMNS)
+    for row in rows:
+        r = row.result
+        numbers = [row.delta, row.depol, row.distance_km] + (
+            [math.nan] * 7 if r is None else
+            [r.p_det00, r.e_z, r.e_minus, r.e_plus, r.rate_naive, r.rate_twisted, r.pct_gain]
+        )
+        writer.writerow([f"{v:.12g}" for v in numbers] + [row.error, row.status])
+    return buffer.getvalue().encode()
+
+
 class TestScanCsv:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # a singular row (its message holds commas), a row whose pct_gain is
+        # inf (the baseline rate is 0), NaN values and signed zeros, and
+        # messages that need quotes
+        rows = scan(ScanConfig.from_dict(base_config(delta=[0.0, 0.1], depol=[0.0, 0.05])))
+        coplanar = json.loads(ensemble_to_json(coplanar_ensemble(np.random.default_rng(7))))
+        singular = scan(ScanConfig.from_dict(base_config(alice_states=coplanar, distance=10.0)))
+        assert singular[0].status == "SingularGammaError" and "," in singular[0].error
+        ok = rows[-1].result
+        special = [
+            dataclasses.replace(ok, rate_naive=0.0, pct_gain=math.inf),
+            dataclasses.replace(ok, e_minus=-0.0, rate_naive=-0.0, pct_gain=-math.inf),
+            dataclasses.replace(ok, e_plus=math.nan, rate_twisted=1e-300, p_det00=1.2345e14),
+        ]
+        rows += singular + [ScanRow(-0.0, 0.0, 1e-7, r, "ok") for r in special] + [
+            ScanRow(0.1, 0.05, 30.0, None, "InvalidPhaseError", 'e_plus = "1.5" > 1'),
+            ScanRow(0.1, 0.05, 40.0, None, "QkdError", "two\nlines\rand a, comma"),
+            ScanRow(math.nan, math.inf, -math.inf, None, "NoDetectionsError", ""),
+        ]
+        path = tmp_path / "out.csv"
+        scan_to_csv(rows, path)
+        assert path.read_bytes() == csv_writer_reference(rows)
+
     def test_columns_and_digits(self, tmp_path):
         cfg = ScanConfig.from_dict(base_config(distance=10.0))
         rows = scan(cfg)
