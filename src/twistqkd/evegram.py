@@ -13,7 +13,6 @@ flattened entry ``s = 8m + 4m' + 2n + n'`` lands at row ``2m+n``, column
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -49,15 +48,6 @@ class EveGram:
     e_matrix: np.ndarray
     clipped_mass: float
     raw: np.ndarray
-
-    def to_json(self) -> str:
-        """JSON form with separate real/imaginary entry arrays."""
-        doc = {
-            "real": [[float(v) for v in row] for row in self.e_matrix.real],
-            "imag": [[float(v) for v in row] for row in self.e_matrix.imag],
-            "clipped_mass": self.clipped_mass,
-        }
-        return json.dumps(doc, indent=2)
 
 
 def _vector_to_matrix(e_vec: np.ndarray) -> np.ndarray:

@@ -36,8 +36,8 @@ ensembles fails only that pair's rows.  The kernel runs under one
 call for the grid whose ensembles an immutable :class:`ScanConfig` built and
 checked once, at construction.
 
-The kernel returns its rows as columns: the result fields (7, M * D), each
-row's diagnostics as a list, and each row's error or None.  Its callers
+The kernel returns its rows as columns: the result fields (7, M * D), the
+diagnostics (10, M * D), and each row's error or None.  Its callers
 build what they return straight from these columns: :func:`keyrate_point`
 its one :class:`KeyRateResult`, :func:`scan` its :class:`ScanRow` list, and
 the streamed CSV of ``twistqkd scan`` the lines of each chunk of whole
@@ -224,11 +224,11 @@ def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, st
 
     Returns the rows as columns, ``(fields, diagnostics, errors)``:
     ``fields`` (7, M * D) holds the values of :class:`KeyRateResult`'s
-    fields in their order, ``diagnostics`` is a list with each row's
-    diagnostics as a list of floats in the order of ``_DIAGNOSTICS``, and
-    ``errors`` per row the :class:`~twistqkd.errors.QkdError` the point
-    fails with, or None.  A failed row's values are not a result; an error
-    of a pair's ensembles fails that pair's rows.
+    fields in their order, ``diagnostics`` (10, M * D) the diagnostics in
+    the order of ``_DIAGNOSTICS``, and ``errors`` per row the
+    :class:`~twistqkd.errors.QkdError` the point fails with, or None.  A
+    failed row's values are not a result; an error of a pair's ensembles
+    fails that pair's rows.
     """
     # Party axis first: index 0 is Alice's ensembles, 1 is Bob's.
     rho, priors = (np.array(arrays) for arrays in zip(alice, bob))
@@ -271,7 +271,7 @@ def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, st
         cond_alice * cond_bob, cond_alice, cond_bob, clipped, bound_minus, bound_plus,
         raw_twisted, raw_naive, naive_signed, naive_plus,
     ))
-    return fields, diagnostics.T.tolist(), errors
+    return fields, diagnostics, errors
 
 
 def _result(values: list, diagnostics: list) -> KeyRateResult:
@@ -305,7 +305,7 @@ def keyrate_point(
     )
     if errors[0] is not None:
         raise errors[0]
-    return _result(fields[:, 0].tolist(), diagnostics[0])
+    return _result(fields[:, 0].tolist(), diagnostics[:, 0].tolist())
 
 
 def _path_field(doc: dict, name: str) -> str | None:
@@ -326,7 +326,7 @@ def read_config_doc(path):
             raise InvalidParamsError(f"config is not valid JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanConfig:
     """Grid of model/channel parameters for a key-rate scan.
 
@@ -342,7 +342,8 @@ class ScanConfig:
     the ensembles that :func:`scan` reads always match its fields:
     ``deltas`` and ``depols`` are stored as tuples of floats, ``distances``
     as a read-only copy of the array given, and ``f`` and the channel
-    fields as floats.
+    fields as floats.  Configs compare by value but are not hashable
+    (``hash`` raises ``TypeError``), since ``distances`` is an array.
     """
 
     deltas: tuple
@@ -451,7 +452,12 @@ class ScanConfig:
             lo, hi, step = (float(distance[k]) for k in ("min", "max", "step"))
             if step <= 0 or hi < lo:
                 raise InvalidParamsError("distance range needs step > 0 and max >= min")
-            distances = np.arange(lo, hi + step / 2.0, step)
+            try:
+                distances = np.arange(lo, hi + step / 2.0, step)
+            except MemoryError as exc:
+                raise InvalidParamsError(
+                    f"distance range min {lo}, max {hi}, step {step} has too many points: {exc}"
+                ) from exc
         else:
             distances = np.array([float(distance)])
 
@@ -562,7 +568,9 @@ def scan(config: ScanConfig) -> list[ScanRow]:
     return [
         ScanRow(*point, _result(values, diag), "ok") if error is None
         else ScanRow(*point, None, type(error).__name__, str(error))
-        for point, values, diag, error in zip(grid, fields.T.tolist(), diagnostics, errors)
+        for point, values, diag, error in zip(
+            grid, fields.T.tolist(), diagnostics.T.tolist(), errors
+        )
     ]
 
 

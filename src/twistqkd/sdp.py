@@ -12,7 +12,9 @@ direction, Mehrotra predictor-corrector, and a fraction-to-boundary step
 rule with factor 0.98.  Inequalities are converted to equalities with
 scalar nonnegative slacks adjoined as extra diagonal entries of the PSD
 variable.  Problem sizes here never exceed n = 64, so every linear-algebra
-step is dense.
+step is dense and uses ``numpy.linalg`` alone: a Cholesky factor ``L`` and
+its inverse, with ``LinAlgError`` from ``cholesky`` as the signal that a
+matrix is not positive definite.
 
 Complex Hermitian problems enter through the real symmetric embedding
 ``[[Re C, -Im C], [Im C, Re C]]``.  The key-rate pipeline does not use this
@@ -23,11 +25,9 @@ checks that closed form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import InvalidParamsError
 
@@ -84,28 +84,6 @@ class SdpProblem:
             raise InvalidParamsError(f"{name} size does not match dim")
         return M
 
-    def to_json(self) -> str:
-        """Debug serialization; all matrices stored as row-major nested lists."""
-        doc = {
-            "dim": self.dim,
-            "sense": self.sense,
-            "objective": self.objective.tolist(),
-            "equalities": [{"A": A.tolist(), "b": b} for A, b in self.equalities],
-            "inequalities": [{"G": G.tolist(), "h": h} for G, h in self.inequalities],
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SdpProblem":
-        doc = json.loads(text)
-        return cls(
-            dim=doc["dim"],
-            objective=np.array(doc["objective"]),
-            equalities=[(np.array(e["A"]), e["b"]) for e in doc["equalities"]],
-            inequalities=[(np.array(e["G"]), e["h"]) for e in doc["inequalities"]],
-            sense=doc["sense"],
-        )
-
 
 @dataclass
 class SdpSolution:
@@ -124,11 +102,16 @@ class SdpSolution:
     message: str = ""
 
 
+def _cholesky_inverse(M: np.ndarray) -> np.ndarray:
+    """``L^-1`` for the Cholesky factor ``M = L L^T`` of a symmetric PD
+    ``M``; ``cholesky`` raises ``LinAlgError`` when ``M`` is not PD."""
+    return np.linalg.inv(np.linalg.cholesky(M))
+
+
 def _max_step(M: np.ndarray, dM: np.ndarray) -> float:
     """Largest step a with M + a*dM still PSD, for PD symmetric M."""
-    L = np.linalg.cholesky(M)
-    W = sla.solve_triangular(L, dM, lower=True)
-    W = sla.solve_triangular(L, W.T, lower=True).T  # L^-1 dM L^-T
+    Linv = _cholesky_inverse(M)
+    W = Linv @ dM @ Linv.T  # L^-1 dM L^-T
     lam = float(np.linalg.eigvalsh(0.5 * (W + W.T))[0])
     if lam >= -1e-14:
         return np.inf
@@ -136,8 +119,8 @@ def _max_step(M: np.ndarray, dM: np.ndarray) -> float:
 
 
 def _psd_inverse(M: np.ndarray) -> np.ndarray:
-    c, low = sla.cho_factor(M, lower=True, check_finite=False)
-    return sla.cho_solve((c, low), np.eye(M.shape[0]), check_finite=False)
+    Linv = _cholesky_inverse(M)
+    return Linv.T @ Linv
 
 
 def _solve_schur(Mmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -145,15 +128,13 @@ def _solve_schur(Mmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     base = max(float(np.mean(np.abs(np.diag(Mmat)))), 1e-300)
     for jitter in (0.0, 1e-14, 1e-11, 1e-8):
         try:
-            c, low = sla.cho_factor(
-                Mmat + jitter * base * np.eye(Mmat.shape[0]), check_finite=False
-            )
-            dy = sla.cho_solve((c, low), rhs, check_finite=False)
-            # one step of iterative refinement
-            dy += sla.cho_solve((c, low), rhs - Mmat @ dy, check_finite=False)
-            return dy
+            Linv = _cholesky_inverse(Mmat + jitter * base * np.eye(Mmat.shape[0]))
         except np.linalg.LinAlgError:
             continue
+        dy = Linv.T @ (Linv @ rhs)
+        # one step of iterative refinement
+        dy += Linv.T @ (Linv @ (rhs - Mmat @ dy))
+        return dy
     return np.linalg.lstsq(Mmat, rhs, rcond=None)[0]
 
 

@@ -40,14 +40,9 @@ import numpy as np
 from .errors import InvalidParamsError, _record
 from .evegram import EveGram, _key_checks
 from .qmath import kron
-from .states import _IDENTITY, QubitState, _stack
+from .states import _IDENTITY, _stack
 
 _TINY = np.finfo(float).tiny
-
-
-def ancilla_gram_block(alice_state: QubitState, bob_state: QubitState) -> np.ndarray:
-    """Fixed 4x4 Gram block of the ancilla vectors for one key-state pair."""
-    return alice_state.prob * bob_state.prob * kron(alice_state.rho, bob_state.rho)
 
 
 def _weighted_roots(W: np.ndarray) -> np.ndarray:
@@ -180,38 +175,6 @@ def _purification_factors(rho: np.ndarray, prob: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(rho)
     w, V = w[..., ::-1], V[..., ::-1]
     return np.sqrt(prob)[..., None, None] * (V * np.sqrt(np.maximum(w, 0.0))[..., None, :])
-
-
-def _purification_vectors(alice_state: QubitState, bob_state: QubitState) -> np.ndarray:
-    """Explicit ancilla vectors of the eigenbasis purification.
-
-    Row ``2m+n`` holds the ancilla vector attached to ``|m, n>``, expanded
-    over the ancilla basis ``|k, k'>`` that indexes both parties'
-    eigenvalues in decreasing order:
-
-        Gamma[2m+n, 2k+k'] = sqrt(p q) sqrt(lam_k mu_k') v_k[m] w_k'[n]
-
-    which is the Kronecker product of the two parties' factors.
-    """
-    A, B = _purification_factors(*_stack((alice_state, bob_state)))
-    return kron(A, B)
-
-
-def naive_twist_gram(alice_key, bob_key, pair: str = "plus") -> np.ndarray:
-    """8x8 Gram of the stacked untwisted purification vectors.
-
-    Stored in the Gram convention of the module (entry ``[u, v]`` is the
-    inner product of vector v with vector u), so it is a feasible point of
-    the corresponding optimization: PSD with the fixed diagonal blocks.
-    """
-    if pair == "plus":
-        combos = ((0, 0), (1, 1))
-    elif pair == "minus":
-        combos = ((0, 1), (1, 0))
-    else:
-        raise InvalidParamsError(f"pair must be 'plus' or 'minus', got {pair!r}")
-    S = np.vstack([_purification_vectors(alice_key[x], bob_key[y]) for x, y in combos])
-    return S @ S.conj().T
 
 
 def naive_phase_errors(alice_key, bob_key, eve: EveGram, p_det00: float) -> PhaseErrors:

@@ -1,12 +1,14 @@
-"""Shared helpers: random and degenerate test ensembles, and the two
-independent oracles for the phase-error optimization (sampled twists and
-the dense semidefinite program)."""
+"""Shared helpers: random and degenerate test ensembles, the explicit
+eigenbasis purification, and the two independent oracles for the
+phase-error optimization (sampled twists and the dense semidefinite
+program)."""
 
 import numpy as np
 
-from twistqkd.qmath import HERMITIAN_TOL, PAULI, require_hermitian
+from twistqkd.qmath import HERMITIAN_TOL, PAULI, kron, require_hermitian
 from twistqkd.sdp import SdpProblem, solve_sdp
-from twistqkd.states import QubitState, SignalEnsemble
+from twistqkd.states import QubitState, SignalEnsemble, _stack
+from twistqkd.twist import _purification_factors
 
 
 def bloch_state(r, prob):
@@ -51,11 +53,45 @@ def coplanar_ensemble(rng):
     return SignalEnsemble(states=tuple(states))
 
 
+def ancilla_gram_block(alice_state, bob_state):
+    """Fixed 4x4 Gram block of the ancilla vectors for one key-state pair."""
+    return alice_state.prob * bob_state.prob * kron(alice_state.rho, bob_state.rho)
+
+
+def _purification_vectors(alice_state, bob_state):
+    """Explicit ancilla vectors of the eigenbasis purification.
+
+    Row ``2m+n`` holds the ancilla vector attached to ``|m, n>``, expanded
+    over the ancilla basis ``|k, k'>`` that indexes both parties'
+    eigenvalues in decreasing order:
+
+        Gamma[2m+n, 2k+k'] = sqrt(p q) sqrt(lam_k mu_k') v_k[m] w_k'[n]
+
+    which is the Kronecker product of the two parties' factors.  The factors
+    are the kernel's own (:func:`twistqkd.twist._purification_factors`), so
+    the vectors carry the eigenvector phases of the package's baseline.
+    """
+    A, B = _purification_factors(*_stack((alice_state, bob_state)))
+    return kron(A, B)
+
+
+def naive_twist_gram(alice_key, bob_key, pair="plus"):
+    """8x8 Gram of the stacked untwisted purification vectors of the key
+    pairs ((0,0), (1,1)) (``pair="plus"``) or ((0,1), (1,0)) (``"minus"``).
+
+    Stored in the Gram convention of :mod:`twistqkd.twist` (entry ``[u, v]``
+    is the inner product of vector v with vector u), so it is a feasible
+    point of the corresponding optimization: PSD with the fixed diagonal
+    blocks.
+    """
+    combos = {"plus": ((0, 0), (1, 1)), "minus": ((0, 1), (1, 0))}[pair]
+    S = np.vstack([_purification_vectors(alice_key[x], bob_key[y]) for x, y in combos])
+    return S @ S.conj().T
+
+
 def sampled_twist_values(alice_key, bob_key, eve, p00, n_samples, seed):
     """Oracle: evaluate both phase-error objectives at randomly sampled
     twisting unitaries acting on the explicit purification ancillas."""
-    from twistqkd.twist import _purification_vectors
-
     rng = np.random.default_rng(seed)
 
     def haar(n_batch, dim=4):
@@ -165,8 +201,6 @@ def build_twist_sdp(W_left, W_right, eve4, p_det00, lo, hi, affine, sense):
 def twist_sdps(problem):
     """The (e_minus, e_plus) programs of a :class:`TwistProblem`.  The
     e_minus optimum is ``e_minus``; the e_plus optimum is ``e_plus - 1``."""
-    from twistqkd.twist import ancilla_gram_block
-
     ak, bk = problem.alice_key, problem.bob_key
     blocks = {(x, y): ancilla_gram_block(ak[x], bk[y]) for x in (0, 1) for y in (0, 1)}
     E, p00, e_z = problem.eve_gram.e_matrix, problem.p_det00, problem.e_z

@@ -86,7 +86,7 @@ def outcomes(columns):
     fields, diagnostics, errors = columns
     return [
         error if error is not None else _result(values, diag)
-        for values, diag, error in zip(fields.T.tolist(), diagnostics, errors)
+        for values, diag, error in zip(fields.T.tolist(), diagnostics.T.tolist(), errors)
     ]
 
 

@@ -230,6 +230,17 @@ class TestScanCommand:
         assert err == "error: distance_km must be >= 0, got -10.0\n"
         assert not out_csv.exists()
 
+    def test_too_fine_distance_range_exit_2(self, tmp_path, capsys):
+        # 1.5e15 distances: numpy refuses the 10.7 PiB array without allocating it
+        config = write_config(tmp_path, distance={"min": 0, "max": 150, "step": 1e-13})
+        out_csv = tmp_path / "rates.csv"
+        code, out, err = run_main(["scan", "--config", str(config), "--out", str(out_csv)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "error: distance range min 0.0, max 150.0, step 1e-13 has too many points: "
+        )
+        assert "Traceback" not in err and not out_csv.exists()
+
     def test_unopenable_out_exit_2_before_any_row(self, tmp_path, capsys, monkeypatch):
         import twistqkd.keyrate as keyrate_module
 

@@ -118,14 +118,6 @@ class TestSolveEve:
         assert eve.clipped_mass == pytest.approx(1e-6, rel=1e-3)
         assert np.linalg.eigvalsh(eve.e_matrix)[0] >= -1e-15
 
-    def test_json_export(self):
-        import json
-
-        _, stats, gamma = ideal_setup()
-        doc = json.loads(solve_eve(gamma, stats).to_json())
-        assert set(doc) == {"real", "imag", "clipped_mass"}
-        assert doc["real"][0][0] == pytest.approx(0.5, abs=1e-9)
-
 
 class TestKeyBasisStats:
     def test_ideal_values(self):

@@ -5,6 +5,8 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,9 +79,25 @@ class TestBinaryEntropy:
 
 
 def test_import_loads_no_scipy():
-    code = "import sys, twistqkd; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    # With scipy blocked from import, every module imports, the reference SDP
+    # solver included, and the solver certifies a problem with numpy alone.
+    code = textwrap.dedent("""
+        import importlib, pkgutil, sys
+        sys.modules["scipy"] = None
+        sys.path.insert(0, sys.argv[1])
+        import numpy as np, twistqkd
+        for module in pkgutil.iter_modules(twistqkd.__path__):
+            importlib.import_module("twistqkd." + module.name)
+        from test_sdp import certified_random_problem
+        from twistqkd.sdp import solve_sdp
+        problem, expected = certified_random_problem(np.random.default_rng(109), 6, 4, rank=3)
+        solution = solve_sdp(problem)
+        print(solution.status, abs(solution.objective_value - expected) <= 1e-6 * (1 + abs(expected)))
+    """)
+    tests = str(Path(__file__).parent)
+    proc = subprocess.run([sys.executable, "-c", code, tests], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "optimal True\n"
 
 
 class TestSixStateRate:
@@ -414,6 +432,12 @@ class TestScanConfig:
         assert cfg != "config"
         assert type(cfg.distances) is np.ndarray and not cfg.distances.flags.writeable
 
+    def test_not_hashable(self):
+        # equal configs must hash equal, and the distances array has no value hash
+        cfg = ScanConfig(deltas=0.0, depols=0.0, distances=[10.0, 20.0], eta=0.5, p_dark=0.0)
+        with pytest.raises(TypeError, match="unhashable type: 'ScanConfig'"):
+            hash(cfg)
+
     def test_grid_values_cannot_be_edited_in_place(self):
         # the labels scan gives its rows must stay those of the ensembles
         # and distances the constructor checked and built
@@ -491,7 +515,7 @@ class TestScan:
 
         def decline(alice, bob, channel, distances, **kwargs):
             rows = len(alice[0]) * len(distances)
-            fields, diagnostics = np.full((7, rows), np.nan), [[math.nan] * 10] * rows
+            fields, diagnostics = np.full((7, rows), np.nan), np.full((10, rows), np.nan)
             return fields, diagnostics, [InvalidPhaseError("e_plus = 1.5 > 1")] * rows
 
         monkeypatch.setattr(keyrate_module, "_evaluate", decline)

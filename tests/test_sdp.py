@@ -226,23 +226,6 @@ class TestValidation:
         with pytest.raises(InvalidParamsError):
             SdpProblem(dim=65, objective=np.eye(65))
 
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(137)
-        problem, _ = certified_random_problem(rng, 4, 2, rank=2)
-        problem.inequalities.append((np.eye(4), 10.0))
-        back = SdpProblem.from_json(
-            SdpProblem(
-                dim=4,
-                objective=problem.objective,
-                equalities=problem.equalities,
-                inequalities=problem.inequalities,
-                sense="min",
-            ).to_json()
-        )
-        sol_a = solve_sdp(problem)
-        sol_b = solve_sdp(back)
-        assert sol_a.objective_value == pytest.approx(sol_b.objective_value, abs=1e-9)
-
 
 def _svec(M):
     n = M.shape[0]

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ancilla_gram_block,
     bloch_state,
+    naive_twist_gram,
     random_density_matrix,
     random_ensemble,
     sampled_twist_values,
@@ -25,9 +27,7 @@ from twistqkd.twist import (
     _purification_factors,
     _twist_factors,
     _weighted_roots,
-    ancilla_gram_block,
     naive_phase_errors,
-    naive_twist_gram,
     optimize_phase_errors,
 )
 
