@@ -26,7 +26,7 @@ class SingularGammaError(QkdError):
 
 class UnphysicalStatsError(QkdError):
     """Statistics are inconsistent with any quantum channel under the
-    package's conventions (PSD repair exceeded its tolerance)."""
+    package's conventions (PSD repair exceeded its tolerance, relative to the trace)."""
 
 
 class NoDetectionsError(QkdError):
@@ -50,6 +50,8 @@ def _record(errors: list, failed: np.ndarray, error_of) -> None:
     Every row thus keeps the first error of the pipeline: the stages record
     into one list in pipeline order, each in one pass over its rows.
     """
+    if not np.count_nonzero(failed):
+        return
     for i in np.logical_or.reduce(failed, axis=0).nonzero()[0]:
         if errors[i] is None:
             errors[i] = error_of(int(failed[:, i].argmax()), i)

@@ -3,8 +3,8 @@
 The 16 pass probabilities are linear in the 16 inner products
 ``<e_{m'n'}|e_{mn}>`` of the (subnormalized) post-announcement states held
 by the measurement node, with the coefficient matrix built from the signal
-states.  Solving that linear system, symmetrizing and clipping tiny negative
-eigenvalues yields a physical 4x4 Gram matrix.
+states.  Solving that linear system, symmetrizing and clipping negative
+eigenvalues (at most ``CLIP_ERROR`` of the trace) yields a physical 4x4 Gram matrix.
 
 Storage convention: ``e_matrix[2m+n, 2m'+n'] = <e_{m'n'}|e_{mn}>``, i.e. the
 flattened entry ``s = 8m + 4m' + 2n + n'`` lands at row ``2m+n``, column
@@ -13,6 +13,7 @@ flattened entry ``s = 8m + 4m' + 2n + n'`` lands at row ``2m+n``, column
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -34,6 +35,14 @@ CLIP_WARN = 1e-8
 CLIP_ERROR = 1e-4
 
 _EYE4 = np.eye(4)
+
+
+def _warn_caller(message: str) -> None:
+    """A RuntimeWarning at the caller's line: the first frame outside the package."""
+    frame, level = sys._getframe(), 1
+    while frame is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 @dataclass
@@ -73,8 +82,10 @@ def _invert_factors(R: np.ndarray, cond: np.ndarray, errors: list) -> np.ndarray
     its rows solve against without error or warning.
     """
     good = cond[0] * cond[1] < COND_LIMIT
+    if good.all():
+        return np.linalg.inv(R)
     rows = len(errors) // len(good)  # per pair; row i is pair i // rows's
-    _record(errors, ~np.repeat(good, rows)[None], lambda c, i: SingularGammaError(
+    _record(errors, ~good.repeat(rows)[None], lambda c, i: SingularGammaError(
         f"{'Alice' if cond[0, i // rows] >= cond[1, i // rows] else 'Bob'}'s ensemble fails "
         f"the tetrahedron condition: state matrix condition number "
         f"{float(cond[0, i // rows] * cond[1, i // rows]):.3e} is not below {COND_LIMIT:.0e}, "
@@ -95,29 +106,31 @@ def _solve_rows(RA_inv: np.ndarray, RB_inv: np.ndarray, p_det: np.ndarray, error
     Returns ``(E, clipped, raw)``: the repaired matrices (M * D, 4, 4), and
     the clipped mass and raw solution per row; the
     :class:`~twistqkd.errors.QkdError` a row fails with is recorded in
-    ``errors``.
+    ``errors``, once some row is not finite or was repaired.
     """
     RA_inv, RB_inv = (R.reshape(-1, 1, 4, 4) for R in (RA_inv, RB_inv))
     P = np.asarray(p_det, dtype=float).reshape(len(RA_inv), -1, 4, 4)
     raw = (RA_inv @ P @ RB_inv.swapaxes(-1, -2)).reshape(-1, 16)
     E = _vector_to_matrix(raw)
     E = 0.5 * (E + E.conj().swapaxes(-1, -2))
-    finite = np.isfinite(E).all(axis=(-2, -1))
+    finite = np.logical_and.reduce(np.isfinite(E), axis=(-2, -1))
     E[~finite] = 0.0
     E, clipped = psd_project(E)
-    _record(errors, np.array((~finite, clipped > CLIP_ERROR)), lambda c, i: (
+    if finite.all() and not np.count_nonzero(clipped):
+        return E, clipped, raw
+    trace = E.trace(axis1=-2, axis2=-1).real  # >= 0: an unrepaired row passes both tests
+    _record(errors, np.array((~finite, clipped > CLIP_ERROR * trace)), lambda c, i: (
         UnphysicalStatsError(
-            f"PSD repair removed eigenvalue mass {clipped[i]:.3e} (> {CLIP_ERROR:.0e}); "
-            "statistics are not consistent with any quantum channel"
+            f"PSD repair removed eigenvalue mass {clipped[i]:.3e}, more than {CLIP_ERROR:.0e} "
+            f"of the repaired Gram matrix's trace {trace[i]:.3e} (warned above "
+            f"{CLIP_WARN:.0e}); statistics are not consistent with any quantum channel"
         ) if c else NotHermitianError("matrix contains NaN or Inf entries")
     ))
-    for i in (clipped > CLIP_WARN).nonzero()[0]:
+    for i in (clipped > CLIP_WARN * trace).nonzero()[0]:
         if errors[i] is None:
-            warnings.warn(
-                f"Gram reconstruction clipped eigenvalue mass {clipped[i]:.3e}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+            _warn_caller(f"Gram reconstruction clipped eigenvalue mass {clipped[i]:.3e}, more "
+                         f"than {CLIP_WARN:.0e} of the repaired Gram matrix's trace "
+                         f"{trace[i]:.3e}")
     return E, clipped, raw
 
 
@@ -127,9 +140,9 @@ def solve_eve(gamma: GammaMatrix, stats: DetectionStats) -> EveGram:
     The system is solved through the two 4x4 factors of the state matrix
     rather than by explicit inversion of the 16x16 one.  The result is
     symmetrized to ``(E + E^dag)/2`` and repaired to PSD by clipping
-    negative eigenvalues; a repair above 1e-8 raises a warning and above
-    1e-4 the statistics are rejected as inconsistent with any quantum
-    channel under this package's conventions.
+    negative eigenvalues; a repair above 1e-8 of the repaired matrix's trace
+    raises a warning and above 1e-4 of it the statistics are rejected as
+    inconsistent with any quantum channel under this package's conventions.
     """
     errors = [None]
     cond = np.array([[gamma.cond_alice], [gamma.cond_bob]])
@@ -148,7 +161,7 @@ def _key_rows(p_det: np.ndarray):
     """``(p_det00, e_z)`` for N rows of statistics ``p_det`` (N, 16); a row
     without key-basis detections has ``e_z`` NaN or infinite, which the
     caller's ``np.errstate`` lets pass."""
-    p00 = np.add.reduce(p_det[:, _KEYS], axis=1)
+    p00 = np.add.reduce(p_det.take(_KEYS, axis=1), axis=1)
     return p00, (p_det[:, _MISMATCH[0]] + p_det[:, _MISMATCH[1]]) / p00
 
 

@@ -23,10 +23,10 @@ key-basis statistics, trace norms, baseline values and rates) runs on
 arrays over the M * D rows, which view them as (M, D, ...) so that each
 pair's arrays broadcast over its D rows.  The twisted phase errors and the
 baseline's are stacked (2, M * D), so one pass of the rate formula checks
-both purifications' windows and evaluates both rates.  Every stage records
-its errors into one list in one pass (:func:`~twistqkd.errors._record`):
-a stage stacks its checks' failure masks in pipeline order, and each row
-keeps its first error, the one a single point would raise.  The order is
+both purifications' windows and evaluates both rates.  Every stage makes
+one pass test over its rows, and only once a row fails does it record
+(:func:`~twistqkd.errors._record`) its checks' failure masks in pipeline
+order and each failed row's first error, the one a point would raise.  The order is
 singular state matrix, non-finite then unphysical Gram solve, no key-basis
 detections, ``p_det00`` and ``e_z`` out of range, then the five windows of
 the twisted rate and the five of the baseline's.  An error of a pair's
@@ -71,8 +71,9 @@ _ENTROPY_TOL = 1e-12
 
 def _entropy(x):
     """``h2`` of arguments already within [0, 1], elementwise."""
-    y = 1.0 - x
-    return -(x * np.log(np.where(x > 0.0, x, 1.0)) + y * np.log(np.where(y > 0.0, y, 1.0))) / _LN2
+    xy = np.array((x, 1.0 - x))
+    logs = np.log(xy, out=np.zeros(xy.shape), where=xy > 0.0)  # 0 log 0 = 0
+    return np.add.reduce(xy * logs, axis=0) / -_LN2
 
 
 def _require_f(f) -> float:
@@ -123,11 +124,11 @@ def _rates(p_det00, e_z, e_minus, e_plus, f, errors):
     """
     K, N = e_minus.shape
     ok = np.empty((K, len(_WINDOWS), N), dtype=bool)
-    ok[:, 0] = e_minus >= -_PHASE_TOL
-    ok[:, 1] = e_minus <= e_z + _PHASE_TOL
-    ok[:, 2] = (-_PHASE_TOL <= e_z) & (e_z <= 1.0 + _PHASE_TOL)
-    ok[:, 3] = e_plus >= e_z - _PHASE_TOL
-    ok[:, 4] = e_plus <= 1.0 + _PHASE_TOL
+    np.greater_equal(e_minus, -_PHASE_TOL, out=ok[:, 0])
+    np.less_equal(e_minus, e_z + _PHASE_TOL, out=ok[:, 1])
+    np.logical_and(-_PHASE_TOL <= e_z, e_z <= 1.0 + _PHASE_TOL, out=ok[:, 2])
+    np.greater_equal(e_plus, e_z - _PHASE_TOL, out=ok[:, 3])
+    np.less_equal(e_plus, 1.0 + _PHASE_TOL, out=ok[:, 4])
     _record(errors, ~ok.reshape(-1, N), lambda c, i: InvalidPhaseError(
         _WINDOWS[c % len(_WINDOWS)].format(
             m=float(e_minus[c // len(_WINDOWS), i]),
@@ -135,23 +136,25 @@ def _rates(p_det00, e_z, e_minus, e_plus, f, errors):
             p=float(e_plus[c // len(_WINDOWS), i]),
         )
     ))
+    # The entropy arguments: e_z, then per purification the h2 argument of
+    # the bit-flip term (of the phase term where e_z is 0), then the phase term's.
+    h = np.empty((2 * K + 1, N))
     # np.clip's values, signed zeros and NaN included, without its dispatch.
-    e_z = np.minimum(np.maximum(e_z, 0.0), 1.0)
+    e_z = np.minimum(np.maximum(e_z, 0.0), 1.0, out=h[0])
     e_minus = np.minimum(np.maximum(e_minus, 0.0), e_z)
     e_plus = np.minimum(np.maximum(e_plus, e_z), 1.0)
     low = e_z < _EZ_FLOOR
-    high = 1.0 - e_z < _EZ_FLOOR
-    # The entropy arguments: e_z, then per purification the h2 argument of
-    # the bit-flip term (of the phase term when e_z is 0), then the phase term's.
-    h = np.empty((2 * K + 1, N))
-    h[0] = e_z
-    h[1:K + 1] = np.where(low, 1.0 - e_plus / 2.0, (1.0 + e_minus / e_z) / 2.0)
-    h[K + 1:] = np.minimum(np.maximum((1.0 - (e_plus + e_z) / 2.0) / (1.0 - e_z), 0.0), 1.0)
+    np.divide(1.0 + e_minus / e_z, 2.0, out=h[1:K + 1])
+    np.subtract(1.0, e_plus / 2.0, out=h[1:K + 1], where=low)
+    rest = 1.0 - e_z
+    np.minimum(np.maximum((1.0 - (e_plus + e_z) / 2.0) / rest, 0.0), 1.0, out=h[K + 1:])
     h = _entropy(h)
-    h_first = h[1:K + 1]
-    bit_flip = np.where(low, 0.0, e_z * h_first)
-    h_phase = np.where(low, h_first, np.where(high, 0.0, h[K + 1:]))
-    raw = p_det00 * (1.0 - f * h[0] - bit_flip - (1.0 - e_z) * h_phase)
+    h_first, h_phase = h[1:K + 1], h[K + 1:]
+    bit_flip = e_z * h_first
+    np.copyto(bit_flip, 0.0, where=low)
+    np.copyto(h_phase, 0.0, where=rest < _EZ_FLOOR)
+    np.copyto(h_phase, h_first, where=low)
+    raw = p_det00 * (1.0 - f * h[0] - bit_flip - rest * h_phase)
     return np.maximum(raw, 0.0), raw
 
 
@@ -234,8 +237,11 @@ def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, st
     rho, priors = (np.array(arrays) for arrays in zip(alice, bob))
     R = _state_rows(rho, priors)  # the state-matrix factors RA, RB, (2, M, 4, 4)
     cond = _conditioning(R)
-    cond_alice, cond_bob = np.repeat(cond, len(distances), axis=1)
-    errors = [None] * cond_alice.size
+    table = np.empty((17, cond.shape[1] * len(distances)))  # the fields, then the diagnostics
+    fields, diagnostics = table[:7], table[7:]
+    diagnostics[1:3] = cond.repeat(len(distances), axis=1)  # cond_alice, cond_bob
+    np.multiply(diagnostics[1], diagnostics[2], out=diagnostics[0])  # gamma_cond
+    errors = [None] * table.shape[1]
     R_inv = _invert_factors(R, cond, errors)
     # Rows that fail carry values such as p00 = 0 or cond = inf onwards.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -243,12 +249,12 @@ def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, st
             p_det = _detection_rows(*R, *priors, channel, distances)
         else:
             p_det = stats.p_det[None].repeat(len(errors), 0)
-        E, clipped = _solve_rows(*R_inv, p_det, errors)[:2]
+        E, diagnostics[3], _ = _solve_rows(*R_inv, p_det, errors)  # clipped_mass
         p00, e_z = _key_rows(p_det)
         _record(errors, *_key_checks(p00, e_z))
         # The rows of R are the weighted states p_a rho_a; the key states are a = 0, 1.
         factors = _twist_factors(R.reshape(rho.shape)[:, :, :2])
-        e_minus, e_plus, bound_minus, bound_plus = _phase_error_rows(
+        e_minus, e_plus, diagnostics[4], diagnostics[5] = _phase_error_rows(
             factors, E, p00, np.minimum(np.maximum(e_z, 0.0), 1.0)
         )
         naive_signed, naive_plus = _naive_rows(
@@ -257,20 +263,16 @@ def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, st
         # The rate formula is even in e_minus (h2((1+t)/2) = h2((1-t)/2)),
         # so the signed baseline value enters through its magnitude.
         naive_minus = np.minimum(np.abs(naive_signed), e_z)
-        (rate_twisted, rate_naive), (raw_twisted, raw_naive) = _rates(
+        fields[4:6], diagnostics[6:8] = _rates(
             p00, e_z, np.array((e_minus, naive_minus)), np.array((e_plus, naive_plus)), f, errors
         )
-        pct_gain = np.where(
-            rate_naive > 0.0,
-            100.0 * (rate_twisted - rate_naive) / rate_naive,
-            np.where(rate_twisted > 0.0, math.inf, 0.0),
-        )
-
-    fields = np.array((p00, e_z, e_minus, e_plus, rate_twisted, rate_naive, pct_gain))
-    diagnostics = np.array((
-        cond_alice * cond_bob, cond_alice, cond_bob, clipped, bound_minus, bound_plus,
-        raw_twisted, raw_naive, naive_signed, naive_plus,
-    ))
+        fields[0], fields[1], fields[2], fields[3] = p00, e_z, e_minus, e_plus
+        diagnostics[8], diagnostics[9] = naive_signed, naive_plus
+        rate_twisted, rate_naive = fields[4:6]
+        np.divide(100.0 * (rate_twisted - rate_naive), rate_naive, out=fields[6])  # pct_gain
+        positive = rate_naive > 0.0
+        if not positive.all():  # no gain over a zero baseline rate
+            fields[6, ~positive] = np.where(rate_twisted > 0.0, math.inf, 0.0)[~positive]
     return fields, diagnostics, errors
 
 

@@ -47,9 +47,9 @@ def require_hermitian(M, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np
         raise NotHermitianError(f"{name} must be square, got shape {M.shape}")
     if not np.isfinite(M).all():
         raise NotHermitianError(f"{name} contains NaN or Inf entries")
-    scale = np.maximum(1.0, _frobenius(M))
-    asym = _frobenius(M - M.conj().swapaxes(-1, -2))
-    if (asym > tol * scale).any():
+    scale, asym = _frobenius(np.array((M, M - M.conj().swapaxes(-1, -2))))
+    scale = np.maximum(1.0, scale)
+    if np.count_nonzero(asym > tol * scale):
         worst = np.unravel_index(np.argmax(asym / scale), asym.shape)
         raise NotHermitianError(
             f"{name} is not Hermitian: asymmetry {asym[worst]:.3e} exceeds "
@@ -89,7 +89,7 @@ def psd_project(M: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
     """
     w, V = np.linalg.eigh(M)
     clipped_mass = np.add.reduce(np.maximum(-w, 0.0), axis=-1)
-    if not np.any(clipped_mass):
+    if not np.count_nonzero(clipped_mass):
         return M, clipped_mass
     M_psd = (V * np.maximum(w, 0.0)[..., None, :]) @ V.conj().swapaxes(-1, -2)
     M_psd = 0.5 * (M_psd + M_psd.conj().swapaxes(-1, -2))

@@ -29,6 +29,8 @@ PROB_TOL = 1e-10
 COND_LIMIT = 1e9
 
 _IDENTITY = np.eye(2)
+# The model kets' angles are (delta + shift) / divisor; a shift of -0.0 keeps any delta.
+_KET_SHIFTS, _KET_DIVISORS = np.array(((-0.0, np.pi, -np.pi), (2.0, 4.0, 4.0)))[:, :, None]
 
 
 def _state_rows(rho: np.ndarray, priors: np.ndarray) -> np.ndarray:
@@ -50,22 +52,23 @@ def _check_states(rho, prob) -> np.ndarray:
     probabilities ``(...)``, in a fixed number of numpy calls.
 
     Each matrix must be finite, 2x2 and Hermitian (:func:`require_hermitian`),
-    with trace within ``TRACE_TOL`` of 1 and smallest eigenvalue at least
-    ``-PSD_TOL``; each probability must lie in [0, 1].  The last three
-    checks are evaluated together, and the first failing one, in that
-    order, is reported for its first failing state.  Returns ``rho`` as a
-    complex array.
+    with trace within ``TRACE_TOL`` of 1 and smallest eigenvalue (in closed
+    form) at least ``-PSD_TOL``; each probability must lie in [0, 1].  The
+    last three checks are evaluated together, and the first failing one, in
+    that order, is reported for its first failing state.  Returns ``rho`` as
+    a complex array.
     """
     rho = require_hermitian(rho, name="rho")
     if rho.shape[-2:] != (2, 2):
         raise InvalidParamsError(f"rho must be 2x2, got {rho.shape[-2:]}")
-    tr = rho.trace(axis1=-2, axis2=-1).real.reshape(-1)
-    wmin = np.linalg.eigvalsh(rho)[..., 0].reshape(-1)
+    a, _, c, d = rho.reshape(-1, 4).T  # the entries [0, 0], [0, 1], [1, 0], [1, 1]
+    tr = (a + d).real
+    wmin = 0.5 * tr - np.hypot(0.5 * (a.real - d.real), np.abs(c))
     prob = np.asarray(prob, dtype=float).reshape(-1)
     failed = np.array((
         np.abs(tr - 1.0) > TRACE_TOL, wmin < -PSD_TOL, ~((prob >= 0.0) & (prob <= 1.0))
     ))
-    if failed.any():
+    if np.count_nonzero(failed):
         check, i = divmod(int(failed.argmax()), len(tr))
         raise InvalidParamsError((
             f"rho has trace {float(tr[i])}, expected 1",
@@ -77,11 +80,16 @@ def _check_states(rho, prob) -> np.ndarray:
 
 def _check_totals(priors) -> None:
     """Each ensemble's priors, the last axis of ``priors``, must sum to 1."""
-    total = np.sum(priors, axis=-1).reshape(-1)
+    total = np.add.reduce(priors, axis=-1).reshape(-1)
     bad = np.abs(total - 1.0) > PROB_TOL
-    if bad.any():
+    if np.count_nonzero(bad):
         total = float(total[bad.argmax()])
         raise InvalidParamsError(f"send probabilities sum to {total}, expected 1")
+
+
+_UNIFORM_PRIORS = np.full(4, 0.25)  # the model's default: read-only, summed here, once
+_UNIFORM_PRIORS.flags.writeable = False
+_check_totals(_UNIFORM_PRIORS)
 
 
 @dataclass
@@ -164,14 +172,13 @@ class ModelParams:
             raise InvalidParamsError(f"depol must be in [0, 1), got {self.depol}")
 
 
-def _model_kets(delta) -> np.ndarray:
+def _model_kets(deltas) -> np.ndarray:
     """The four target kets H, V, (H+V)/sqrt2, (H-iV)/sqrt2, each with its
-    own constant offset parametrized by delta, stacked ``(..., 4, 2)`` over
-    an array of deltas."""
-    delta = np.asarray(delta, dtype=float)
-    angles = np.array((delta / 2, (np.pi + delta) / 4, (-np.pi + delta) / 4))
+    own constant offset parametrized by delta, stacked ``(M, 4, 2)`` over a
+    sequence of M deltas."""
+    angles = (np.asarray(deltas, dtype=float) + _KET_SHIFTS) / _KET_DIVISORS
     sin, cos = np.sin(angles), np.cos(angles)
-    kets = np.empty((*delta.shape, 4, 2), dtype=complex)
+    kets = np.empty((*angles.shape[1:], 4, 2), dtype=complex)
     kets[..., 0, :] = (1.0, 0.0)
     kets[..., 1, 0], kets[..., 1, 1] = -sin[0], cos[0]
     kets[..., 2, 0], kets[..., 2, 1] = cos[1], sin[1]
@@ -179,7 +186,7 @@ def _model_kets(delta) -> np.ndarray:
     return kets
 
 
-def _model_grid(deltas, depols, priors=(0.25, 0.25, 0.25, 0.25)):
+def _model_grid(deltas, depols, priors=_UNIFORM_PRIORS):
     """The model ensembles of the pairs ``(deltas[m], depols[m])`` as
     validated arrays: ``rho`` (M, 4, 2, 2) and ``priors`` (M, 4).
 
@@ -194,13 +201,14 @@ def _model_grid(deltas, depols, priors=(0.25, 0.25, 0.25, 0.25)):
     kets = _model_kets(deltas)
     p = np.asarray(depols, dtype=float)[:, None, None, None]
     rho = (1.0 - p) * (kets[..., :, None] * kets.conj()[..., None, :]) + p * _IDENTITY / 2.0
-    grid_priors = np.broadcast_to(priors, rho.shape[:2])
+    grid_priors = priors[None].repeat(len(rho), axis=0)
     rho = _check_states(rho, grid_priors)
-    _check_totals(priors)
+    if priors is not _UNIFORM_PRIORS:
+        _check_totals(priors)
     return rho, grid_priors
 
 
-def model_states(params: ModelParams, priors=(0.25, 0.25, 0.25, 0.25)) -> SignalEnsemble:
+def model_states(params: ModelParams, priors=_UNIFORM_PRIORS) -> SignalEnsemble:
     """Build the four-state ensemble of the (delta, p) source model.
 
     Each state is ``(1-p) |xi><xi| + p * I/2`` where ``|xi>`` is the

@@ -71,7 +71,7 @@ def _twist_factors(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and e_plus pairs (0,0) with (1,1).  The four roots are one ``kron``.
     """
     A, B = _weighted_roots(key)
-    S = kron(A[..., [0, 0, 1, 1], :, :], B[..., [1, 0, 0, 1], :, :])
+    S = kron(A.take((0, 0, 1, 1), axis=-3), B.take((1, 0, 0, 1), axis=-3))
     return S[..., :2, :, :].swapaxes(-1, -2), S[..., 2:, :, :].conj()
 
 
@@ -140,8 +140,8 @@ def _phase_error_rows(factors: tuple, E: np.ndarray, p_det00: np.ndarray, e_z: n
     singular_values = np.linalg.svd(left @ E @ right, compute_uv=False)
     norms = np.add.reduce(singular_values, axis=-1).reshape(-1, 2)
     s = 2.0 / p_det00[:, None] * norms
-    s_minus, s_plus = s[:, 0], s[:, 1]
-    return np.minimum(s_minus, e_z), np.maximum(1.0 - s_plus, e_z), s_minus, 1.0 - s_plus
+    s_minus, bound_plus = s[:, 0], 1.0 - s[:, 1]
+    return np.minimum(s_minus, e_z), np.maximum(bound_plus, e_z), s_minus, bound_plus
 
 
 def optimize_phase_errors(problem: TwistProblem) -> PhaseErrors:

@@ -3,12 +3,21 @@ eigenbasis purification, and the two independent oracles for the
 phase-error optimization (sampled twists and the dense semidefinite
 program)."""
 
+import os
+
 import numpy as np
+from hypothesis import settings
 
 from twistqkd.qmath import HERMITIAN_TOL, PAULI, kron, require_hermitian
 from twistqkd.sdp import SdpProblem, solve_sdp
 from twistqkd.states import QubitState, SignalEnsemble, _stack
 from twistqkd.twist import _purification_factors
+
+# CI selects this profile (HYPOTHESIS_PROFILE=ci) so that a property failure
+# replays exactly: a fixed search, and the failing example's reproduction
+# blob in the report.  Without the variable the default profile applies.
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def bloch_state(r, prob):

@@ -3,6 +3,7 @@ for, whatever else shares its kernel call."""
 
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -10,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coplanar_ensemble, random_ensemble
+from conftest import bloch_state, coplanar_ensemble, random_ensemble
 from twistqkd.channel import (
     ChannelParams,
     DetectionStats,
@@ -386,3 +387,84 @@ def test_each_row_keeps_its_first_error_across_stages_and_windows(monkeypatch):
     assert type(rows[1]) is UnphysicalStatsError
     assert str(rows[1]).startswith("PSD repair removed eigenvalue mass")
     assert all(type(row) is SingularGammaError for row in rows[8:])
+
+
+# The columns of the ok rows of test_kernel_columns_are_pinned's batch:
+# the 7 fields, then the 10 diagnostics, as stored from one run.
+PINNED_OK_ROWS = (
+    (0.0062369176889509196, 0.002577824032261339, 0.0024914781695832824, 0.002664169894939339,
+     0.006069224832508517, 0.006069224832508517, 0.0, 9.305422402622783, 3.0504790447768664,
+     3.0504790447768664, 0.0, 0.0024914781695832824, 0.002664169894939339, 0.006069224832508517,
+     0.006069224832508517, -0.002491478169583282, 0.002664169894939228),
+    (9.902210819364102e-05, 0.0034499988390077176, 0.0024892995489918432, 0.004410698129023505,
+     9.494425964852804e-05, 9.494425964852804e-05, 0.0, 9.305422402622783, 3.0504790447768664,
+     3.0504790447768664, 0.0, 0.0024892995489918432, 0.004410698129023505, 9.494425964852804e-05,
+     9.494425964852804e-05, -0.0024892995489918415, 0.004410698129023616),
+    (0.00623540275387111, 0.05096741705500083, 0.05088947098098538, 0.051049366751511616,
+     0.0044171265074668875, 0.004332375051242949, 1.9562354417959047, 10.058432056971283,
+     3.1715031226488306, 3.1715031226488306, 0.0, 0.05088947098098538, 0.051049366751511616,
+     0.0044171265074668875, 0.004332375051242949, 0.04613984028382505, 0.05105378389601467),
+    (9.899809809069091e-05, 0.05175493701041359, 0.050887695619294085, 0.05266672232624736,
+     6.899151115516398e-05, 6.774724424515794e-05, 1.8366310303388722, 10.058432056971283,
+     3.1715031226488306, 3.1715031226488306, 0.0, 0.050887695619294085, 0.05266672232624736,
+     6.899151115516398e-05, 6.774724424515794e-05, 0.04605672911046028, 0.05271586929974248),
+    (0.0070704228170454485, 0.4974052790359839, 0.47519463177673715, 0.5054896384281184, 0.0,
+     0.0, 0.0, 534.8244809804412, 13.973230604622492, 38.27493413037323, 0.0,
+     0.47519463177673715, 0.5054896384281184, -0.00078248260840992, -0.004323657257149329,
+     -0.12944810696120887, 0.5452233897912351),
+    (0.00011225060566931974, 0.49742150892867276, 0.4751685587115874, 0.50556579513898, 0.0,
+     0.0, 0.0, 534.8244809804412, 13.973230604622492, 38.27493413037323, 0.0,
+     0.4751685587115874, 0.50556579513898, -1.2459110727071301e-05, -6.869593096642367e-05,
+     -0.12949811483709553, 0.5454604532122814),
+)
+_SINGULAR = (
+    "Alice's ensemble fails the tetrahedron condition: state matrix condition number "
+    "1.087e+10 is not below 1e+09, so detection statistics cannot determine the Gram matrix"
+)
+# Each row's error, by class and message; None for the ok rows above.
+PINNED_ERRORS = (None,) * 6 + (
+    (InvalidPhaseError, "e_plus = 1.2947245578380204 > 1"),
+    (InvalidPhaseError, "e_plus = 1.2942802843298193 > 1"),
+    (SingularGammaError, _SINGULAR),
+    (SingularGammaError, _SINGULAR),
+)
+_NUMBER = re.compile(r"-?\d+\.?\d*(?:e[+-]\d+)?")
+
+
+def test_kernel_columns_are_pinned():
+    # One kernel call over five pairs at two distances: a pure model pair,
+    # a mixed one, two seeded asymmetric pairs under the honest node (the
+    # statistics point_asym injects), one of which the baseline's window
+    # e_plus <= 1 refuses, and a pair whose Alice's Bloch vectors lie in one
+    # plane up to 1e-9, which the tetrahedron test refuses with a condition
+    # number that rounding cannot move in its printed digits.  The ok rows'
+    # columns must equal the stored ones to 1e-12 relative (the absolute
+    # 1e-13 admits rounding in the pure pair's zero gain, a cancellation),
+    # and each row's error its class and message, the numbers in the
+    # message to 1e-12 relative.
+    pure, mixed = (model_states(ModelParams(delta=0.1, depol=p)) for p in (0.0, 0.05))
+    (alice_0, bob_0), (alice_2, bob_2) = (
+        (random_ensemble(rng), random_ensemble(rng)) for rng in map(np.random.default_rng, (0, 2))
+    )
+    flat = SignalEnsemble([
+        bloch_state(r, 0.25) for r in ((0, 0, 0.9), (0, 0, -0.9), (0.9, 0, 0), (-0.6, 1e-9, 0.3))
+    ])
+    stacks = [
+        (np.stack([e.rho for e in ensembles]), np.stack([e.priors for e in ensembles]))
+        for ensembles in (
+            (pure, mixed, alice_0, alice_2, flat), (pure, mixed, bob_0, bob_2, mixed)
+        )
+    ]
+    channel = ChannelParams(eta=ETA, p_dark=P_DARK, distance_km=0.0)
+    fields, diagnostics, errors = _evaluate(*stacks, channel, [20.0, 110.0], f=1.0, stats=None)
+    assert [None if e is None else type(e) for e in errors] == [
+        None if e is None else e[0] for e in PINNED_ERRORS
+    ]
+    for error, (_, message) in zip(errors[6:], PINNED_ERRORS[6:]):
+        assert _NUMBER.split(str(error)) == _NUMBER.split(message)
+        np.testing.assert_allclose(
+            [float(x) for x in _NUMBER.findall(str(error))],
+            [float(x) for x in _NUMBER.findall(message)], rtol=1e-12,
+        )
+    columns = np.vstack((fields, diagnostics))[:, :6].T
+    np.testing.assert_allclose(columns, PINNED_OK_ROWS, rtol=1e-12, atol=1e-13)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import random_ensemble
 from twistqkd.channel import ChannelParams, DetectionStats, build_gamma, detection_stats, stats_index
-from twistqkd.errors import NoDetectionsError, SingularGammaError, UnphysicalStatsError
+from twistqkd.errors import NoDetectionsError, QkdError, SingularGammaError, UnphysicalStatsError
 from twistqkd.evegram import _matrix_to_vector, key_basis_stats, solve_eve
+from twistqkd.keyrate import ScanConfig, keyrate_point, scan
 from twistqkd.states import ModelParams, model_states
 
 
@@ -117,6 +120,54 @@ class TestSolveEve:
             eve = solve_eve(gamma, DetectionStats(p_det=p))
         assert eve.clipped_mass == pytest.approx(1e-6, rel=1e-3)
         assert np.linalg.eigvalsh(eve.e_matrix)[0] >= -1e-15
+
+
+    @pytest.mark.parametrize("entry", ["solve_eve", "keyrate_point", "scan"])
+    def test_repair_warning_names_the_caller(self, entry):
+        # the warning points at the line that called the package, whichever
+        # entry point it called
+        ens, _, gamma = ideal_setup()
+        bad = self._entangled_direction_gram(0.01, -0.01 - 1e-6)
+        stats = DetectionStats(p_det=(gamma.gamma @ _matrix_to_vector(bad)).real)
+        calls = {
+            "solve_eve": lambda: solve_eve(gamma, stats),
+            "keyrate_point": lambda: keyrate_point(
+                ens, ens, ChannelParams(eta=1.0, p_dark=0.0, distance_km=0.0), stats=stats
+            ),
+            "scan": lambda: scan(ScanConfig(
+                deltas=[0.0], depols=[0.0], distances=[0.0], eta=1.0, p_dark=0.0,
+                alice_states=ens, stats=stats,
+            )),
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                calls[entry]()
+            except QkdError:  # these statistics fail the rate windows later
+                pass
+        assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, __file__)]
+
+    @pytest.mark.parametrize("distance", [0.0, 50.0, 100.0, 150.0])
+    def test_relative_inconsistency_is_refused_at_every_distance(self, distance):
+        # Statistics of E + 0.05 tr(E) (I/4 - v v^dag), v the lowest
+        # eigenvector of the honest Gram matrix E: every p_det lies in [0, 1]
+        # and the Gram matrix has a negative eigenvalue of about 3.7% of
+        # tr(E) at every distance, while tr(E) falls a thousandfold from 0 to
+        # 150 km.  The refusal compares the clipped mass with the trace, so it
+        # does not depend on the distance.
+        ens = model_states(ModelParams(delta=0.1, depol=0.05))
+        channel = ChannelParams(eta=0.5, p_dark=1e-5, distance_km=distance)
+        gamma = build_gamma(ens, ens)
+        E = solve_eve(gamma, detection_stats(ens, ens, channel)).e_matrix
+        v = np.linalg.eigh(E)[1][:, :1]
+        bad = E + 0.05 * np.trace(E).real * (np.eye(4) / 4.0 - v @ v.conj().T)
+        p = (gamma.gamma @ _matrix_to_vector(bad)).real
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        assert np.linalg.eigvalsh(bad)[0] < -0.03 * np.trace(E).real
+        with pytest.raises(UnphysicalStatsError) as refused:
+            keyrate_point(ens, ens, channel, stats=DetectionStats(p_det=p))
+        # the message states both relative thresholds
+        assert "1e-04" in str(refused.value) and "1e-08" in str(refused.value)
 
 
 class TestKeyBasisStats:

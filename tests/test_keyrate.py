@@ -126,6 +126,12 @@ class TestSixStateRate:
         at = six_state_rate(1.0, 0.0, 0.0, 0.2)
         assert near == pytest.approx(at, abs=1e-8)
 
+    def test_ez_one_limit(self):
+        # at e_Z = 1 the phase term's weight 1 - e_Z is 0 and its h2 argument
+        # 0/0: the term is dropped, not NaN
+        expected = 1.0 - mp_entropy(0.75)
+        assert six_state_rate(1.0, 1.0, 0.5, 1.0) == pytest.approx(expected, abs=1e-12)
+
     def test_error_correction_efficiency(self):
         base = six_state_rate(1.0, 0.05, 0.02, 0.12, f=1.0)
         worse = six_state_rate(1.0, 0.05, 0.02, 0.12, f=1.2)
