@@ -107,7 +107,11 @@ class DetectionStats:
         one row for each of the 16 settings."""
         p = {}
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
+            try:
+                rows = list(csv.DictReader(fh))
+            except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not CSV text
+                raise InvalidParamsError(f"stats CSV {path} is not readable CSV: {exc}") from exc
+            for row in rows:
                 try:
                     i, j, x, y = (int(row[k]) for k in ("i", "j", "x", "y"))
                     value = float(row["p_det"])

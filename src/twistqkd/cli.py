@@ -18,6 +18,8 @@ import itertools
 import json
 import sys
 
+import numpy as np
+
 from .channel import ChannelParams
 from .errors import (
     InvalidParamsError,
@@ -28,22 +30,14 @@ from .errors import (
     UnphysicalStatsError,
 )
 from .keyrate import ScanConfig, _scan_csv, keyrate_point, read_config_doc
-from .states import ModelParams, SignalEnsemble, model_states, tetrahedron_check
+from .states import COND_LIMIT, ModelParams, _tetrahedra, model_states
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_PHASE = 4
 
-
-def _parse_priors(text: str):
-    try:
-        values = tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise InvalidParamsError(f"priors must be comma-separated numbers: {exc}") from exc
-    if len(values) != 4:
-        raise InvalidParamsError(f"priors need exactly 4 entries, got {len(values)}")
-    return values
+_VERDICTS = ("FAIL", "pass")
 
 
 def _add_point_args(parser: argparse.ArgumentParser) -> None:
@@ -60,8 +54,8 @@ def _add_point_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _point_result(args):
-    priors = _parse_priors(args.priors)
-    ensemble = model_states(ModelParams(delta=args.delta, depol=args.depol), priors)
+    # model_states owns the priors' rule: four numbers summing to 1
+    ensemble = model_states(ModelParams(delta=args.delta, depol=args.depol), args.priors.split(","))
     channel = ChannelParams(
         eta=args.eta,
         p_dark=args.dark,
@@ -111,21 +105,21 @@ def _cmd_check_states(args) -> int:
     if isinstance(doc, dict):
         doc.pop("stats_csv", None)  # the ensembles do not depend on the statistics
     config = ScanConfig.from_dict(doc)
-    grid = itertools.product(config.deltas, config.depols)
-    ok = True
-    for k, (delta, depol) in enumerate(grid):  # the ensembles the config built and checked
-        diags = [tetrahedron_check(SignalEnsemble._of_checked(r[k], p[k]))
-                 for r, p in config._ensembles]
-        print(f"delta={delta:g} depol={depol:g}")
-        for name, diag in zip(("alice", "bob"), diags):
-            verdict = "pass" if diag.passed else "FAIL"
-            print(
-                f"  {name}: tetrahedron {verdict}"
-                f" (|det|={abs(diag.determinant):.6g}, cond={diag.cond:.6g})"
-            )
-            ok = ok and diag.passed
-        print(f"  state matrix condition number = {diags[0].cond * diags[1].cond:.6g}")
-    return EXIT_OK if ok else EXIT_SINGULAR
+    # Every pair's ensembles, as the config built and checked them: (2, M, ...).
+    rho, priors = (np.stack(arrays) for arrays in zip(*config._ensembles))
+    _, det, cond = _tetrahedra(rho, priors)
+    # Each party paired with itself (its tetrahedron check), then the pair: the kernel's test.
+    passed = (cond[[0, 1, 0]] * cond[[0, 1, 1]] < COND_LIMIT).tolist()
+    lines = []
+    for k, (delta, depol) in enumerate(itertools.product(config.deltas, config.depols)):
+        lines.append(f"delta={delta:g} depol={depol:g}")
+        for p, name in enumerate(("alice", "bob")):
+            lines.append(f"  {name}: tetrahedron {_VERDICTS[passed[p][k]]}"
+                         f" (|det|={abs(det[p, k]):.6g}, cond={cond[p, k]:.6g})")
+        lines.append(f"  state matrix condition number = {cond[0, k] * cond[1, k]:.6g}"
+                     f" ({_VERDICTS[passed[2][k]]})")
+    print("\n".join(lines))
+    return EXIT_OK if all(passed[2]) else EXIT_SINGULAR
 
 
 def build_parser() -> argparse.ArgumentParser:

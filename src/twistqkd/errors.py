@@ -61,5 +61,5 @@ def _numeric(value, name: str, convert=float):
     """``convert(value)``, ``float`` by default, or InvalidParamsError naming ``name``."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
         raise InvalidParamsError(f"{name} must be numeric, got {value!r}") from exc

@@ -314,7 +314,7 @@ def _path_field(doc: dict, name: str) -> str | None:
     """The file path in field ``name`` of a config document, or None when
     the field is absent or null."""
     value = doc.get(name)
-    if value is not None and not isinstance(value, str):
+    if value is not None and not (isinstance(value, str) and "\0" not in value):
         raise InvalidParamsError(f"{name} must be a file path string, got {value!r}")
     return value
 
@@ -328,6 +328,27 @@ def read_config_doc(path):
             raise InvalidParamsError(f"config is not valid JSON: {exc}") from exc
 
 
+def _floats(values) -> tuple:
+    """A number, or a flat list of them, as a tuple of floats."""
+    return tuple(float(v) for v in np.atleast_1d(values))
+
+
+def _distance_axis(distance):
+    """The distances of a config document's ``distance`` field: a number, or
+    a range ``{"min": .., "max": .., "step": ..}`` with its max included."""
+    if not isinstance(distance, dict):
+        return [_numeric(distance, "distance")]
+    lo, hi, step = (_numeric(distance[k], f"distance {k}") for k in ("min", "max", "step"))
+    if not (0.0 < step < math.inf and hi >= lo):
+        raise InvalidParamsError("distance range needs 0 < step < inf and max >= min")
+    try:
+        return np.arange(lo, hi + step / 2.0, step)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        raise InvalidParamsError(
+            f"distance range min {lo}, max {hi}, step {step} has too many points: {exc}"
+        ) from exc
+
+
 @dataclass(frozen=True, eq=False)
 class ScanConfig:
     """Grid of model/channel parameters for a key-rate scan.
@@ -336,16 +357,19 @@ class ScanConfig:
     order.  Explicit ensembles, when given, override the (delta, p) model at
     every grid point, and a measured-statistics CSV replaces the channel
     simulation at every grid point.  ``f`` must be finite and at least 1.
-    Bob's explicit ensembles default to Alice's and need them.  The whole
-    grid is built and validated once, at construction: the channel at every
-    distance, each model delta and depol, then the ensembles of every grid
-    point, with the messages of :class:`ChannelParams`, :class:`ModelParams`
+    Bob's explicit ensembles default to Alice's and need them.  Each field
+    is converted once, and a value that is not a number raises
+    ``InvalidParamsError`` naming its field.  The whole grid is then
+    validated and built once, at construction: each model delta and depol,
+    the channel's scalars, the distance axis as one array (its first bad
+    distance fails as its channel would), then the ensembles of every grid
+    point, with the messages of :class:`ModelParams`, :class:`ChannelParams`
     and :func:`~twistqkd.states._model_grid`.  The config is immutable, so
     the ensembles that :func:`scan` reads always match its fields:
-    ``deltas`` and ``depols`` are stored as tuples of floats, ``distances``
-    as a read-only copy of the array given, and ``f`` and the channel
-    fields as floats.  Configs compare by value but are not hashable
-    (``hash`` raises ``TypeError``), since ``distances`` is an array.
+    ``deltas``, ``depols`` and both parties' priors are stored as tuples of
+    floats, ``distances`` as a read-only copy of the array given, and ``f``
+    and the channel fields as floats.  Configs compare by value but are not
+    hashable (``hash`` raises ``TypeError``), since ``distances`` is an array.
     """
 
     deltas: tuple
@@ -369,24 +393,17 @@ class ScanConfig:
         model = self.alice_states is None
         if model and self.bob_states is not None:
             raise InvalidParamsError("bob_states given without alice_states")
-        try:  # float(f) first, so that an f that is not a number is reported here
-            normal = dict(
-                deltas=tuple(float(d) for d in np.atleast_1d(self.deltas)),
-                depols=tuple(float(p) for p in np.atleast_1d(self.depols)),
-                # A read-only copy: an edit of the caller's array cannot reach the grid.
-                distances=np.array(self.distances, dtype=float, ndmin=1),
-                f=_require_f(float(self.f)),
-                bob_states=self.alice_states if self.bob_states is None else self.bob_states,
-                eta=_numeric(self.eta, "eta"),
-                p_dark=_numeric(self.p_dark, "p_dark"),
-                atten_db_per_km=_numeric(self.atten_db_per_km, "atten_db_per_km"),
-                atten_divisor=_numeric(self.atten_divisor, "atten_divisor"),
-            )
-            priors = [np.asarray(p, dtype=float) for p in (self.priors_alice, self.priors_bob)
-                      if model]
-        except (TypeError, ValueError) as exc:
-            message = f"scan grid values, priors and f must be numbers: {exc}"
-            raise InvalidParamsError(message) from exc
+        normal = {name: _numeric(getattr(self, name), name, _floats)
+                  for name in ("deltas", "depols", "priors_alice", "priors_bob")}
+        normal.update({name: _numeric(getattr(self, name), name)
+                       for name in ("eta", "p_dark", "atten_db_per_km", "atten_divisor")})
+        normal.update(
+            # A read-only copy: an edit of the caller's array cannot reach the grid.
+            distances=_numeric(self.distances, "distances",
+                               lambda d: np.array(d, dtype=float, ndmin=1)),
+            f=_require_f(self.f),
+            bob_states=self.alice_states if self.bob_states is None else self.bob_states,
+        )
         normal["distances"].flags.writeable = False
         for name, value in normal.items():
             object.__setattr__(self, name, value)
@@ -399,13 +416,18 @@ class ScanConfig:
                 ModelParams(delta=delta, depol=0.0)
             for depol in self.depols:
                 ModelParams(delta=0.0, depol=depol)
-        for distance in self.distances:
-            self.channel_for(distance)
+        # The channel's scalars with the first distance, then ChannelParams'
+        # distance rule over the axis, which fails as the first bad one's channel.
+        self.channel_for(self.distances[0])
+        bad = ~(np.isfinite(self.distances) & (self.distances >= 0.0))
+        if np.count_nonzero(bad):
+            self.channel_for(self.distances[bad.argmax()])
         # Built last, so that a non-finite delta fails as such, not in _check_states.
         if model:
             grid = np.repeat(self.deltas, len(self.depols)), np.tile(self.depols, len(self.deltas))
-            alice = _model_grid(*grid, priors[0])
-            bob = alice if np.array_equal(*priors) else _model_grid(*grid, priors[1])
+            alice = _model_grid(*grid, self.priors_alice)
+            same = self.priors_bob == self.priors_alice
+            bob = alice if same else _model_grid(*grid, self.priors_bob)
         else:
             n = len(self.deltas) * len(self.depols)
             alice, bob = (
@@ -436,62 +458,37 @@ class ScanConfig:
         ``{"alice": [...], "bob": [...]}``.  Optional: ``atten_db_per_km``,
         ``atten_divisor``, ``f``, ``alice_states``/``bob_states`` (explicit
         ensembles in the JSON schema of :func:`twistqkd.states.ensemble_to_json`),
-        ``stats_csv`` and ``out``.
+        ``stats_csv`` and ``out``.  Only the distance axis is computed here;
+        every field is converted and checked once, by the constructor,
+        :func:`~twistqkd.states.ensemble_from_dict` or
+        :meth:`DetectionStats.from_csv`, and an error names its field.
         """
         if not isinstance(doc, dict):
             raise InvalidParamsError("config document must be a JSON object")
         try:
-            return cls._from_doc(doc)
+            priors = doc.get("priors", cls.priors_alice)
+            priors = (priors["alice"], priors["bob"]) if isinstance(priors, dict) else (priors,) * 2
+            required = dict(eta=doc["eta"], p_dark=doc["p_dark"],
+                            distances=_distance_axis(doc["distance"]))
         except KeyError as exc:
             raise InvalidParamsError(f"config missing required field {exc}") from exc
-        except (TypeError, ValueError, IndexError) as exc:
-            raise InvalidParamsError(f"config field of the wrong type or form: {exc}") from exc
-
-    @classmethod
-    def _from_doc(cls, doc: dict) -> "ScanConfig":
-        distance = doc["distance"]
-        if isinstance(distance, dict):
-            lo, hi, step = (float(distance[k]) for k in ("min", "max", "step"))
-            if step <= 0 or hi < lo:
-                raise InvalidParamsError("distance range needs step > 0 and max >= min")
-            try:
-                distances = np.arange(lo, hi + step / 2.0, step)
-            except MemoryError as exc:
-                raise InvalidParamsError(
-                    f"distance range min {lo}, max {hi}, step {step} has too many points: {exc}"
-                ) from exc
-        else:
-            distances = np.array([float(distance)])
-
-        priors = doc.get("priors", [0.25, 0.25, 0.25, 0.25])
-        if isinstance(priors, dict):
-            priors_a = tuple(float(p) for p in priors["alice"])
-            priors_b = tuple(float(p) for p in priors["bob"])
-        else:
-            priors_a = priors_b = tuple(float(p) for p in priors)
-
         alice_states, bob_states = (
             ensemble_from_dict(doc[name]) if name in doc else None
             for name in ("alice_states", "bob_states")
         )
-
         stats_csv = _path_field(doc, "stats_csv")
-        stats = None if stats_csv is None else DetectionStats.from_csv(stats_csv)
-
         return cls(
             deltas=doc.get("delta", 0.0),
             depols=doc.get("depol", 0.0),
-            distances=distances,
-            eta=float(doc["eta"]),
-            p_dark=float(doc["p_dark"]),
-            atten_db_per_km=float(doc.get("atten_db_per_km", 0.2)),
-            atten_divisor=float(doc.get("atten_divisor", 20.0)),
-            priors_alice=priors_a,
-            priors_bob=priors_b,
-            f=float(doc.get("f", 1.0)),
+            **required,
+            atten_db_per_km=doc.get("atten_db_per_km", cls.atten_db_per_km),
+            atten_divisor=doc.get("atten_divisor", cls.atten_divisor),
+            priors_alice=priors[0],
+            priors_bob=priors[1],
+            f=doc.get("f", cls.f),
             alice_states=alice_states,
             bob_states=bob_states,
-            stats=stats,
+            stats=None if stats_csv is None else DetectionStats.from_csv(stats_csv),
             out=_path_field(doc, "out"),
         )
 

@@ -40,20 +40,35 @@ def require_hermitian(M, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np
     The asymmetry ``||M - M^dag||_F`` of each matrix is compared against
     ``tol * max(1, ||M||_F)``; the worst matrix is reported.  Returns ``M``
     as a complex array; entries that are not numbers raise
-    ``InvalidParamsError``.
+    ``InvalidParamsError``.  Entries beyond about 1e154 overflow the squares
+    of the norms; such a matrix is judged by the norms of ``M / 2**k``, for
+    the power of two that brings its entries below 2, which scales both
+    norms exactly.
     """
     M = _numeric(M, name, lambda m: np.asarray(m, dtype=complex))
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise NotHermitianError(f"{name} must be square, got shape {M.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _frobenius(np.array((M, M - M.conj().swapaxes(-1, -2))))
+        # Every matrix passes, read so that a NaN or infinite norm does not.
+        if np.count_nonzero(norms[1] < tol * np.maximum(1.0, norms[0])) == norms[1].size:
+            return M
     if not np.isfinite(M).all():
         raise NotHermitianError(f"{name} contains NaN or Inf entries")
-    scale, asym = _frobenius(np.array((M, M - M.conj().swapaxes(-1, -2))))
-    scale = np.maximum(1.0, scale)
+    unit = np.ones(norms.shape[1:])
+    big = ~np.isfinite(norms[0])
+    if np.count_nonzero(big):
+        peak = np.maximum(abs(M.real), abs(M.imag))[big].max(axis=(-2, -1))
+        unit[big] = np.ldexp(1.0, np.frexp(peak)[1] - 1)
+        M_unit = M[big] / unit[big][:, None, None]
+        norms[:, big] = _frobenius(np.array((M_unit, M_unit - M_unit.conj().swapaxes(-1, -2))))
+    scale, asym = np.maximum(1.0 / unit, norms[0]), norms[1]
     if np.count_nonzero(asym > tol * scale):
         worst = np.unravel_index(np.argmax(asym / scale), asym.shape)
+        unit = float(unit[worst])  # a norm beyond the float range reads inf
         raise NotHermitianError(
-            f"{name} is not Hermitian: asymmetry {asym[worst]:.3e} exceeds "
-            f"{tol:.1e} * {scale[worst]:.3e}"
+            f"{name} is not Hermitian: asymmetry {float(asym[worst]) * unit:.3e} exceeds "
+            f"{tol:.1e} * {float(scale[worst]) * unit:.3e}"
         )
     return M
 

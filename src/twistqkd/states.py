@@ -235,7 +235,13 @@ def stokes(state: QubitState) -> np.ndarray:
     vector scaled by it.  H is the +Z pole, so ``|H><H|`` with probability 1
     maps to ``(1, 0, 0, 1)``.
     """
-    return state.prob * np.einsum("kij,ji->k", PAULI, state.rho).real
+    return _stokes(state.rho, state.prob)
+
+
+def _stokes(rho, prob) -> np.ndarray:
+    """The weighted Stokes vectors (..., 4) of states ``rho`` (..., 2, 2)
+    with probabilities ``prob`` (...)."""
+    return np.asarray(prob)[..., None] * np.einsum("kij,...ji->...k", PAULI, rho).real
 
 
 @dataclass
@@ -248,6 +254,14 @@ class TetrahedronDiagnostics:
     stokes_matrix: np.ndarray
 
 
+def _tetrahedra(rho: np.ndarray, priors: np.ndarray) -> tuple:
+    """The Stokes matrices (..., 4, 4), their determinants and the conds of
+    the state-matrix factors of checked ensembles ``rho`` (..., 4, 2, 2)
+    with ``priors`` (..., 4)."""
+    S = _stokes(rho, priors)
+    return S, np.linalg.det(S), _conditioning(_state_rows(rho, priors))
+
+
 def tetrahedron_check(ensemble: SignalEnsemble) -> TetrahedronDiagnostics:
     """Check that the four weighted Stokes vectors are linearly independent.
 
@@ -258,12 +272,13 @@ def tetrahedron_check(ensemble: SignalEnsemble) -> TetrahedronDiagnostics:
     from ``RA`` by :func:`_conditioning`, as in ``build_gamma`` and the
     kernel.  The check is the package's one singularity test applied to the
     ensemble paired with itself: it passes iff ``cond**2 < COND_LIMIT``.
-    ``determinant`` (of ``S``) is reported as a diagnostic only.
+    ``determinant`` (of ``S``) is reported as a diagnostic only.  The
+    ensemble's arrays, checked when it was built, are read as they are.
     """
-    S = np.vstack([stokes(s) for s in ensemble.states])
-    cond = float(_conditioning(_state_rows(ensemble.rho, ensemble.priors)))
+    S, det, cond = _tetrahedra(ensemble.rho, ensemble.priors)
+    cond = float(cond)
     return TetrahedronDiagnostics(
-        determinant=float(np.linalg.det(S)),
+        determinant=float(det),
         cond=cond,
         passed=cond**2 < COND_LIMIT,
         stokes_matrix=S,
@@ -346,13 +361,8 @@ def ensemble_to_json(ensemble: SignalEnsemble) -> str:
     each ``rho`` a 2x2 row-major nested list whose entries are ``[re, im]``
     pairs.
     """
-    doc = {
-        "priors": [s.prob for s in ensemble.states],
-        "rhos": [
-            [[[float(e.real), float(e.imag)] for e in row] for row in s.rho]
-            for s in ensemble.states
-        ],
-    }
+    rho = ensemble.rho
+    doc = {"priors": ensemble.priors.tolist(), "rhos": np.stack((rho.real, rho.imag), -1).tolist()}
     return json.dumps(doc, indent=2)
 
 

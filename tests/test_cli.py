@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coplanar_ensemble, random_ensemble
+from conftest import bloch_state, coplanar_ensemble, random_ensemble
 from twistqkd.channel import ChannelParams, detection_stats
 from twistqkd.cli import main
 from twistqkd.keyrate import ScanConfig, keyrate_point, scan, scan_to_csv
-from twistqkd.states import ModelParams, ensemble_to_json, model_states
+from twistqkd.states import ModelParams, SignalEnsemble, ensemble_to_json, model_states
 
 POINT_ARGS = [
     "--delta", "0.1",
@@ -177,6 +177,16 @@ class TestScanCommand:
         code, _, err = run_main(["scan", "--config", str(bad), "--out", "x.csv"], capsys)
         assert code == 2
         assert err.startswith("error: config is not valid JSON")
+
+    @pytest.mark.parametrize("content", [b"i,j,x,y,p_det\n\xff\xfe", b"a" * 200000],
+                             ids=["not-utf8", "beyond-the-field-limit"])
+    def test_stats_csv_that_is_not_csv_text_exit_2(self, tmp_path, capsys, content):
+        stats = tmp_path / "stats.csv"
+        stats.write_bytes(content)
+        config = write_config(tmp_path, stats_csv=str(stats))
+        code, _, err = run_main(["scan", "--config", str(config), "--out", "x.csv"], capsys)
+        assert code == 2
+        assert err.startswith(f"error: stats CSV {stats} is not readable CSV: ")
 
     def test_non_finite_stats_csv_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, stats_csv=write_stats(tmp_path, "nan"))
@@ -340,6 +350,53 @@ class TestCheckStatesCommand:
         code, out, _ = run_main(["check-states", "--config", str(config)], capsys)
         assert code == 3
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("tilt", [2e-5, 0.0])
+    def test_exit_code_is_the_kernels_pair_verdict(self, tmp_path, capsys, tilt):
+        # Alice's fourth Bloch vector leans out of the x-z plane of her other
+        # three by ``tilt``.  At 2e-5 her own tetrahedron check fails (cond
+        # 1.55e5, squared above 1e9), yet with Bob's model states the state
+        # matrix's cond is 4.9e5, below 1e9, and scan computes the row; at 0
+        # her states are coplanar and the pair is singular.
+        directions = np.array([(0, 0, 1), (0, 0, -1), (1, 0, 0), (0, tilt, 1)])
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        alice = SignalEnsemble([bloch_state(r, 0.25) for r in directions])
+        bob = model_states(ModelParams(delta=0.1, depol=0.05))
+        config = write_config(tmp_path, delta=0.0, depol=0.0, distance=10.0,
+                              alice_states=json.loads(ensemble_to_json(alice)),
+                              bob_states=json.loads(ensemble_to_json(bob)))
+        code, out, _ = run_main(["check-states", "--config", str(config)], capsys)
+        lines = out.splitlines()
+        assert lines[1].startswith("  alice: tetrahedron FAIL")
+        assert lines[2].startswith("  bob: tetrahedron pass")
+        [row] = scan(ScanConfig.from_json_file(config))
+        if tilt:
+            assert code == 0
+            assert lines[3] == "  state matrix condition number = 492023 (pass)"
+            assert row.status == "ok"
+            assert row.result.rate_twisted == pytest.approx(0.008123, rel=1e-3)
+        else:
+            assert code == 3
+            assert lines[3].endswith(" (FAIL)")
+            assert row.status == "SingularGammaError"
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_reads_the_grid_the_config_checked(self, tmp_path, capsys, monkeypatch, explicit):
+        import twistqkd.states as states_module
+
+        states = json.loads(ensemble_to_json(model_states(ModelParams(delta=0.07, depol=0.02))))
+        config = write_config(tmp_path, delta=[0.0, 0.1, 0.2], depol=[0.01, 0.05],
+                              **({"alice_states": states} if explicit else {}))
+        expected = run_main(["check-states", "--config", str(config)], capsys)
+        built = ScanConfig.from_json_file(config)
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("check-states made or checked the config's states again")
+
+        monkeypatch.setattr(ScanConfig, "from_dict", staticmethod(lambda doc: built))
+        monkeypatch.setattr(states_module, "_check_states", rebuilt)
+        monkeypatch.setattr(states_module, "QubitState", rebuilt)
+        assert run_main(["check-states", "--config", str(config)], capsys) == expected
 
 
 def test_console_script_smoke():

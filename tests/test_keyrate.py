@@ -363,6 +363,26 @@ class TestScanConfig:
         with pytest.raises(InvalidParamsError):
             ScanConfig.from_dict(base_config(**overrides))
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"eta": None}, "eta"),
+            ({"p_dark": None}, "p_dark"),
+            ({"atten_divisor": None}, "atten_divisor"),
+            ({"distance": None}, "distance"),
+            ({"f": "x"}, "f"),
+            ({"priors": [0.25, None, 0.25, 0.25]}, "priors_alice"),
+            ({"priors": {"alice": "abcd", "bob": [0.25] * 4}}, "priors_alice"),
+            ({"delta": None}, "deltas"),
+            ({"depol": ["a"]}, "depols"),
+            ({"distance": {"min": "a", "max": 10.0, "step": 1.0}}, "distance min"),
+            ({"eta": 10**400}, "eta"),  # an int beyond the float range
+        ],
+    )
+    def test_config_errors_name_their_field(self, overrides, field):
+        with pytest.raises(InvalidParamsError, match=f"^{field} must be numeric, got "):
+            ScanConfig.from_dict(base_config(**overrides))
+
     def test_bad_step(self):
         with pytest.raises(InvalidParamsError):
             ScanConfig.from_dict(base_config(distance={"min": 0, "max": 10, "step": 0}))

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import random_hermitian, real_embed_hermitian
 from twistqkd.errors import NotHermitianError
-from twistqkd.qmath import PAULI, kron, psd_project, vec_rowmajor
+from twistqkd.qmath import PAULI, kron, psd_project, require_hermitian, vec_rowmajor
 
 
 class TestVec:
@@ -55,6 +57,25 @@ class TestKron:
         assert K.shape == (3, 4, 6)
         for k in range(3):
             np.testing.assert_array_equal(K[k], np.kron(A[k], B[k]))
+
+
+class TestRequireHermitian:
+    def test_entries_beyond_the_squares_range(self):
+        # the squares of 1e200 overflow: the matrix is judged scaled by a
+        # power of two, with no floating-point warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitianError,
+                               match=r"asymmetry 1\.414e\+200 exceeds 1\.0e-12 \* 1\.732e\+200"):
+                require_hermitian(np.array([[1e200, 1e200], [0.0, 1e200]]))
+            hermitian = np.array([[1e200, 1e200j], [-1e200j, 3e200]])
+            np.testing.assert_array_equal(require_hermitian(hermitian), hermitian)
+            # a finite matrix stacked with it keeps its verdict and message
+            with pytest.raises(NotHermitianError,
+                               match=r"asymmetry 1\.414e-03 exceeds 1\.0e-12 \* 1\.414e\+00"):
+                require_hermitian(np.array([hermitian, [[1.0, 1e-3], [0.0, 1.0]]]))
+            with pytest.raises(NotHermitianError, match="NaN or Inf"):
+                require_hermitian(np.array([hermitian, [[np.inf, 0.0], [0.0, 1.0]]]))
 
 
 class TestPsdProject:

@@ -151,6 +151,28 @@ class TestTetrahedronCheck:
             assert tetrahedron_check(random_ensemble(rng)).passed
 
 
+def test_readers_take_the_checked_arrays(monkeypatch):
+    # tetrahedron_check and ensemble_to_json read an ensemble's arrays,
+    # checked when it was built, without making and checking its states again
+    import twistqkd.states as states_module
+
+    params = ModelParams(delta=0.1, depol=0.05)
+    expected, ens = model_states(params), model_states(params)
+    diag_expected, text_expected = tetrahedron_check(expected), ensemble_to_json(expected)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("an ensemble's states were made or checked again")
+
+    monkeypatch.setattr(states_module, "_check_states", rebuilt)
+    monkeypatch.setattr(states_module, "QubitState", rebuilt)
+    diag = tetrahedron_check(ens)
+    assert (diag.cond, diag.determinant, diag.passed) == (
+        diag_expected.cond, diag_expected.determinant, diag_expected.passed
+    )
+    np.testing.assert_array_equal(diag.stokes_matrix, diag_expected.stokes_matrix)
+    assert ensemble_to_json(ens) == text_expected
+
+
 def two_mode_basis_state(n_h, n_v, dim):
     ket = np.zeros(dim * dim, dtype=complex)
     ket[dim * n_h + n_v] = 1.0
