@@ -14,14 +14,17 @@ ensembles is done once per pair, over (M, ...) stacks: the per-party state
 matrices, their condition numbers (``states._conditioning``, the one
 computation that ``build_gamma`` and ``tetrahedron_check`` also report)
 and their inverses (``evegram._invert_factors``, the one singularity test,
-which ``solve_eve`` also calls), the square roots of the ancilla blocks as
-Kronecker products of per-state 2x2 roots, and the baseline's purification
-pairings.  Only the photon loss depends on the distance, and it is computed
-once over the distance axis.
+which ``solve_eve`` also calls), and the one pair stage of the twist and
+its baseline (``twist._pair_factors``): one eigendecomposition of the key
+states gives both the square roots of the ancilla blocks, as Kronecker
+products of per-state 2x2 roots, and the baseline's purification pairings.
+Only the photon loss depends on the distance, and it is computed once over
+the distance axis.
 Everything that depends on the statistics (Gram solve, PSD repair,
-key-basis statistics, trace norms, baseline values and rates) runs on
-arrays over the M * D rows, which view them as (M, D, ...) so that each
-pair's arrays broadcast over its D rows.  The twisted phase errors and the
+key-basis statistics, phase errors and rates) runs on arrays over the
+M * D rows, which view them as (M, D, ...) so that each pair's arrays
+broadcast over its D rows.  One row stage (``twist._phase_error_rows``)
+gives the twist's trace norms and the baseline's values together.  The twisted phase errors and the
 baseline's are stacked (2, M * D), so one pass of the rate formula checks
 both purifications' windows and evaluates both rates.  Every stage makes
 one pass test over its rows, and only once a row fails does it record
@@ -61,7 +64,7 @@ from .evegram import _invert_factors, _key_checks, _key_rows, _solve_rows
 from .states import (
     ModelParams, SignalEnsemble, _conditioning, _model_grid, _state_rows, ensemble_from_dict
 )
-from .twist import _naive_pairings, _naive_rows, _phase_error_rows, _twist_factors
+from .twist import _pair_factors, _phase_error_rows
 
 _LN2 = math.log(2.0)
 _EZ_FLOOR = 1e-12
@@ -223,7 +226,10 @@ def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, st
     detector parameters of every row, and the loss is computed once over
     ``distances``, in place of ``channel.distance_km``.  The statistics of
     each row are simulated, or are the injected ``stats`` on every row.
-    Every per-pair array broadcasts over its pair's D rows.
+    Every per-pair array broadcasts over its pair's D rows.  The twist and
+    its baseline share one pair stage and one row stage, the two functions
+    that :func:`~twistqkd.twist.optimize_phase_errors` and
+    :func:`~twistqkd.twist.naive_phase_errors` also call.
 
     Returns the rows as columns, ``(fields, diagnostics, errors)``:
     ``fields`` (7, M * D) holds the values of :class:`KeyRateResult`'s
@@ -252,13 +258,10 @@ def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, st
         E, diagnostics[3], _ = _solve_rows(*R_inv, p_det, errors)  # clipped_mass
         p00, e_z = _key_rows(p_det)
         _record(errors, *_key_checks(p00, e_z))
-        # The rows of R are the weighted states p_a rho_a; the key states are a = 0, 1.
-        factors = _twist_factors(R.reshape(rho.shape)[:, :, :2])
-        e_minus, e_plus, diagnostics[4], diagnostics[5] = _phase_error_rows(
-            factors, E, p00, np.minimum(np.maximum(e_z, 0.0), 1.0)
-        )
-        naive_signed, naive_plus = _naive_rows(
-            _naive_pairings(rho[:, :, :2], priors[:, :, :2]), E, p00
+        # The key states are a = 0, 1.
+        factors = _pair_factors(rho[:, :, :2], priors[:, :, :2])
+        e_minus, e_plus, diagnostics[4], diagnostics[5], naive_signed, naive_plus = (
+            _phase_error_rows(factors, E, p00, np.minimum(np.maximum(e_z, 0.0), 1.0))
         )
         # The rate formula is even in e_minus (h2((1+t)/2) = h2((1-t)/2)),
         # so the signed baseline value enters through its magnitude.

@@ -18,11 +18,17 @@ states.  By Uhlmann's theorem the reachable cross blocks are exactly
 
 with ``E`` the measurement node's Gram matrix.  A block is
 ``W = p q rho (x) sigma``, so its square root is the Kronecker product
-``S = sqrt(p rho) (x) sqrt(q sigma)`` of per-state 2x2 roots, each in
-closed form.  Every ``S`` is 4x4 whatever the rank of the states: no
-eigenbasis is computed and no rank cutoff applies.  The scalar windows of
-the rate formula act as clamps: ``e_minus = min(s_-, e_z)`` and
-``e_plus = max(1 - s_+, e_z)``.
+``S = sqrt(p rho) (x) sqrt(q sigma)`` of per-state 2x2 roots.  Each root
+comes from the eigendecomposition that also gives the fixed eigenbasis
+purification of the baseline (Koashi, NJP 11, 045018 (2009)):
+``p rho = F F^dag`` with ``F = sqrt(p) V sqrt(lam)``, and
+``sqrt(p rho) = F V^dag``.  Every ``S`` is 4x4 whatever the rank of the
+states, and no rank cutoff applies.  One ``eigh`` over the key states of a
+batch of ensemble pairs gives both the twist's factors and the baseline's
+pairings (:func:`_pair_factors`), and one pass over the Gram matrices of
+their rows gives both the optimized phase errors and the baseline's
+(:func:`_phase_error_rows`).  The scalar windows of the rate formula act as
+clamps: ``e_minus = min(s_-, e_z)`` and ``e_plus = max(1 - s_+, e_z)``.
 
 Gram storage convention (matching :class:`twistqkd.evegram.EveGram`): entry
 ``[2m+n, 2m'+n']`` of a block holds the inner product of the ``(m', n')``
@@ -40,39 +46,47 @@ import numpy as np
 from .errors import InvalidParamsError, _record
 from .evegram import EveGram, _key_checks
 from .qmath import kron
-from .states import _IDENTITY, _stack
-
-_TINY = np.finfo(float).tiny
+from .states import _stack
 
 
-def _weighted_roots(W: np.ndarray) -> np.ndarray:
-    """The square roots of PSD 2x2 matrices ``W`` (..., 2, 2), such as the
-    weighted states ``prob * rho``.
+def _purification_factors(rho: np.ndarray, prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``F`` with ``prob * rho = F F^dag``, and the root ``sqrt(prob * rho) = F V^dag``,
+    for each state ``rho`` (..., 2, 2) with send probability ``prob`` (...):
+    column k of ``F`` is the k-th eigenvector (decreasing eigenvalues, the
+    columns of ``V``) scaled by ``sqrt(prob * lam_k)``.
 
-    A 2x2 PSD matrix has ``sqrt(M) = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M))``
-    (Levinger, Math. Mag. 53 (1980)); a negative ``det`` is rounding dust of
-    a pure state and is clamped at 0.  The denominator vanishes only for
-    ``M = 0``, whose root is 0.
+    One batched ``eigh`` runs the same LAPACK routine on every matrix, so
+    each state gets the eigenvector phases a single ``eigh`` would give it.
+    The root does not depend on those phases.
     """
-    det = np.maximum((W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]).real, 0.0)
-    root_det = np.sqrt(det)[..., None, None]
-    trace = (W[..., 0, 0] + W[..., 1, 1]).real[..., None, None]
-    scale = np.maximum(np.sqrt(trace + 2.0 * root_det), _TINY)
-    return (W + root_det * _IDENTITY) / scale
+    w, V = np.linalg.eigh(rho)
+    w, V = w[..., ::-1], V[..., ::-1]
+    F = np.sqrt(prob)[..., None, None] * (V * np.sqrt(np.maximum(w, 0.0))[..., None, :])
+    return F, F @ V.conj().swapaxes(-1, -2)
 
 
-def _twist_factors(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The factors ``S1^T`` and ``S2^*`` of both pairings, each stacked
-    ``(..., 2, 4, 4)`` in the order (e_minus, e_plus), from the weighted key
-    states ``p_x rho_x`` of Alice and of Bob, stacked ``(2, ..., 2, 2, 2)``.
+def _pair_factors(rho: np.ndarray, prob: np.ndarray) -> tuple:
+    """The twist's factors ``S1^T`` and ``S2^*``, each stacked ``(..., 2, 4, 4)``
+    in the order (e_minus, e_plus), and the baseline's pairings
+    ``G00 G11^dag`` and ``G01 G10^dag``, stacked ``(2, ..., 4, 4)`` in that
+    order, from the key states of Alice and of Bob, ``rho``
+    ``(2, ..., 2, 2, 2)`` with send probabilities ``prob`` ``(2, ..., 2)``.
 
+    Both come from one :func:`_purification_factors` call.
     ``S_xy = sqrt(p_x rho_x) (x) sqrt(q_y sigma_y)`` is the square root of
     the ancilla block of key pair (x, y); e_minus pairs (0,1) with (1,0)
-    and e_plus pairs (0,0) with (1,1).  The four roots are one ``kron``.
+    and e_plus pairs (0,0) with (1,1), and the four roots are one ``kron``.
+    Each baseline pairing is the Kronecker product of Alice's factor pairing
+    ``A0 A1^dag`` with one of Bob's, ``B0 B1^dag`` or ``B1 B0^dag``; the
+    three factor pairings are one batched product, the two Kronecker
+    products one ``kron``.
     """
-    A, B = _weighted_roots(key)
+    F, (A, B) = _purification_factors(rho, prob)
     S = kron(A.take((0, 0, 1, 1), axis=-3), B.take((1, 0, 0, 1), axis=-3))
-    return S[..., :2, :, :].swapaxes(-1, -2), S[..., 2:, :, :].conj()
+    left, right = F[[0, 1, 1], ..., [0, 0, 1], :, :], F[[0, 1, 1], ..., [1, 1, 0], :, :]
+    pairings = left @ right.conj().swapaxes(-1, -2)
+    return (S[..., :2, :, :].swapaxes(-1, -2), S[..., 2:, :, :].conj(),
+            kron(pairings[0], pairings[1:]))
 
 
 @dataclass
@@ -128,20 +142,26 @@ class PhaseErrors:
 
 
 def _phase_error_rows(factors: tuple, E: np.ndarray, p_det00: np.ndarray, e_z: np.ndarray):
-    """Optimized ``(e_minus, e_plus, s_minus, 1 - s_plus)`` for the M * D
-    Gram matrices ``E`` (M * D, 4, 4), pair-major, of M ensemble pairs with
-    :func:`_twist_factors` stacked (M, 2, 4, 4), or of one pair's; ``e_z``
-    is the clamped bit error rate of each row.
+    """Optimized ``(e_minus, e_plus, s_minus, 1 - s_plus)``, then the
+    baseline's signed ``e_minus`` and its ``e_plus``, for the M * D Gram
+    matrices ``E`` (M * D, 4, 4), pair-major, of M ensemble pairs with
+    :func:`_pair_factors` stacked for M pairs, or of one pair's; ``e_z`` is
+    the clamped bit error rate of each row.
 
-    Each pair's factors broadcast over its D rows, and both trace norms of
-    every row come from one batched ``svd``."""
-    left, right = (F.reshape(-1, 1, 2, 4, 4) for F in factors)
-    E = E.reshape(len(left), -1, 1, 4, 4)
-    singular_values = np.linalg.svd(left @ E @ right, compute_uv=False)
-    norms = np.add.reduce(singular_values, axis=-1).reshape(-1, 2)
-    s = 2.0 / p_det00[:, None] * norms
+    Each pair's factors broadcast over its D rows; both trace norms of
+    every row come from one batched ``svd``, and both baseline pairings
+    are one multiply-and-sum with ``E``."""
+    left, right, pairings = factors
+    left, right = (F.reshape(-1, 1, 2, 4, 4) for F in (left, right))
+    E = E.reshape(len(left), -1, 4, 4)
+    singular_values = np.linalg.svd(left @ E[:, :, None] @ right, compute_uv=False)
+    s = 2.0 / p_det00[:, None] * np.add.reduce(singular_values, axis=-1).reshape(-1, 2)
     s_minus, bound_plus = s[:, 0], 1.0 - s[:, 1]
-    return np.minimum(s_minus, e_z), np.maximum(bound_plus, e_z), s_minus, bound_plus
+    naive = np.add.reduce(E * pairings.reshape(2, -1, 1, 4, 4), axis=(-2, -1)).real.reshape(2, -1)
+    return (
+        np.minimum(s_minus, e_z), np.maximum(bound_plus, e_z), s_minus, bound_plus,
+        -2.0 * naive[1] / p_det00, 1.0 - 2.0 * naive[0] / p_det00,
+    )
 
 
 def optimize_phase_errors(problem: TwistProblem) -> PhaseErrors:
@@ -154,27 +174,10 @@ def optimize_phase_errors(problem: TwistProblem) -> PhaseErrors:
                     f"{party}'s key state {x} has prior {state.prob}, so its ancilla "
                     "Gram blocks are zero; check key-state priors"
                 )
-    rows = _phase_error_rows(
-        _twist_factors(np.array([[state.weighted() for state in key] for key in keys])),
-        problem.eve_gram.e_matrix[None],
-        np.array([problem.p_det00]),
-        np.array([problem.e_z]),
-    )
-    e_minus, e_plus, bound_minus, bound_plus = (float(v[0]) for v in rows)
+    rows = _one_pair(problem.alice_key, problem.bob_key, problem.eve_gram, problem.p_det00,
+                     problem.e_z)
+    e_minus, e_plus, bound_minus, bound_plus = rows[:4]
     return PhaseErrors(e_minus, e_plus, bound_minus, bound_plus)
-
-
-def _purification_factors(rho: np.ndarray, prob: np.ndarray) -> np.ndarray:
-    """``F`` with ``prob * rho = F F^dag`` for each state ``rho`` (..., 2, 2)
-    with send probability ``prob`` (...): column k is the k-th eigenvector
-    (decreasing eigenvalues) scaled by ``sqrt(prob * lam_k)``.
-
-    One batched ``eigh`` runs the same LAPACK routine on every matrix, so
-    each state gets the eigenvector phases a single ``eigh`` would give it.
-    """
-    w, V = np.linalg.eigh(rho)
-    w, V = w[..., ::-1], V[..., ::-1]
-    return np.sqrt(prob)[..., None, None] * (V * np.sqrt(np.maximum(w, 0.0))[..., None, :])
 
 
 def naive_phase_errors(alice_key, bob_key, eve: EveGram, p_det00: float) -> PhaseErrors:
@@ -193,36 +196,14 @@ def naive_phase_errors(alice_key, bob_key, eve: EveGram, p_det00: float) -> Phas
     1.95.  The twisted optimum absorbs every such
     phase and does not move.
     """
+    e_minus, e_plus = _one_pair(alice_key, bob_key, eve, p_det00, 0.0)[4:]
+    return PhaseErrors(e_minus=e_minus, e_plus=e_plus)
+
+
+def _one_pair(alice_key, bob_key, eve: EveGram, p_det00: float, e_z: float) -> list:
+    """The six values of :func:`_phase_error_rows` for one pair's key states,
+    through the kernel's two stages."""
     rho, prob = _stack((*alice_key, *bob_key))
-    pairings = _naive_pairings(rho.reshape(2, 2, 2, 2), prob.reshape(2, 2))
-    e_minus, e_plus = _naive_rows(pairings, eve.e_matrix[None], np.array([p_det00]))
-    return PhaseErrors(e_minus=float(e_minus[0]), e_plus=float(e_plus[0]))
-
-
-def _naive_pairings(rho: np.ndarray, prob: np.ndarray) -> np.ndarray:
-    """The pairings ``G00 G11^dag`` and ``G01 G10^dag`` of the eigenbasis
-    purification vectors, stacked (2, ..., 4, 4) in that order, from the
-    key states of Alice and of Bob, ``rho`` (2, ..., 2, 2, 2) with send
-    probabilities ``prob`` (2, ..., 2).
-
-    The factors of all key states come from one batched ``eigh``; each
-    pairing is the Kronecker product of Alice's factor pairing ``A0 A1^dag``
-    with one of Bob's, ``B0 B1^dag`` or ``B1 B0^dag``, and the three factor
-    pairings are one batched product, the two Kronecker products one ``kron``.
-    """
-    F = _purification_factors(rho, prob)
-    left, right = F[[0, 1, 1], ..., [0, 0, 1], :, :], F[[0, 1, 1], ..., [1, 1, 0], :, :]
-    pairings = left @ right.conj().swapaxes(-1, -2)
-    return kron(pairings[0], pairings[1:])
-
-
-def _naive_rows(pairings: np.ndarray, E: np.ndarray, p_det00: np.ndarray):
-    """Signed ``e_minus`` and ``e_plus`` of the eigenbasis purification for
-    the M * D Gram matrices ``E`` (M * D, 4, 4), pair-major, of M ensemble
-    pairs with :func:`_naive_pairings` stacked (2, M, 4, 4), or of one
-    pair's; each pair's pairings broadcast over its D rows, and both
-    pairings are one multiply-and-sum."""
-    pairings = pairings.reshape(2, -1, 1, 4, 4)
-    E = E.reshape(pairings.shape[1], -1, 4, 4)
-    s_plus, s_minus = np.add.reduce(E * pairings, axis=(-2, -1)).real.reshape(2, -1)
-    return -2.0 * s_minus / p_det00, 1.0 - 2.0 * s_plus / p_det00
+    factors = _pair_factors(rho.reshape(2, 2, 2, 2), prob.reshape(2, 2))
+    rows = _phase_error_rows(factors, eve.e_matrix[None], np.array([p_det00]), np.array([e_z]))
+    return [float(v[0]) for v in rows]

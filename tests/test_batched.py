@@ -339,7 +339,7 @@ def test_each_row_keeps_its_first_error_across_stages_and_windows(monkeypatch):
         for ensembles in (alices, (good, good))
     ]
     stages = {name: getattr(keyrate_module, name) for name in
-              ("_detection_rows", "_key_rows", "_phase_error_rows", "_naive_rows")}
+              ("_detection_rows", "_key_rows", "_phase_error_rows")}
     seen = {}
 
     def detection_rows(*args):
@@ -355,20 +355,16 @@ def test_each_row_keeps_its_first_error_across_stages_and_windows(monkeypatch):
         return p00, e_z
 
     def phase_error_rows(*args):
-        e_minus, e_plus, bound_minus, bound_plus = stages["_phase_error_rows"](*args)
+        e_minus, e_plus, bound_minus, bound_plus, signed, plus = stages["_phase_error_rows"](*args)
         e_minus[[1, 2, 3, 4, 8]] = -0.1
         e_plus[6] = 1.5
         e_minus[7], e_plus[7] = 0.9, 1.5
-        return e_minus, e_plus, bound_minus, bound_plus
-
-    def naive_rows(*args):
-        signed, plus = stages["_naive_rows"](*args)
         plus[5] = 1.25
         plus[6] = plus[7] = 0.0  # an earlier window (e_plus >= e_z) than the twisted one's
-        return signed, plus
+        return e_minus, e_plus, bound_minus, bound_plus, signed, plus
 
     for name, patch in (("_detection_rows", detection_rows), ("_key_rows", key_rows),
-                        ("_phase_error_rows", phase_error_rows), ("_naive_rows", naive_rows)):
+                        ("_phase_error_rows", phase_error_rows)):
         monkeypatch.setattr(keyrate_module, name, patch)
     channel = ChannelParams(eta=ETA, p_dark=P_DARK, distance_km=0.0)
     rows = outcomes(keyrate_module._evaluate(

@@ -24,9 +24,8 @@ from twistqkd.sdp import solve_sdp
 from twistqkd.states import ModelParams, QubitState, SignalEnsemble, _stack, model_states
 from twistqkd.twist import (
     TwistProblem,
+    _pair_factors,
     _purification_factors,
-    _twist_factors,
-    _weighted_roots,
     naive_phase_errors,
     optimize_phase_errors,
 )
@@ -93,13 +92,13 @@ class TestSquareRoots:
             QubitState(rho=np.outer(ket, ket.conj()), prob=0.3),
             QubitState(rho=np.eye(2) / 2.0, prob=0.25),
         ]
-        roots = _weighted_roots(np.stack([state.weighted() for state in states]))
+        _, roots = _purification_factors(*_stack(states))
         for root, state in zip(roots, states):
             np.testing.assert_allclose(root, root.conj().T, atol=1e-15)
             assert np.linalg.eigvalsh(root)[0] >= -1e-9
             np.testing.assert_allclose(root @ root, state.weighted(), atol=1e-14)
         # a pure state's root is the scaled projector, up to the square root
-        # of the rounding dust in its determinant
+        # of the rounding dust in its small eigenvalue
         np.testing.assert_allclose(roots[-2], np.sqrt(0.3) * states[-2].rho, atol=1e-8)
 
     def test_factors_are_roots_of_the_ancilla_blocks(self):
@@ -107,7 +106,8 @@ class TestSquareRoots:
         rng = np.random.default_rng(13)
         bob = random_ensemble(rng)
         ak, bk = ens.key_states(), bob.key_states()
-        left, right = _twist_factors(np.array([[s.weighted() for s in key] for key in (ak, bk)]))
+        rho, prob = _stack((*ak, *bk))
+        left, right, _ = _pair_factors(rho.reshape(2, 2, 2, 2), prob.reshape(2, 2))
         pairs = (((0, 1), (1, 0)), ((0, 0), (1, 1)))
         for k, ((xl, yl), (xr, yr)) in enumerate(pairs):
             S_left, S_right = left[k].T, right[k].conj()
@@ -125,13 +125,13 @@ class TestPurificationFactors:
     )
 
     def test_factors_purify_the_weighted_states(self):
-        factors = _purification_factors(*_stack(self.STATES))
+        factors, _ = _purification_factors(*_stack(self.STATES))
         assert factors.shape == (4, 2, 2)
         for F, state in zip(factors, self.STATES):
             np.testing.assert_allclose(F @ F.conj().T, state.weighted(), atol=1e-15)
 
     def test_eigenvalues_decrease(self):
-        factors = _purification_factors(*_stack(self.STATES))
+        factors, _ = _purification_factors(*_stack(self.STATES))
         for F, state in zip(factors, self.STATES):
             # orthogonal columns of squared norm prob * lam_k, decreasing
             weights = np.sum(np.abs(F) ** 2, axis=0)
@@ -154,7 +154,7 @@ class TestPurificationFactors:
                 QubitState(rho=random_density_matrix(rng), prob=rng.uniform(0.05, 1.0))
                 for _ in range(4)
             ]
-            for F, state in zip(_purification_factors(*_stack(states)), states):
+            for F, state in zip(_purification_factors(*_stack(states))[0], states):
                 w, V = np.linalg.eigh(state.rho)
                 w, V = w[::-1], V[:, ::-1]
                 np.testing.assert_array_equal(
