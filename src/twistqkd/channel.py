@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError, _numeric
+from .errors import InvalidParamsError, _float_array, _numeric
 from .qmath import kron
 from .states import SignalEnsemble, _conditioning, _state_rows
 
@@ -74,7 +74,7 @@ class DetectionStats:
     p_det: np.ndarray
 
     def __post_init__(self):
-        self.p_det = _numeric(self.p_det, "p_det", lambda p: np.asarray(p, dtype=float))
+        self.p_det = _numeric(self.p_det, "p_det", _float_array)
         if self.p_det.shape != (16,):
             raise InvalidParamsError(f"p_det must have shape (16,), got {self.p_det.shape}")
         if not np.isfinite(self.p_det).all():

@@ -63,3 +63,13 @@ def _numeric(value, name: str, convert=float):
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
         raise InvalidParamsError(f"{name} must be numeric, got {value!r}") from exc
+
+
+def _float_array(value) -> np.ndarray:
+    """``np.asarray(value, dtype=float)``, except that an entry None, which numpy
+    reads as NaN, raises TypeError as ``float(None)`` does: for :func:`_numeric`,
+    a missing number is not numeric, while NaN is left to the caller's rules."""
+    array = np.asarray(value, dtype=float)
+    if np.isnan(array).any() and any(v is None for v in np.asarray(value, dtype=object).flat):
+        raise TypeError("an entry is None")
+    return array

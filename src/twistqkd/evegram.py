@@ -5,6 +5,9 @@ The 16 pass probabilities are linear in the 16 inner products
 by the measurement node, with the coefficient matrix built from the signal
 states.  Solving that linear system, symmetrizing and clipping negative
 eigenvalues (at most ``CLIP_ERROR`` of the trace) yields a physical 4x4 Gram matrix.
+The Gram matrix holds the matrix elements of the node's pass operator
+``M``, which obeys ``M <= I``, so statistics whose Gram matrix has an
+eigenvalue above 1 (by more than ``CLIP_ERROR``) are refused too.
 
 Storage convention: ``e_matrix[2m+n, 2m'+n'] = <e_{m'n'}|e_{mn}>``, i.e. the
 flattened entry ``s = 8m + 4m' + 2n + n'`` lands at row ``2m+n``, column
@@ -104,9 +107,13 @@ def _solve_rows(RA_inv: np.ndarray, RB_inv: np.ndarray, p_det: np.ndarray, error
     ``RA X RB^T = P`` for ``P = p_det.reshape(4, 4)``, so ``X = RA^-1 P RB^-T``
     and ``raw = vec(X)``; each pair's factors broadcast over its D rows.
     Returns ``(E, clipped, raw)``: the repaired matrices (M * D, 4, 4), and
-    the clipped mass and raw solution per row; the
+    the clipped mass and raw solution per row.  The
     :class:`~twistqkd.errors.QkdError` a row fails with is recorded in
-    ``errors``, once some row is not finite or was repaired.
+    ``errors``, from three checks in order: ``E`` is not finite, its PSD
+    repair removed more than ``CLIP_ERROR`` of its trace, or its largest
+    eigenvalue exceeds 1 by more than ``CLIP_ERROR``.  ``E`` holds the
+    matrix elements of the node's pass operator ``M`` (``E[2m+n, 2m'+n'] =
+    <m'n'|M|mn>``), and ``M <= I``, so no node gives such statistics.
     """
     RA_inv, RB_inv = (R.reshape(-1, 1, 4, 4) for R in (RA_inv, RB_inv))
     P = np.asarray(p_det, dtype=float).reshape(len(RA_inv), -1, 4, 4)
@@ -116,16 +123,31 @@ def _solve_rows(RA_inv: np.ndarray, RB_inv: np.ndarray, p_det: np.ndarray, error
     finite = np.logical_and.reduce(np.isfinite(E), axis=(-2, -1))
     E[~finite] = 0.0
     E, clipped = psd_project(E)
-    if finite.all() and not np.count_nonzero(clipped):
+    trace = E.trace(axis1=-2, axis2=-1).real  # >= 0: an unrepaired row passes the repair test
+    # The repaired E is PSD, so its largest eigenvalue is at most its trace:
+    # only a row whose trace exceeds 1 can break E <= I, and only those are decomposed.
+    heavy = trace > 1.0 + CLIP_ERROR
+    if finite.all() and not (np.count_nonzero(clipped) or np.count_nonzero(heavy)):
         return E, clipped, raw
-    trace = E.trace(axis1=-2, axis2=-1).real  # >= 0: an unrepaired row passes both tests
-    _record(errors, np.array((~finite, clipped > CLIP_ERROR * trace)), lambda c, i: (
-        UnphysicalStatsError(
-            f"PSD repair removed eigenvalue mass {clipped[i]:.3e}, more than {CLIP_ERROR:.0e} "
-            f"of the repaired Gram matrix's trace {trace[i]:.3e} (warned above "
-            f"{CLIP_WARN:.0e}); statistics are not consistent with any quantum channel"
-        ) if c else NotHermitianError("matrix contains NaN or Inf entries")
-    ))
+    top = trace.copy()
+    top[heavy] = np.linalg.eigvalsh(E[heavy])[:, -1]
+
+    def error_of(c, i):
+        if c == 0:
+            return NotHermitianError("matrix contains NaN or Inf entries")
+        if c == 1:
+            return UnphysicalStatsError(
+                f"PSD repair removed eigenvalue mass {clipped[i]:.3e}, more than "
+                f"{CLIP_ERROR:.0e} of the repaired Gram matrix's trace {trace[i]:.3e} (warned "
+                f"above {CLIP_WARN:.0e}); statistics are not consistent with any quantum channel"
+            )
+        return UnphysicalStatsError(
+            f"the Gram matrix has largest eigenvalue {top[i]:.6g}, above 1 by more than "
+            f"{CLIP_ERROR:.0e}; no pass operator M <= I gives these statistics"
+        )
+
+    _record(errors, np.array((~finite, clipped > CLIP_ERROR * trace, top > 1.0 + CLIP_ERROR)),
+            error_of)
     for i in (clipped > CLIP_WARN * trace).nonzero()[0]:
         if errors[i] is None:
             _warn_caller(f"Gram reconstruction clipped eigenvalue mass {clipped[i]:.3e}, more "

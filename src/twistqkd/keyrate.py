@@ -59,7 +59,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .channel import ChannelParams, DetectionStats, _detection_rows
-from .errors import DomainError, InvalidParamsError, InvalidPhaseError, _numeric, _record
+from .errors import (
+    DomainError, InvalidParamsError, InvalidPhaseError, _float_array, _numeric, _record
+)
 from .evegram import _invert_factors, _key_checks, _key_rows, _solve_rows
 from .states import (
     ModelParams, SignalEnsemble, _conditioning, _model_grid, _state_rows, ensemble_from_dict
@@ -403,7 +405,7 @@ class ScanConfig:
         normal.update(
             # A read-only copy: an edit of the caller's array cannot reach the grid.
             distances=_numeric(self.distances, "distances",
-                               lambda d: np.array(d, dtype=float, ndmin=1)),
+                               lambda d: np.array(_float_array(d), ndmin=1)),
             f=_require_f(self.f),
             bob_states=self.alice_states if self.bob_states is None else self.bob_states,
         )

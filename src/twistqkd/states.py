@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySubspaceError, InvalidParamsError, _numeric
+from .errors import EmptySubspaceError, InvalidParamsError, _float_array, _numeric
 from .qmath import PAULI, require_hermitian
 
 TRACE_TOL = 1e-10
@@ -195,7 +195,7 @@ def _model_grid(deltas, depols, priors=_UNIFORM_PRIORS):
     :func:`_check_states` call and the priors' sum by :func:`_check_totals`.
     A :class:`~twistqkd.keyrate.ScanConfig` builds its grid with it, once.
     """
-    priors = _numeric(priors, "priors", lambda p: np.asarray(p, dtype=float))
+    priors = _numeric(priors, "priors", _float_array)
     if priors.shape != (4,):
         raise InvalidParamsError(f"priors must have length 4, got shape {priors.shape}")
     kets = _model_kets(deltas)

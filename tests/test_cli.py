@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bloch_state, coplanar_ensemble, random_ensemble
-from twistqkd.channel import ChannelParams, detection_stats
+from twistqkd.channel import ChannelParams, DetectionStats, detection_stats
 from twistqkd.cli import main
 from twistqkd.keyrate import ScanConfig, keyrate_point, scan, scan_to_csv
 from twistqkd.states import ModelParams, SignalEnsemble, ensemble_to_json, model_states
@@ -129,6 +129,25 @@ class TestScanCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
         assert all(r["status"] == "ok" for r in rows)
+
+    def test_statistics_above_any_pass_operator_fail_every_row(self, tmp_path, capsys):
+        # three times the ideal node's statistics, those of M = 3|Phi+><Phi+|:
+        # a stats_csv scan gives each pair the same row at every distance, and
+        # each row is refused, while the scan itself succeeds
+        ens = model_states(ModelParams(delta=0.1, depol=0.05))
+        ideal = detection_stats(ens, ens, ChannelParams(eta=1.0, p_dark=0.0, distance_km=0.0))
+        stats = tmp_path / "stats.csv"
+        DetectionStats(p_det=3.0 * ideal.p_det).to_csv(stats)
+        config = write_config(tmp_path, delta=0.1, stats_csv=str(stats),
+                              distance={"min": 0.0, "max": 150.0, "step": 50.0})
+        out_csv = tmp_path / "rates.csv"
+        code, out, _ = run_main(["scan", "--config", str(config), "--out", str(out_csv)], capsys)
+        assert code == 0
+        assert "4 rows" in out and "(4 failed)" in out
+        with open(out_csv) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["status"] for r in rows] == ["UnphysicalStatsError"] * 4
+        assert all("no pass operator M <= I" in r["error"] for r in rows)
 
     def test_out_from_config(self, tmp_path, capsys):
         out_csv = tmp_path / "rates.csv"

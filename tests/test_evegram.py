@@ -170,6 +170,45 @@ class TestSolveEve:
         assert "1e-04" in str(refused.value) and "1e-08" in str(refused.value)
 
 
+def tripled_node_stats():
+    """Three times the ideal node's statistics on model states at delta 0.1,
+    depol 0.05: those of the pass operator ``M = 3|Phi+><Phi+|``, which no
+    node (``M <= I``) has.  Every entry is at most 0.089 and they sum to 0.742."""
+    ens = model_states(ModelParams(delta=0.1, depol=0.05))
+    ideal = detection_stats(ens, ens, ChannelParams(eta=1.0, p_dark=0.0, distance_km=0.0))
+    return ens, DetectionStats(p_det=3.0 * ideal.p_det)
+
+
+class TestPassOperatorBound:
+    def test_statistics_above_any_pass_operator_are_refused_at_every_distance(self):
+        # The Gram matrix is the pass operator's matrix, so its largest
+        # eigenvalue, 3, refuses the statistics at every distance, which the
+        # PSD repair alone does not: the matrix is already PSD.
+        ens, stats = tripled_node_stats()
+        assert stats.p_det.max() < 0.09 and stats.p_det.sum() < 0.75
+        message = ("the Gram matrix has largest eigenvalue 3, above 1 by more than 1e-04; "
+                   "no pass operator M <= I gives these statistics")
+        distances = [0.0, 50.0, 150.0]
+        for distance in distances:
+            channel = ChannelParams(eta=0.5, p_dark=1e-5, distance_km=distance)
+            with pytest.raises(UnphysicalStatsError) as refused:
+                keyrate_point(ens, ens, channel, stats=stats)
+            assert str(refused.value) == message
+        rows = scan(ScanConfig(deltas=[0.1], depols=[0.05], distances=distances, eta=0.5,
+                               p_dark=1e-5, stats=stats))
+        assert [(row.status, row.error) for row in rows] == [("UnphysicalStatsError", message)] * 3
+
+    def test_half_identity_node_passes(self):
+        # The node M = I/2 passes every input with probability 1/2: its Gram
+        # matrix has trace 2, above 1, but every eigenvalue is 0.5.
+        rng = np.random.default_rng(7)
+        alice, bob = random_ensemble(rng), random_ensemble(rng)
+        stats = DetectionStats(p_det=0.5 * np.outer(alice.priors, bob.priors).reshape(16))
+        eve = solve_eve(build_gamma(alice, bob), stats)
+        assert np.trace(eve.e_matrix).real == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose(np.linalg.eigvalsh(eve.e_matrix), 0.5, atol=1e-12)
+
+
 class TestKeyBasisStats:
     def test_ideal_values(self):
         _, stats, _ = ideal_setup()

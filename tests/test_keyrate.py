@@ -305,16 +305,37 @@ def ensemble_doc(ens, prior=None, entry=None):
         ("rho", lambda ens: ensemble_from_json(ensemble_doc(ens, entry=["a", 0.0]))),
         ("e_plus", lambda ens: six_state_rate(0.1, 0.05, 0.01, "x")),
         ("binary entropy argument", lambda ens: binary_entropy("x")),
+        # numpy reads None as NaN; a None entry is a missing number, not a bad value
+        ("distances", lambda ens: ScanConfig(deltas=0.0, depols=0.0, distances=[10.0, None],
+                                             eta=0.5, p_dark=0.0)),
+        ("p_det", lambda ens: DetectionStats(p_det=[None] * 16)),
+        ("priors", lambda ens: model_states(ModelParams(delta=0.1, depol=0.05),
+                                            [0.25, None, 0.25, 0.5])),
     ],
     ids=["ChannelParams.eta", "ChannelParams.p_dark", "ModelParams.delta", "QubitState.prob",
          "DetectionStats.p_det", "keyrate_point.f", "model_states.priors", "ScanConfig.eta",
          "QubitState.rho", "ensemble_from_json.prior", "ensemble_from_json.rho",
-         "six_state_rate", "binary_entropy"],
+         "six_state_rate", "binary_entropy", "ScanConfig.distances-None",
+         "DetectionStats.p_det-None", "model_states.priors-None"],
 )
 def test_non_numeric_parameters_are_typed(name, build):
     ens = model_states(ModelParams(delta=0.1, depol=0.05))
     with pytest.raises(InvalidParamsError, match=f"^{name} must be numeric, got "):
         build(ens)
+
+
+def test_nan_entries_are_not_finite_and_numeric_strings_convert():
+    # the None check above leaves NaN to each field's finiteness rule
+    with pytest.raises(InvalidParamsError, match="^distance_km must be finite, got nan"):
+        ScanConfig(deltas=0.0, depols=0.0, distances=[10.0, math.nan], eta=0.5, p_dark=0.0)
+    with pytest.raises(InvalidParamsError, match="^p_det entries must be finite"):
+        DetectionStats(p_det=[math.nan] * 16)
+    with pytest.raises(InvalidParamsError, match=r"^prob must be in \[0, 1\], got nan"):
+        model_states(ModelParams(delta=0.1, depol=0.05), [0.25, math.nan, 0.25, 0.5])
+    config = ScanConfig(deltas=0.0, depols=0.0, distances=["10", "20.5"], eta=0.5, p_dark=0.0)
+    assert config.distances.tolist() == [10.0, 20.5]
+    assert DetectionStats(p_det=["0.01"] * 16).p_det.tolist() == [0.01] * 16
+    assert model_states(ModelParams(delta=0.1, depol=0.05), ["0.25"] * 4).priors.tolist() == [0.25] * 4
 
 
 class TestScanConfig:

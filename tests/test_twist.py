@@ -22,6 +22,7 @@ from twistqkd.errors import InvalidParamsError
 from twistqkd.evegram import EveGram, key_basis_stats, solve_eve
 from twistqkd.sdp import solve_sdp
 from twistqkd.states import ModelParams, QubitState, SignalEnsemble, _stack, model_states
+import twistqkd.twist as twist_module
 from twistqkd.twist import (
     TwistProblem,
     _pair_factors,
@@ -320,6 +321,42 @@ class TestPhaseInvariance:
         before = twisted_values(alice, bob, channel)
         after = twisted_values(rotated(alice, U), rotated(bob, U.conj()), channel)
         np.testing.assert_allclose(after, before, rtol=0.0, atol=1e-10)
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_eigenvector_phases(self, seed):
+        # The twist reads each key state's root sqrt(p rho) = F V^dag from the
+        # eigh that gives the baseline's eigenvectors, and the root cancels
+        # their phases: with every eigenvector column that eigh returns, as
+        # twistqkd.twist sees it, multiplied by a random unit phase, the
+        # optimum does not move beyond rounding, on random ensembles and on
+        # model states, pure ones included.  The baseline may move (see
+        # naive_phase_errors) and is not checked.
+        rng = np.random.default_rng(seed)
+        channel = ChannelParams(eta=0.5, p_dark=1e-5, distance_km=rng.uniform(0.0, 150.0))
+        model = (model_states(ModelParams(delta=rng.uniform(0.0, 0.2), depol=depol))
+                 for depol in (0.0, rng.uniform(0.0, 0.1)))
+        pairs = [(random_ensemble(rng), random_ensemble(rng))] + [(ens, ens) for ens in model]
+        eigh, calls = np.linalg.eigh, []
+
+        def rephased(a):
+            w, V = eigh(a)
+            calls.append(a.shape)
+            return w, V * np.exp(2j * np.pi * rng.uniform(size=V.shape[:-2] + (1, V.shape[-1])))
+
+        for alice, bob in pairs:
+            before = twisted_values(alice, bob, channel)
+            eve, p00, e_z = pair_inputs(alice, bob, channel)
+            problem = TwistProblem.from_key_states(
+                alice.key_states(), bob.key_states(), eve, p00, e_z
+            )
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(twist_module.np.linalg, "eigh", rephased)
+                opt = optimize_phase_errors(problem)
+            after = before[:2] + [opt.e_minus, opt.e_plus, opt.bound_minus, opt.bound_plus]
+            np.testing.assert_allclose(after, before, rtol=0.0, atol=1e-14)
+        assert calls == [(2, 2, 2, 2)] * len(pairs)  # one eigh of the four key states per call
 
 
 def matches_oracle(problem):
