@@ -24,13 +24,15 @@ Everything that depends on the statistics (Gram solve, PSD repair,
 key-basis statistics, phase errors and rates) runs on arrays over the
 M * D rows, which view them as (M, D, ...) so that each pair's arrays
 broadcast over its D rows.  One row stage (``twist._phase_error_rows``)
-gives the twist's trace norms and the baseline's values together.  The twisted phase errors and the
-baseline's are stacked (2, M * D), so one pass of the rate formula checks
-both purifications' windows and evaluates both rates.  Every stage makes
+gives the twist's trace norms and the baseline's values together.  The
+twisted phase errors and the baseline's are stacked (2, M * D), so one
+pass of the rate formula checks both purifications' windows and evaluates
+both rates.  Every stage makes
 one pass test over its rows, and only once a row fails does it record
 (:func:`~twistqkd.errors._record`) its checks' failure masks in pipeline
 order and each failed row's first error, the one a point would raise.  The order is
-singular state matrix, non-finite then unphysical Gram solve, no key-basis
+singular state matrix, a non-finite Gram solve, then an unphysical one (PSD
+repair beyond its bound, then an eigenvalue above 1), no key-basis
 detections, ``p_det00`` and ``e_z`` out of range, then the five windows of
 the twisted rate and the five of the baseline's.  An error of a pair's
 ensembles fails only that pair's rows.  The kernel runs under one

@@ -174,10 +174,7 @@ def optimize_phase_errors(problem: TwistProblem) -> PhaseErrors:
                     f"{party}'s key state {x} has prior {state.prob}, so its ancilla "
                     "Gram blocks are zero; check key-state priors"
                 )
-    rows = _one_pair(problem.alice_key, problem.bob_key, problem.eve_gram, problem.p_det00,
-                     problem.e_z)
-    e_minus, e_plus, bound_minus, bound_plus = rows[:4]
-    return PhaseErrors(e_minus, e_plus, bound_minus, bound_plus)
+    return PhaseErrors(*_one_pair(*keys, problem.eve_gram, problem.p_det00, problem.e_z)[:4])
 
 
 def naive_phase_errors(alice_key, bob_key, eve: EveGram, p_det00: float) -> PhaseErrors:

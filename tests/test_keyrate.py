@@ -335,7 +335,8 @@ def test_nan_entries_are_not_finite_and_numeric_strings_convert():
     config = ScanConfig(deltas=0.0, depols=0.0, distances=["10", "20.5"], eta=0.5, p_dark=0.0)
     assert config.distances.tolist() == [10.0, 20.5]
     assert DetectionStats(p_det=["0.01"] * 16).p_det.tolist() == [0.01] * 16
-    assert model_states(ModelParams(delta=0.1, depol=0.05), ["0.25"] * 4).priors.tolist() == [0.25] * 4
+    priors = model_states(ModelParams(delta=0.1, depol=0.05), ["0.25"] * 4).priors
+    assert priors.tolist() == [0.25] * 4
 
 
 class TestScanConfig:
