@@ -322,7 +322,6 @@ class TestPhaseInvariance:
         after = twisted_values(rotated(alice, U), rotated(bob, U.conj()), channel)
         np.testing.assert_allclose(after, before, rtol=0.0, atol=1e-10)
 
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_eigenvector_phases(self, seed):
