@@ -1,6 +1,8 @@
 """Exception types raised across the package, the typed conversion of
 numeric parameters, and the rule by which a batch of rows records errors."""
 
+import reprlib
+
 import numpy as np
 
 
@@ -26,7 +28,8 @@ class SingularGammaError(QkdError):
 
 class UnphysicalStatsError(QkdError):
     """Statistics are inconsistent with any quantum channel under the
-    package's conventions (PSD repair exceeded its tolerance, relative to the trace)."""
+    package's conventions: PSD repair beyond its tolerance, relative to the
+    trace, or a Gram eigenvalue above 1, which no pass operator gives."""
 
 
 class NoDetectionsError(QkdError):
@@ -62,7 +65,7 @@ def _numeric(value, name: str, convert=float):
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
-        raise InvalidParamsError(f"{name} must be numeric, got {value!r}") from exc
+        raise InvalidParamsError(f"{name} must be numeric, got {reprlib.repr(value)}") from exc
 
 
 def _float_array(value) -> np.ndarray:

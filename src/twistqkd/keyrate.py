@@ -15,16 +15,16 @@ matrices, their condition numbers (``states._conditioning``, the one
 computation that ``build_gamma`` and ``tetrahedron_check`` also report)
 and their inverses (``evegram._invert_factors``, the one singularity test,
 which ``solve_eve`` also calls), and the one pair stage of the twist and
-its baseline (``twist._pair_factors``): one eigendecomposition of the key
-states gives both the square roots of the ancilla blocks, as Kronecker
-products of per-state 2x2 roots, and the baseline's purification pairings.
+its baseline (``twist._pair_factors``), one eigendecomposition of the key
+states for the Kronecker factors of the ancilla blocks.
 Only the photon loss depends on the distance, and it is computed once over
 the distance axis.
 Everything that depends on the statistics (Gram solve, PSD repair,
 key-basis statistics, phase errors and rates) runs on arrays over the
 M * D rows, which view them as (M, D, ...) so that each pair's arrays
 broadcast over its D rows.  One row stage (``twist._phase_error_rows``)
-gives the twist's trace norms and the baseline's values together.  The
+forms one product per row and pairing: the twist is its trace norm, and
+the baseline, the twist at ``K = I``, its real trace.  The
 twisted phase errors and the baseline's are stacked (2, M * D), so one
 pass of the rate formula checks both purifications' windows and evaluates
 both rates.  Every stage makes

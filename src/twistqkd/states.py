@@ -311,8 +311,8 @@ def single_photon_project(
         )
     if normalize not in ("poisson", "trace"):
         raise InvalidParamsError(f"normalize must be 'poisson' or 'trace', got {normalize!r}")
-    if normalize == "poisson" and not mu > 0:
-        raise InvalidParamsError(f"mu must be positive, got {mu}")
+    if normalize == "poisson":
+        mu = _mean_photon_number(mu)
     idx = [d, 1]  # |1,0> (single photon in H) then |0,1>
     block = M[np.ix_(idx, idx)]
     weight = float(block.trace().real)
@@ -320,6 +320,15 @@ def single_photon_project(
         raise EmptySubspaceError(f"single-photon subspace weight {weight:.3e} is below 1e-12")
     divisor = math.exp(-mu) * mu if normalize == "poisson" else weight
     return QubitState(rho=block / divisor, prob=prob)
+
+
+def _mean_photon_number(mu) -> float:
+    """``mu`` as a float, or InvalidParamsError unless the single-photon
+    weight ``exp(-mu) * mu`` is positive: ``0 < mu`` and below about 745."""
+    mu = _numeric(mu, "mu")
+    if not (mu > 0 and math.exp(-mu) * mu > 0):
+        raise InvalidParamsError(f"mu must be positive, with exp(-mu) * mu > 0, got {mu}")
+    return mu
 
 
 def phase_randomized_coherent(jones, mu: float, n_max: int = 4) -> np.ndarray:
@@ -333,14 +342,13 @@ def phase_randomized_coherent(jones, mu: float, n_max: int = 4) -> np.ndarray:
     dropped, so the matrix is subnormalized by the Poisson tail; every kept
     block, including the single-photon one, is exact.
     """
-    if not mu > 0:
-        raise InvalidParamsError(f"mu must be positive, got {mu}")
-    a = np.asarray(jones, dtype=complex)
-    if a.shape != (2,):
-        raise InvalidParamsError("jones must be a length-2 amplitude pair")
+    mu = _mean_photon_number(mu)
+    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
+        raise InvalidParamsError(f"n_max must be an integer >= 0, got {n_max!r}")
+    a = _numeric(jones, "jones", lambda v: np.asarray(v, dtype=complex))
     norm = np.linalg.norm(a)
-    if norm == 0:
-        raise InvalidParamsError("jones vector must be nonzero")
+    if a.shape != (2,) or not 0 < norm < math.inf:
+        raise InvalidParamsError(f"jones must be a nonzero, finite amplitude pair, got {jones!r}")
     a = a / norm
     d = n_max + 1
     rho = np.zeros((d * d, d * d), dtype=complex)

@@ -9,26 +9,25 @@ objectives
     e_minus = e_X - e_Y   (maximized)
     e_plus  = e_X + e_Y   (minimized)
 
-are linear in the cross block ``X`` of the Gram matrix of two key pairs'
-ancilla vectors, whose diagonal blocks ``W1``, ``W2`` are fixed by the key
-states.  By Uhlmann's theorem the reachable cross blocks are exactly
-``W1^{1/2} K W2^{1/2}`` with ``||K|| <= 1``, so each optimum is a trace norm
+are linear in the cross block of the Gram matrix of two key pairs'
+ancilla vectors, whose diagonal blocks ``W = S S^dag`` are fixed by the
+key states.  By Uhlmann's theorem the reachable cross blocks are
+``S1 K S2^dag`` with ``||K|| <= 1``, and the objective at ``K`` is
+``Re tr(K^T X)``, with ``E`` the measurement node's Gram matrix and
+``X = S1^T E S2^*``.  So the twist's optimum is a trace norm
 
-    s = (2/p_det00) * || S1^T E S2^* ||_1,    S = W^{1/2},
+    s = (2/p_det00) * ||X||_1.
 
-with ``E`` the measurement node's Gram matrix.  A block is
-``W = p q rho (x) sigma``, so its square root is the Kronecker product
-``S = sqrt(p rho) (x) sqrt(q sigma)`` of per-state 2x2 roots.  Each root
-comes from the eigendecomposition that also gives the fixed eigenbasis
-purification of the baseline (Koashi, NJP 11, 045018 (2009)):
-``p rho = F F^dag`` with ``F = sqrt(p) V sqrt(lam)``, and
-``sqrt(p rho) = F V^dag``.  Every ``S`` is 4x4 whatever the rank of the
-states, and no rank cutoff applies.  One ``eigh`` over the key states of a
-batch of ensemble pairs gives both the twist's factors and the baseline's
-pairings (:func:`_pair_factors`), and one pass over the Gram matrices of
-their rows gives both the optimized phase errors and the baseline's
-(:func:`_phase_error_rows`).  The scalar windows of the rate formula act as
-clamps: ``e_minus = min(s_-, e_z)`` and ``e_plus = max(1 - s_+, e_z)``.
+The factor of a block ``W = p q rho (x) sigma`` is ``S = F (x) G``, with
+``p rho = F F^dag`` and ``F = sqrt(p) V sqrt(lam)`` from the eigenbasis
+of ``rho``: the fixed eigenbasis purification (Koashi, NJP 11, 045018
+(2009)).  So the baseline is the objective at ``K = I``, ``Re tr X``, and
+``|Re tr X| <= ||X||_1`` on every row.  No rank cutoff applies.  One
+``eigh`` over the key states of a batch of ensemble pairs gives the factors
+(:func:`_pair_factors`), and one product ``X`` per row and pairing gives
+both values (:func:`_phase_error_rows`).  The scalar windows of the rate
+formula act as clamps: ``e_minus = min(s_-, e_z)`` and
+``e_plus = max(1 - s_+, e_z)``.
 
 Gram storage convention (matching :class:`twistqkd.evegram.EveGram`): entry
 ``[2m+n, 2m'+n']`` of a block holds the inner product of the ``(m', n')``
@@ -49,44 +48,33 @@ from .qmath import kron
 from .states import _stack
 
 
-def _purification_factors(rho: np.ndarray, prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``F`` with ``prob * rho = F F^dag``, and the root ``sqrt(prob * rho) = F V^dag``,
-    for each state ``rho`` (..., 2, 2) with send probability ``prob`` (...):
-    column k of ``F`` is the k-th eigenvector (decreasing eigenvalues, the
-    columns of ``V``) scaled by ``sqrt(prob * lam_k)``.
+def _purification_factors(rho: np.ndarray, prob: np.ndarray) -> np.ndarray:
+    """``F`` with ``prob * rho = F F^dag`` for each state ``rho`` (..., 2, 2)
+    with send probability ``prob`` (...): column k of ``F`` is the k-th
+    eigenvector (decreasing eigenvalues) scaled by ``sqrt(prob * lam_k)``, so
+    a zero prior gives ``F = 0``.
 
     One batched ``eigh`` runs the same LAPACK routine on every matrix, so
     each state gets the eigenvector phases a single ``eigh`` would give it.
-    The root does not depend on those phases.
+    The baseline depends on those phases; the twist does not.
     """
     w, V = np.linalg.eigh(rho)
     w, V = w[..., ::-1], V[..., ::-1]
-    F = np.sqrt(prob)[..., None, None] * (V * np.sqrt(np.maximum(w, 0.0))[..., None, :])
-    return F, F @ V.conj().swapaxes(-1, -2)
+    return np.sqrt(prob)[..., None, None] * (V * np.sqrt(np.maximum(w, 0.0))[..., None, :])
 
 
 def _pair_factors(rho: np.ndarray, prob: np.ndarray) -> tuple:
-    """The twist's factors ``S1^T`` and ``S2^*``, each stacked ``(..., 2, 4, 4)``
-    in the order (e_minus, e_plus), and the baseline's pairings
-    ``G00 G11^dag`` and ``G01 G10^dag``, stacked ``(2, ..., 4, 4)`` in that
-    order, from the key states of Alice and of Bob, ``rho``
+    """The factors ``S1^T`` and ``S2^*``, each ``(..., 2, 4, 4)`` in the
+    order (e_minus, e_plus), of the key states of Alice and of Bob, ``rho``
     ``(2, ..., 2, 2, 2)`` with send probabilities ``prob`` ``(2, ..., 2)``.
 
-    Both come from one :func:`_purification_factors` call.
-    ``S_xy = sqrt(p_x rho_x) (x) sqrt(q_y sigma_y)`` is the square root of
-    the ancilla block of key pair (x, y); e_minus pairs (0,1) with (1,0)
-    and e_plus pairs (0,0) with (1,1), and the four roots are one ``kron``.
-    Each baseline pairing is the Kronecker product of Alice's factor pairing
-    ``A0 A1^dag`` with one of Bob's, ``B0 B1^dag`` or ``B1 B0^dag``; the
-    three factor pairings are one batched product, the two Kronecker
-    products one ``kron``.
+    ``S_xy = F_x (x) G_y`` factors the ancilla block of key pair (x, y);
+    e_minus pairs (0,1) with (1,0) and e_plus pairs (0,0) with (1,1), and
+    the four products are one ``kron``.
     """
-    F, (A, B) = _purification_factors(rho, prob)
+    A, B = _purification_factors(rho, prob)
     S = kron(A.take((0, 0, 1, 1), axis=-3), B.take((1, 0, 0, 1), axis=-3))
-    left, right = F[[0, 1, 1], ..., [0, 0, 1], :, :], F[[0, 1, 1], ..., [1, 1, 0], :, :]
-    pairings = left @ right.conj().swapaxes(-1, -2)
-    return (S[..., :2, :, :].swapaxes(-1, -2), S[..., 2:, :, :].conj(),
-            kron(pairings[0], pairings[1:]))
+    return S[..., :2, :, :].swapaxes(-1, -2), S[..., 2:, :, :].conj()
 
 
 @dataclass
@@ -148,19 +136,19 @@ def _phase_error_rows(factors: tuple, E: np.ndarray, p_det00: np.ndarray, e_z: n
     :func:`_pair_factors` stacked for M pairs, or of one pair's; ``e_z`` is
     the clamped bit error rate of each row.
 
-    Each pair's factors broadcast over its D rows; both trace norms of
-    every row come from one batched ``svd``, and both baseline pairings
-    are one multiply-and-sum with ``E``."""
-    left, right, pairings = factors
-    left, right = (F.reshape(-1, 1, 2, 4, 4) for F in (left, right))
+    Each pair's factors broadcast over its D rows.  Each row forms
+    ``X = S1^T E S2^*`` once per pairing: the twist is its trace norm, from
+    one batched ``svd``, and the baseline is its real trace."""
+    left, right = (F.reshape(-1, 1, 2, 4, 4) for F in factors)
     E = E.reshape(len(left), -1, 4, 4)
-    singular_values = np.linalg.svd(left @ E[:, :, None] @ right, compute_uv=False)
-    s = 2.0 / p_det00[:, None] * np.add.reduce(singular_values, axis=-1).reshape(-1, 2)
+    X = left @ E[:, :, None] @ right
+    norms = np.add.reduce(np.linalg.svd(X, compute_uv=False), axis=-1)
+    s, naive = (2.0 / p_det00[:, None] * values.reshape(-1, 2)
+                for values in (norms, np.trace(X, axis1=-2, axis2=-1).real))
     s_minus, bound_plus = s[:, 0], 1.0 - s[:, 1]
-    naive = np.add.reduce(E * pairings.reshape(2, -1, 1, 4, 4), axis=(-2, -1)).real.reshape(2, -1)
     return (
         np.minimum(s_minus, e_z), np.maximum(bound_plus, e_z), s_minus, bound_plus,
-        -2.0 * naive[1] / p_det00, 1.0 - 2.0 * naive[0] / p_det00,
+        -naive[:, 0], 1.0 - naive[:, 1],
     )
 
 

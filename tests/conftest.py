@@ -80,7 +80,7 @@ def _purification_vectors(alice_state, bob_state):
     are the kernel's own (:func:`twistqkd.twist._purification_factors`), so
     the vectors carry the eigenvector phases of the package's baseline.
     """
-    (A, B), _ = _purification_factors(*_stack((alice_state, bob_state)))
+    A, B = _purification_factors(*_stack((alice_state, bob_state)))
     return kron(A, B)
 
 

@@ -324,6 +324,14 @@ def test_non_numeric_parameters_are_typed(name, build):
         build(ens)
 
 
+def test_a_long_value_gives_a_short_message():
+    # one bad entry among 100,001 distances: the message abbreviates the list
+    distances = [float(d) for d in range(100_000)] + ["x"]
+    with pytest.raises(InvalidParamsError, match="^distances must be numeric, got ") as info:
+        ScanConfig(deltas=0.0, depols=0.0, distances=distances, eta=0.5, p_dark=0.0)
+    assert len(str(info.value)) < 100
+
+
 def test_nan_entries_are_not_finite_and_numeric_strings_convert():
     # the None check above leaves NaN to each field's finiteness rule
     with pytest.raises(InvalidParamsError, match="^distance_km must be finite, got nan"):

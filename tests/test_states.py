@@ -227,6 +227,44 @@ class TestSinglePhotonProject:
         with pytest.raises(InvalidParamsError):
             single_photon_project(two_mode_basis_state(1, 0, 2), mu=0.0)
 
+    @pytest.mark.parametrize(
+        "mu, match",
+        [
+            ("a", "^mu must be numeric"),
+            (math.inf, "^mu must be positive"),
+            (math.nan, "^mu must be positive"),
+            (800.0, r"^mu must be positive, with exp\(-mu\) \* mu > 0, got 800"),
+        ],
+        ids=["text", "inf", "nan", "underflow"],
+    )
+    def test_bad_mu_is_typed(self, mu, match):
+        with pytest.raises(InvalidParamsError, match=match):
+            single_photon_project(two_mode_basis_state(1, 0, 2), mu=mu)
+
+
+class TestPhaseRandomizedCoherent:
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("mu", "a", "^mu must be numeric"),
+            ("mu", math.inf, "^mu must be positive"),
+            ("mu", -1.0, "^mu must be positive"),
+            ("mu", 800.0, "^mu must be positive"),
+            ("n_max", -2, "^n_max must be an integer >= 0"),
+            ("n_max", 2.5, "^n_max must be an integer >= 0"),
+            ("jones", ("x", 1), "^jones must be numeric"),
+            ("jones", (math.inf, 0), "^jones must be a nonzero, finite amplitude pair"),
+            ("jones", (0, 0), "^jones must be a nonzero, finite amplitude pair"),
+            ("jones", (1, 0, 0), "^jones must be a nonzero, finite amplitude pair"),
+        ],
+        ids=["mu-text", "mu-inf", "mu-negative", "mu-underflow", "n_max-negative",
+             "n_max-fraction", "jones-text", "jones-inf", "jones-zero", "jones-three"],
+    )
+    def test_bad_inputs_are_typed(self, field, value, match):
+        args = {"jones": (1.0, 1.0), "mu": 0.7, "n_max": 2, field: value}
+        with pytest.raises(InvalidParamsError, match=match):
+            phase_randomized_coherent(**args)
+
 
 class TestJsonRoundTrip:
     def test_round_trip(self):

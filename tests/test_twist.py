@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    _purification_vectors,
     ancilla_gram_block,
     bloch_state,
     naive_twist_gram,
@@ -20,6 +21,7 @@ from conftest import (
 from twistqkd.channel import ChannelParams, build_gamma, detection_stats
 from twistqkd.errors import InvalidParamsError
 from twistqkd.evegram import EveGram, key_basis_stats, solve_eve
+from twistqkd.keyrate import _PHASE_TOL
 from twistqkd.sdp import solve_sdp
 from twistqkd.states import ModelParams, QubitState, SignalEnsemble, _stack, model_states
 import twistqkd.twist as twist_module
@@ -79,60 +81,54 @@ class TestIdealCase:
         assert 1.0 + sol_plus.objective_value == pytest.approx(0.0, abs=1e-7)
 
 
-class TestSquareRoots:
-    def test_roots_square_to_the_weighted_states(self):
-        rng = np.random.default_rng(11)
-        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
-        ket /= np.linalg.norm(ket)
-        states = [
-            QubitState(rho=random_density_matrix(rng), prob=rng.uniform(0.05, 1.0))
-            for _ in range(20)
-        ]
-        states += [
-            QubitState(rho=np.eye(2) / 2.0, prob=0.0),  # a zero block has root 0
-            QubitState(rho=np.outer(ket, ket.conj()), prob=0.3),
-            QubitState(rho=np.eye(2) / 2.0, prob=0.25),
-        ]
-        _, roots = _purification_factors(*_stack(states))
-        for root, state in zip(roots, states):
-            np.testing.assert_allclose(root, root.conj().T, atol=1e-15)
-            assert np.linalg.eigvalsh(root)[0] >= -1e-9
-            np.testing.assert_allclose(root @ root, state.weighted(), atol=1e-14)
-        # a pure state's root is the scaled projector, up to the square root
-        # of the rounding dust in its small eigenvalue
-        np.testing.assert_allclose(roots[-2], np.sqrt(0.3) * states[-2].rho, atol=1e-8)
-
-    def test_factors_are_roots_of_the_ancilla_blocks(self):
-        ens = model_states(ModelParams(delta=0.1, depol=0.05))
-        rng = np.random.default_rng(13)
-        bob = random_ensemble(rng)
-        ak, bk = ens.key_states(), bob.key_states()
-        rho, prob = _stack((*ak, *bk))
-        left, right, _ = _pair_factors(rho.reshape(2, 2, 2, 2), prob.reshape(2, 2))
-        pairs = (((0, 1), (1, 0)), ((0, 0), (1, 1)))
-        for k, ((xl, yl), (xr, yr)) in enumerate(pairs):
-            S_left, S_right = left[k].T, right[k].conj()
-            W_left, W_right = ancilla_gram_block(ak[xl], bk[yl]), ancilla_gram_block(ak[xr], bk[yr])
-            np.testing.assert_allclose(S_left @ S_left, W_left, atol=1e-15)
-            np.testing.assert_allclose(S_right @ S_right, W_right, atol=1e-15)
-
-
 class TestPurificationFactors:
     STATES = (
         bloch_state([0.6, -0.48, 0.64], 0.3),  # pure
         bloch_state([0.1, 0.5, -0.3], 0.2),  # mixed
         bloch_state([0.0, 0.0, 0.0], 0.25),  # fully mixed
         bloch_state([0.0, 0.0, -1.0], 0.25),  # pure, V
+        bloch_state([0.0, 0.0, 0.0], 0.0),  # zero prior
     )
 
     def test_factors_purify_the_weighted_states(self):
-        factors, _ = _purification_factors(*_stack(self.STATES))
-        assert factors.shape == (4, 2, 2)
-        for F, state in zip(factors, self.STATES):
+        rng = np.random.default_rng(11)
+        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+        ket /= np.linalg.norm(ket)
+        states = [*self.STATES, QubitState(rho=np.outer(ket, ket.conj()), prob=0.3)]
+        states += [
+            QubitState(rho=random_density_matrix(rng), prob=rng.uniform(0.05, 1.0))
+            for _ in range(20)
+        ]
+        factors = _purification_factors(*_stack(states))
+        assert factors.shape == (len(states), 2, 2)
+        for F, state in zip(factors, states):
             np.testing.assert_allclose(F @ F.conj().T, state.weighted(), atol=1e-15)
+        assert not factors[4].any()  # a zero prior gives F = 0
+        # a pure state's factor is its scaled ket, up to a phase and the
+        # square root of the rounding dust in its small eigenvalue
+        F = factors[5]
+        np.testing.assert_allclose(np.abs(ket.conj() @ F[:, 0]), np.sqrt(0.3), atol=1e-15)
+        assert np.abs(F[:, 1]).max() <= 1e-8
+
+    def test_pair_factors_factor_the_ancilla_blocks(self):
+        # S_xy = F_x (x) G_y has S S^dag = W_xy: the twist's factors are the
+        # ancillas of the baseline's eigenbasis purification
+        ens = model_states(ModelParams(delta=0.1, depol=0.05))
+        rng = np.random.default_rng(13)
+        bob = random_ensemble(rng)
+        ak, bk = ens.key_states(), bob.key_states()
+        rho, prob = _stack((*ak, *bk))
+        left, right = _pair_factors(rho.reshape(2, 2, 2, 2), prob.reshape(2, 2))
+        pairs = (((0, 1), (1, 0)), ((0, 0), (1, 1)))
+        for k, ((xl, yl), (xr, yr)) in enumerate(pairs):
+            for S, (x, y) in ((left[k].T, (xl, yl)), (right[k].conj(), (xr, yr))):
+                np.testing.assert_allclose(
+                    S @ S.conj().T, ancilla_gram_block(ak[x], bk[y]), atol=1e-15
+                )
+                np.testing.assert_array_equal(S, _purification_vectors(ak[x], bk[y]))
 
     def test_eigenvalues_decrease(self):
-        factors, _ = _purification_factors(*_stack(self.STATES))
+        factors = _purification_factors(*_stack(self.STATES))
         for F, state in zip(factors, self.STATES):
             # orthogonal columns of squared norm prob * lam_k, decreasing
             weights = np.sum(np.abs(F) ** 2, axis=0)
@@ -155,7 +151,7 @@ class TestPurificationFactors:
                 QubitState(rho=random_density_matrix(rng), prob=rng.uniform(0.05, 1.0))
                 for _ in range(4)
             ]
-            for F, state in zip(_purification_factors(*_stack(states))[0], states):
+            for F, state in zip(_purification_factors(*_stack(states)), states):
                 w, V = np.linalg.eigh(state.rho)
                 w, V = w[::-1], V[:, ::-1]
                 np.testing.assert_array_equal(
@@ -246,6 +242,35 @@ class TestDominance:
             assert naive.e_minus <= opt.e_minus + 1e-7
             assert naive.e_plus >= opt.e_plus - 1e-7
 
+    def test_every_row_dominates_its_baseline(self):
+        # The baseline is the twist at K = I, so |Re tr X| <= ||X||_1 holds
+        # on every row of the row stage, before any window: rows whose
+        # baseline e_plus the rate windows refuse (above 1) are checked too.
+        # Each draw adds a model pair, pure or not; pure ones reach equality.
+        refused = []
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.integers(0, 2**32 - 1), st.lists(st.floats(0.0, 150.0), min_size=1, max_size=4))
+        def rows_dominate(seed, distances):
+            rng = np.random.default_rng(seed)
+            model = model_states(ModelParams(delta=rng.uniform(0.0, 0.3),
+                                             depol=rng.choice((0.0, 0.05))))
+            for alice, bob in ((random_ensemble(rng), random_ensemble(rng)), (model, model)):
+                channels = (ChannelParams(eta=0.5, p_dark=1e-5, distance_km=d) for d in distances)
+                eves, p00, e_z = zip(*(pair_inputs(alice, bob, channel) for channel in channels))
+                rho, prob = _stack((*alice.key_states(), *bob.key_states()))
+                factors = _pair_factors(rho.reshape(2, 2, 2, 2), prob.reshape(2, 2))
+                _, _, s_minus, bound_plus, signed, plus = twist_module._phase_error_rows(
+                    factors, np.stack([eve.e_matrix for eve in eves]), np.array(p00),
+                    np.clip(e_z, 0.0, 1.0),
+                )
+                assert np.all(s_minus >= np.abs(signed) - 1e-12)
+                assert np.all(bound_plus <= plus + 1e-12)
+                refused.extend(plus > 1.0 + _PHASE_TOL)
+
+        rows_dominate()
+        assert any(refused)
+
     def test_sampled_twists_never_beat_sdp(self):
         ens, eve, p00, e_z = pipeline_inputs(0.1, 0.05, distance=50.0)
         ak, bk = ens.key_states(), ens.key_states()
@@ -325,11 +350,11 @@ class TestPhaseInvariance:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_eigenvector_phases(self, seed):
-        # The twist reads each key state's root sqrt(p rho) = F V^dag from the
-        # eigh that gives the baseline's eigenvectors, and the root cancels
-        # their phases: with every eigenvector column that eigh returns, as
-        # twistqkd.twist sees it, multiplied by a random unit phase, the
-        # optimum does not move beyond rounding, on random ensembles and on
+        # The twist's factors are the baseline's F = sqrt(p) V sqrt(lam), and
+        # re-phasing V's columns multiplies each factor by a diagonal unitary
+        # on the right, which the trace norm absorbs: with every eigenvector
+        # column that eigh returns, as twistqkd.twist sees it, multiplied by
+        # a random unit phase, the optimum does not move beyond rounding, on random ensembles and on
         # model states, pure ones included.  The baseline may move (see
         # naive_phase_errors) and is not checked.
         rng = np.random.default_rng(seed)
