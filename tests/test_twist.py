@@ -81,6 +81,39 @@ class TestIdealCase:
         assert 1.0 + sol_plus.objective_value == pytest.approx(0.0, abs=1e-7)
 
 
+class TestSquareRoots:
+    def test_roots_square_to_the_weighted_states(self):
+        # the factor's columns are sqrt(p lam_k) v_k, so the Hermitian root
+        # sqrt(p rho) = sum_k sqrt(p lam_k) v_k v_k^dag is read off them
+        rng = np.random.default_rng(11)
+        ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+        ket /= np.linalg.norm(ket)
+        states = [
+            QubitState(rho=random_density_matrix(rng), prob=rng.uniform(0.05, 1.0))
+            for _ in range(20)
+        ]
+        states += [
+            QubitState(rho=np.eye(2) / 2.0, prob=0.0),  # a zero block has root 0
+            QubitState(rho=np.outer(ket, ket.conj()), prob=0.3),
+            QubitState(rho=np.eye(2) / 2.0, prob=0.25),
+        ]
+        roots = [
+            sum(
+                (np.outer(f, f.conj()) / np.linalg.norm(f) for f in F.T if f.any()),
+                np.zeros((2, 2)),
+            )
+            for F in _purification_factors(*_stack(states))
+        ]
+        for root, state in zip(roots, states):
+            np.testing.assert_allclose(root, root.conj().T, atol=1e-15)
+            assert np.linalg.eigvalsh(root)[0] >= -1e-9
+            np.testing.assert_allclose(root @ root, state.weighted(), atol=1e-14)
+        assert not roots[-3].any()
+        # a pure state's root is the scaled projector, up to the square root
+        # of the rounding dust in its small eigenvalue
+        np.testing.assert_allclose(roots[-2], np.sqrt(0.3) * states[-2].rho, atol=1e-8)
+
+
 class TestPurificationFactors:
     STATES = (
         bloch_state([0.6, -0.48, 0.64], 0.3),  # pure
