@@ -30,7 +30,7 @@ from .errors import (
     UnphysicalStatsError,
 )
 from .keyrate import ScanConfig, _scan_csv, keyrate_point, read_config_doc
-from .states import COND_LIMIT, ModelParams, _tetrahedra, model_states
+from .states import ModelParams, _tetrahedra, _usable_pair, model_states
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -109,7 +109,7 @@ def _cmd_check_states(args) -> int:
     rho, priors = (np.stack(arrays) for arrays in zip(*config._ensembles))
     _, det, cond = _tetrahedra(rho, priors)
     # Each party paired with itself (its tetrahedron check), then the pair: the kernel's test.
-    passed = (cond[[0, 1, 0]] * cond[[0, 1, 1]] < COND_LIMIT).tolist()
+    passed = _usable_pair(cond[[0, 1, 0]], cond[[0, 1, 1]]).tolist()
     lines = []
     for k, (delta, depol) in enumerate(itertools.product(config.deltas, config.depols)):
         lines.append(f"delta={delta:g} depol={depol:g}")

@@ -32,7 +32,7 @@ from .errors import (
     _record,
 )
 from .qmath import psd_project
-from .states import COND_LIMIT
+from .states import COND_LIMIT, _usable_pair
 
 CLIP_WARN = 1e-8
 CLIP_ERROR = 1e-4
@@ -78,13 +78,13 @@ def _invert_factors(R: np.ndarray, cond: np.ndarray, errors: list) -> np.ndarray
     """The inverse factors ``RA^-1, RB^-1`` (2, M, 4, 4) of M ensemble pairs'
     factors ``R`` with conds ``cond`` (2, M), for ``errors``' rows, pair-major.
 
-    The package's one singularity test and inverse: a pair is usable iff
-    ``cond(RA) * cond(RB) < COND_LIMIT`` (a zero prior zeroes a factor's row,
-    so fails it).  Each row of another pair records a ``SingularGammaError``,
-    and the pair gets zero inverses (of the identity in its place), which
-    its rows solve against without error or warning.
+    The package's one inverse, of the pairs that its one singularity test
+    :func:`~twistqkd.states._usable_pair` passes (a zero prior zeroes a
+    factor's row, so fails it).  Each row of another pair records a
+    ``SingularGammaError``, and the pair gets zero inverses (of the identity
+    in its place), which its rows solve against without error or warning.
     """
-    good = cond[0] * cond[1] < COND_LIMIT
+    good = _usable_pair(cond[0], cond[1])
     if good.all():
         return np.linalg.inv(R)
     rows = len(errors) // len(good)  # per pair; row i is pair i // rows's
@@ -111,9 +111,10 @@ def _solve_rows(RA_inv: np.ndarray, RB_inv: np.ndarray, p_det: np.ndarray, error
     :class:`~twistqkd.errors.QkdError` a row fails with is recorded in
     ``errors``, from three checks in order: ``E`` is not finite, its PSD
     repair removed more than ``CLIP_ERROR`` of its trace, or its largest
-    eigenvalue exceeds 1 by more than ``CLIP_ERROR``.  ``E`` holds the
-    matrix elements of the node's pass operator ``M`` (``E[2m+n, 2m'+n'] =
-    <m'n'|M|mn>``), and ``M <= I``, so no node gives such statistics.
+    eigenvalue, read off the repair's one eigendecomposition, exceeds 1 by
+    more than ``CLIP_ERROR``.  ``E`` holds the matrix elements of the node's
+    pass operator ``M`` (``E[2m+n, 2m'+n'] = <m'n'|M|mn>``), and
+    ``0 <= M <= I``, so no node gives such statistics.
     """
     RA_inv, RB_inv = (R.reshape(-1, 1, 4, 4) for R in (RA_inv, RB_inv))
     P = np.asarray(p_det, dtype=float).reshape(len(RA_inv), -1, 4, 4)
@@ -122,15 +123,10 @@ def _solve_rows(RA_inv: np.ndarray, RB_inv: np.ndarray, p_det: np.ndarray, error
     E = 0.5 * (E + E.conj().swapaxes(-1, -2))
     finite = np.logical_and.reduce(np.isfinite(E), axis=(-2, -1))
     E[~finite] = 0.0
-    E, clipped = psd_project(E)
-    trace = E.trace(axis1=-2, axis2=-1).real  # >= 0: an unrepaired row passes the repair test
-    # The repaired E is PSD, so its largest eigenvalue is at most its trace:
-    # only a row whose trace exceeds 1 can break E <= I, and only those are decomposed.
-    heavy = trace > 1.0 + CLIP_ERROR
-    if finite.all() and not (np.count_nonzero(clipped) or np.count_nonzero(heavy)):
+    E, clipped, top = psd_project(E)
+    if finite.all() and not (np.count_nonzero(clipped) or np.count_nonzero(top > 1.0 + CLIP_ERROR)):
         return E, clipped, raw
-    top = trace.copy()
-    top[heavy] = np.linalg.eigvalsh(E[heavy])[:, -1]
+    trace = E.trace(axis1=-2, axis2=-1).real  # >= 0: an unrepaired row passes the repair test
 
     def error_of(c, i):
         if c == 0:

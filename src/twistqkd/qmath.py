@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for small matrices (at most 32x32).
+"""Dense complex linear algebra for small matrices.
 
 Conventions fixed here and used everywhere in the package:
 
@@ -8,8 +8,9 @@ Conventions fixed here and used everywhere in the package:
 * Hermiticity is checked relative to the matrix norm with tolerance
   ``HERMITIAN_TOL`` (about 100x double-precision epsilon).
 
-All functions are pure and operate on plain ``numpy`` arrays; matrices in
-this package never exceed 32x32, so everything is dense.
+All functions are pure and operate on plain ``numpy`` arrays, dense: the
+largest matrices the package builds are the Fock-space states of
+``states.phase_randomized_coherent``, at most 961x961 (``n_max <= 30``).
 """
 
 from __future__ import annotations
@@ -91,21 +92,22 @@ def kron(A, B) -> np.ndarray:
     return K.reshape(*K.shape[:-4], rA * rB, cA * cB)
 
 
-def psd_project(M: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+def psd_project(M: np.ndarray) -> tuple[np.ndarray, float | np.ndarray, float | np.ndarray]:
     """Project a Hermitian matrix, or each of a stack ``(..., n, n)``, onto
     the PSD cone by eigenvalue clipping.
 
     ``M`` must be finite and Hermitian; it is not checked.  Returns
-    ``(M_psd, clipped_mass)`` where ``clipped_mass`` is the total magnitude
-    of the negative eigenvalues that were zeroed, one per matrix.  A matrix
-    that is already PSD is returned unchanged (the input itself when no
-    matrix needs clipping).  The clipping floor is exactly zero, which
-    yields the nearest PSD matrix in Frobenius norm.
+    ``(M_psd, clipped_mass, top)``, one each per matrix: ``clipped_mass`` is
+    the total magnitude of the negative eigenvalues that were zeroed, and
+    ``top`` the largest eigenvalue of ``M`` (and of ``M_psd`` if nonnegative).
+    A matrix that is already PSD is returned unchanged (the input itself
+    when no matrix needs clipping).  The clipping floor is exactly zero,
+    which yields the nearest PSD matrix in Frobenius norm.
     """
     w, V = np.linalg.eigh(M)
     clipped_mass = np.add.reduce(np.maximum(-w, 0.0), axis=-1)
     if not np.count_nonzero(clipped_mass):
-        return M, clipped_mass
+        return M, clipped_mass, w[..., -1]
     M_psd = (V * np.maximum(w, 0.0)[..., None, :]) @ V.conj().swapaxes(-1, -2)
     M_psd = 0.5 * (M_psd + M_psd.conj().swapaxes(-1, -2))
-    return np.where((clipped_mass > 0.0)[..., None, None], M_psd, M), clipped_mass
+    return np.where((clipped_mass > 0.0)[..., None, None], M_psd, M), clipped_mass, w[..., -1]

@@ -28,6 +28,10 @@ PROB_TOL = 1e-10
 #: the one singularity test of the package, scale-invariant in the priors.
 COND_LIMIT = 1e9
 
+#: The largest photon-number cutoff of :func:`phase_randomized_coherent`,
+#: whose dense (n_max+1)^2-square matrix is then 961x961 (about 15 MB).
+N_MAX_LIMIT = 30
+
 _IDENTITY = np.eye(2)
 # The model kets' angles are (delta + shift) / divisor; a shift of -0.0 keeps any delta.
 _KET_SHIFTS, _KET_DIVISORS = np.array(((-0.0, np.pi, -np.pi), (2.0, 4.0, 4.0)))[:, :, None]
@@ -45,6 +49,13 @@ def _conditioning(R: np.ndarray) -> np.ndarray:
     s = np.linalg.svd(R, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         return s[..., 0] / s[..., -1]
+
+
+def _usable_pair(cond_a, cond_b):
+    """The package's one singularity test: the state matrix of a pair whose
+    factors have conds ``cond_a`` and ``cond_b`` (elementwise, arrays or
+    floats) is usable iff its cond, their product, is below ``COND_LIMIT``."""
+    return cond_a * cond_b < COND_LIMIT
 
 
 def _check_states(rho, prob) -> np.ndarray:
@@ -270,8 +281,8 @@ def tetrahedron_check(ensemble: SignalEnsemble) -> TetrahedronDiagnostics:
     downstream invertible.  The Stokes matrix ``S`` is the party's factor
     ``RA`` of that matrix times a fixed scaled unitary, so ``cond`` is read
     from ``RA`` by :func:`_conditioning`, as in ``build_gamma`` and the
-    kernel.  The check is the package's one singularity test applied to the
-    ensemble paired with itself: it passes iff ``cond**2 < COND_LIMIT``.
+    kernel.  The check is the package's one singularity test,
+    :func:`_usable_pair`, applied to the ensemble paired with itself.
     ``determinant`` (of ``S``) is reported as a diagnostic only.  The
     ensemble's arrays, checked when it was built, are read as they are.
     """
@@ -280,7 +291,7 @@ def tetrahedron_check(ensemble: SignalEnsemble) -> TetrahedronDiagnostics:
     return TetrahedronDiagnostics(
         determinant=float(det),
         cond=cond,
-        passed=cond**2 < COND_LIMIT,
+        passed=_usable_pair(cond, cond),
         stokes_matrix=S,
     )
 
@@ -338,18 +349,26 @@ def phase_randomized_coherent(jones, mu: float, n_max: int = 4) -> np.ndarray:
     internally) and ``mu`` the mean photon number.  The result is a Poisson
     mixture over total photon number of pure n-photon states of that
     polarization, expressed in the Fock basis ``|n_H> (x) |n_V>`` with
-    per-mode dimension ``n_max + 1``.  Photon numbers above ``n_max`` are
-    dropped, so the matrix is subnormalized by the Poisson tail; every kept
-    block, including the single-photon one, is exact.
+    per-mode dimension ``n_max + 1``, for ``n_max`` at most ``N_MAX_LIMIT``.
+    Photon numbers above ``n_max`` are dropped, so the matrix is
+    subnormalized by the Poisson tail; every kept block, including the
+    single-photon one, is exact.
     """
     mu = _mean_photon_number(mu)
-    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
-        raise InvalidParamsError(f"n_max must be an integer >= 0, got {n_max!r}")
+    if (isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer))
+            or not 0 <= n_max <= N_MAX_LIMIT):
+        raise InvalidParamsError(
+            f"n_max must be an integer >= 0, at most {N_MAX_LIMIT}, got {n_max!r}"
+        )
     a = _numeric(jones, "jones", lambda v: np.asarray(v, dtype=complex))
-    norm = np.linalg.norm(a)
-    if a.shape != (2,) or not 0 < norm < math.inf:
+    peak = np.maximum(abs(a.real), abs(a.imag)).max(initial=0.0)
+    if a.shape != (2,) or not 0 < peak < math.inf:
         raise InvalidParamsError(f"jones must be a nonzero, finite amplitude pair, got {jones!r}")
-    a = a / norm
+    # Scaled exactly by the power of two that brings its entries below 1, the
+    # pair's norm neither overflows nor underflows.
+    exponent = np.frexp(peak)[1]
+    a = np.ldexp(a.real, -exponent) + 1j * np.ldexp(a.imag, -exponent)
+    a = a / np.linalg.norm(a)
     d = n_max + 1
     rho = np.zeros((d * d, d * d), dtype=complex)
     for n in range(n_max + 1):

@@ -98,23 +98,27 @@ def naive_twist_gram(alice_key, bob_key, pair="plus"):
     return S @ S.conj().T
 
 
+def haar_unitaries(rng, n_batch):
+    """``n_batch`` Haar-random 4x4 unitaries: the QR factors of Ginibre
+    matrices, their column phases fixed by the diagonals of R."""
+    g = rng.normal(size=(n_batch, 4, 4)) + 1j * rng.normal(size=(n_batch, 4, 4))
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=1, axis2=2).copy()
+    phases /= np.abs(phases)
+    return q * phases[:, None, :]
+
+
 def sampled_twist_values(alice_key, bob_key, eve, p00, n_samples, seed):
     """Oracle: evaluate both phase-error objectives at randomly sampled
     twisting unitaries acting on the explicit purification ancillas."""
     rng = np.random.default_rng(seed)
 
-    def haar(n_batch, dim=4):
-        g = rng.normal(size=(n_batch, dim, dim)) + 1j * rng.normal(size=(n_batch, dim, dim))
-        q, r = np.linalg.qr(g)
-        phases = np.diagonal(r, axis1=1, axis2=2).copy()
-        phases /= np.abs(phases)
-        return q * phases[:, None, :]
-
     def values(block1, block2):
         g1 = _purification_vectors(alice_key[block1[0]], bob_key[block1[1]])
         g2 = _purification_vectors(alice_key[block2[0]], bob_key[block2[1]])
         # effective twist U = U2^dag U1 on the shared ancilla space
-        U = np.einsum("nba,nbc->nac", haar(n_samples).conj(), haar(n_samples))
+        U = np.einsum("nba,nbc->nac", haar_unitaries(rng, n_samples).conj(),
+                      haar_unitaries(rng, n_samples))
         cross = np.einsum("ad,ncd,bc->nab", g1, U, g2.conj())
         return np.real(np.einsum("ab,nab->n", eve.e_matrix, cross))
 
@@ -238,6 +242,21 @@ def random_density_matrix(rng, dim=2):
     G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = G @ G.conj().T
     return rho / np.trace(rho).real
+
+
+def random_pass_operator(rng):
+    """Random node pass operator ``0 <= M <= I`` on C^2 (x) C^2: Haar
+    eigenvectors, eigenvalues drawn uniformly in [0.05, 1]."""
+    U = haar_unitaries(rng, 1)[0]
+    return (U * rng.uniform(0.05, 1.0, size=4)) @ U.conj().T
+
+
+def node_stats(alice, bob, M):
+    """The statistics ``p_a q_b Tr[(rho_a (x) sigma_b) M]`` of pass operator
+    ``M`` on ensembles ``alice`` and ``bob``, row ``4a + b``."""
+    states = kron(alice.rho[:, None], bob.rho[None, :])  # (4, 4, 4, 4)
+    traces = np.einsum("abuv,vu->ab", states, M).real
+    return (np.outer(alice.priors, bob.priors) * traces).reshape(16)
 
 
 def random_hermitian(rng, dim):

@@ -2,13 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_ensemble
+from conftest import node_stats, random_ensemble, random_pass_operator
 from twistqkd.channel import ChannelParams, DetectionStats, build_gamma, detection_stats, stats_index
 from twistqkd.errors import NoDetectionsError, QkdError, SingularGammaError, UnphysicalStatsError
-from twistqkd.evegram import _matrix_to_vector, key_basis_stats, solve_eve
+from twistqkd.evegram import CLIP_ERROR, _matrix_to_vector, key_basis_stats, solve_eve
 from twistqkd.keyrate import ScanConfig, keyrate_point, scan
 from twistqkd.states import ModelParams, model_states
 
@@ -197,6 +197,38 @@ class TestPassOperatorBound:
         rows = scan(ScanConfig(deltas=[0.1], depols=[0.05], distances=distances, eta=0.5,
                                p_dark=1e-5, stats=stats))
         assert [(row.status, row.error) for row in rows] == [("UnphysicalStatsError", message)] * 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.5, 2.0]))
+    def test_random_node_is_refused_exactly_above_the_bound(self, seed, t):
+        # A random node M scaled so that its largest eigenvalue is
+        # 1 + t * CLIP_ERROR: recovered as E = M^T below the bound, refused
+        # above it by solve_eve and keyrate_point alike.
+        rng = np.random.default_rng(seed)
+        alice, bob = random_ensemble(rng), random_ensemble(rng)
+        M = random_pass_operator(rng)
+        M *= (1.0 + t * CLIP_ERROR) / np.linalg.eigvalsh(M)[-1]
+        p = node_stats(alice, bob, M)
+        assume(p.sum() <= 1.0)  # the sum is at most M's largest eigenvalue, here above 1
+        stats, gamma = DetectionStats(p_det=p), build_gamma(alice, bob)
+        channel = ChannelParams(eta=0.5, p_dark=1e-5, distance_km=0.0)
+        if t > 1.0:
+            for call in (lambda: solve_eve(gamma, stats),
+                         lambda: keyrate_point(alice, bob, channel, stats=stats)):
+                with pytest.raises(UnphysicalStatsError,
+                                   match=r"^the Gram matrix has largest eigenvalue 1\.0002, "):
+                    call()
+            return
+        eve = solve_eve(gamma, stats)
+        # The solve's error grows with the state matrix's condition number,
+        # to about 7e-17 times it over 2000 random pairs.
+        cond = gamma.cond_alice * gamma.cond_bob
+        np.testing.assert_allclose(eve.e_matrix, M.T, rtol=0, atol=max(1e-12, 1e-16 * cond))
+        assert eve.clipped_mass == 0.0
+        try:
+            keyrate_point(alice, bob, channel, stats=stats)
+        except QkdError as exc:  # a phase-error window, never the node's refusal
+            assert not isinstance(exc, UnphysicalStatsError)
 
     def test_half_identity_node_passes(self):
         # The node M = I/2 passes every input with probability 1/2: its Gram

@@ -81,12 +81,13 @@ class TestRequireHermitian:
 class TestPsdProject:
     def test_psd_input_unchanged(self):
         M = np.diag([1.0, 0.5, 0.0]).astype(complex)
-        out, mass = psd_project(M)
+        out, mass, top = psd_project(M)
         assert out is M
         assert mass == 0.0
+        assert top == 1.0
 
     def test_tiny_negative_clipped(self):
-        out, mass = psd_project(np.diag([1.0, -1e-12]).astype(complex))
+        out, mass, _ = psd_project(np.diag([1.0, -1e-12]).astype(complex))
         np.testing.assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-15)
         assert mass == pytest.approx(1e-12)
 
@@ -96,8 +97,9 @@ class TestPsdProject:
             M = random_hermitian(rng, 5)
             w, V = np.linalg.eigh(M)
             oracle = (V * np.maximum(w, 0.0)) @ V.conj().T
-            out, mass = psd_project(M)
+            out, mass, top = psd_project(M)
             np.testing.assert_allclose(out, oracle, atol=1e-12)
+            assert top == w[-1]
             assert mass == pytest.approx(float(-np.sum(w[w < 0])), abs=1e-12)
             # nearest PSD matrix in Frobenius norm
             assert np.linalg.eigvalsh(out)[0] >= -1e-12
@@ -106,12 +108,13 @@ class TestPsdProject:
         rng = np.random.default_rng(17)
         stack = np.stack([random_hermitian(rng, 4) for _ in range(6)])
         stack[2] = np.diag([1.0, 0.5, 0.25, 0.0])
-        out, mass = psd_project(stack)
-        assert mass.shape == (6,)
-        for M, M_psd, m in zip(stack, out, mass):
-            expected, expected_mass = psd_project(M)
+        out, mass, top = psd_project(stack)
+        assert mass.shape == top.shape == (6,)
+        for M, M_psd, m, t in zip(stack, out, mass, top):
+            expected, expected_mass, expected_top = psd_project(M)
             np.testing.assert_allclose(M_psd, expected, atol=1e-13)
             assert m == pytest.approx(expected_mass, abs=1e-13)
+            assert t == pytest.approx(expected_top, abs=1e-13)
         np.testing.assert_array_equal(out[2], stack[2])
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import bloch_state, coplanar_ensemble, random_ensemble
 from twistqkd.errors import EmptySubspaceError, InvalidParamsError
 from twistqkd.qmath import vec_rowmajor
 from twistqkd.states import (
+    N_MAX_LIMIT,
     ModelParams,
     QubitState,
     SignalEnsemble,
@@ -252,18 +254,43 @@ class TestPhaseRandomizedCoherent:
             ("mu", 800.0, "^mu must be positive"),
             ("n_max", -2, "^n_max must be an integer >= 0"),
             ("n_max", 2.5, "^n_max must be an integer >= 0"),
+            ("n_max", True, "^n_max must be an integer >= 0"),
+            ("n_max", N_MAX_LIMIT + 1, "^n_max must be an integer >= 0, at most 30"),
+            ("n_max", 10**6, "^n_max must be an integer >= 0, at most 30"),
             ("jones", ("x", 1), "^jones must be numeric"),
             ("jones", (math.inf, 0), "^jones must be a nonzero, finite amplitude pair"),
+            ("jones", (math.nan, 1), "^jones must be a nonzero, finite amplitude pair"),
             ("jones", (0, 0), "^jones must be a nonzero, finite amplitude pair"),
             ("jones", (1, 0, 0), "^jones must be a nonzero, finite amplitude pair"),
         ],
         ids=["mu-text", "mu-inf", "mu-negative", "mu-underflow", "n_max-negative",
-             "n_max-fraction", "jones-text", "jones-inf", "jones-zero", "jones-three"],
+             "n_max-fraction", "n_max-bool", "n_max-above-limit", "n_max-huge", "jones-text",
+             "jones-inf", "jones-nan", "jones-zero", "jones-three"],
     )
     def test_bad_inputs_are_typed(self, field, value, match):
         args = {"jones": (1.0, 1.0), "mu": 0.7, "n_max": 2, field: value}
         with pytest.raises(InvalidParamsError, match=match):
             phase_randomized_coherent(**args)
+
+    @pytest.mark.parametrize(
+        "jones, unit",
+        [((1e200, 1e200), (1, 1)), ((1e160, 1e160), (1, 1)), ((1e-200, 1e-200), (1, 1)),
+         ((1e-170, 0), (1, 0))],
+        ids=["1e200", "1e160", "1e-200", "1e-170-H"],
+    )
+    def test_finite_amplitudes_of_any_scale(self, jones, unit):
+        # The norm of these pairs over- or underflows in double precision;
+        # only the polarization counts, so each gives its unit pair's state.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = phase_randomized_coherent(jones, mu=0.7, n_max=3)
+        np.testing.assert_allclose(
+            rho, phase_randomized_coherent(unit, mu=0.7, n_max=3), rtol=0, atol=1e-15
+        )
+
+    def test_largest_cutoff_is_accepted(self):
+        rho = phase_randomized_coherent((1.0, 1.0), mu=0.7, n_max=N_MAX_LIMIT)
+        assert rho.shape == ((N_MAX_LIMIT + 1) ** 2,) * 2
 
 
 class TestJsonRoundTrip:
