@@ -92,7 +92,7 @@ class DetectionStats:
 
     def to_csv(self, path) -> None:
         """Write rows ``i,j,x,y,p_det`` (with header) for all 16 settings."""
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["i", "j", "x", "y", "p_det"])
             for i in range(2):
@@ -106,7 +106,7 @@ class DetectionStats:
         """Read measured statistics from a CSV with columns i,j,x,y,p_det,
         one row for each of the 16 settings."""
         p = {}
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             try:
                 rows = list(csv.DictReader(fh))
             except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not CSV text

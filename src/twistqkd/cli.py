@@ -14,11 +14,8 @@ inputs, 4 phase errors outside the rate formula's domain.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
-
-import numpy as np
 
 from .channel import ChannelParams
 from .errors import (
@@ -94,7 +91,7 @@ def _cmd_scan(args) -> int:
     out = args.out or config.out
     if out is None:
         raise InvalidParamsError("no output path: pass --out or set 'out' in the config")
-    open(out, "a").close()  # an output that cannot be opened fails before any row is computed
+    open(out, "a", encoding="utf-8").close()  # an unopenable output fails before any row
     rows, failed = _scan_csv(config, out)
     print(f"wrote {rows} rows to {out} ({failed} failed)")
     return EXIT_OK
@@ -106,12 +103,11 @@ def _cmd_check_states(args) -> int:
         doc.pop("stats_csv", None)  # the ensembles do not depend on the statistics
     config = ScanConfig.from_dict(doc)
     # Every pair's ensembles, as the config built and checked them: (2, M, ...).
-    rho, priors = (np.stack(arrays) for arrays in zip(*config._ensembles))
-    _, det, cond = _tetrahedra(rho, priors)
+    _, det, cond = _tetrahedra(*config._ensembles)
     # Each party paired with itself (its tetrahedron check), then the pair: the kernel's test.
     passed = _usable_pair(cond[[0, 1, 0]], cond[[0, 1, 1]]).tolist()
     lines = []
-    for k, (delta, depol) in enumerate(itertools.product(config.deltas, config.depols)):
+    for k, (delta, depol) in enumerate(config._pairs().T.tolist()):
         lines.append(f"delta={delta:g} depol={depol:g}")
         for p, name in enumerate(("alice", "bob")):
             lines.append(f"  {name}: tetrahedron {_VERDICTS[passed[p][k]]}"

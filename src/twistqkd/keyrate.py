@@ -7,7 +7,7 @@ errors (and the fixed-purification baseline), then evaluate the six-state
 key rate for both.
 
 Every evaluation goes through one kernel, :func:`_evaluate`, which takes M
-ensemble pairs as stacked arrays, one channel and D distances, and
+ensemble pairs as party-first stacked arrays, one channel and D distances, and
 evaluates each pair at each distance: M * D rows, pair-major (or with
 injected statistics on every row).  The work that depends only on the
 ensembles is done once per pair, over (M, ...) stacks: the per-party state
@@ -37,25 +37,25 @@ detections, ``p_det00`` and ``e_z`` out of range, then the five windows of
 the twisted rate and the five of the baseline's.  An error of a pair's
 ensembles fails only that pair's rows.  The kernel runs under one
 ``np.errstate`` that lets the failed rows' divisions pass.
-:func:`keyrate_point` is the kernel with M = D = 1; :func:`scan` makes one
-call for the grid whose ensembles an immutable :class:`ScanConfig` built and
-checked once, at construction.
+:func:`keyrate_point` is the kernel with M = D = 1.  A grid, whose
+ensembles an immutable :class:`ScanConfig` built and checked once, is
+evaluated one way (:func:`_grid_chunks`): one kernel call per chunk of
+whole (delta, depol) pairs, so that what is held is bounded by the chunk.
 
 The kernel returns its rows as columns: the result fields (7, M * D), the
-diagnostics (10, M * D), and each row's error or None.  Its callers
-build what they return straight from these columns: :func:`keyrate_point`
-its one :class:`KeyRateResult`, :func:`scan` its :class:`ScanRow` list, and
-the streamed CSV of ``twistqkd scan`` the lines of each chunk of whole
-(delta, depol) pairs, so that its memory is bounded by the chunk.  One line
+diagnostics (10, M * D), and each row's error or None.  Its callers build
+what they return straight from these columns: :func:`keyrate_point` its one
+:class:`KeyRateResult`, and from each chunk :func:`scan` its
+:class:`ScanRow` objects and ``twistqkd scan`` its CSV lines.  One line
 formatter writes the CSV of :func:`scan_to_csv` and of ``twistqkd scan``,
 in the bytes that ``csv.writer`` gives.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -220,13 +220,14 @@ _DIAGNOSTICS = (
 )
 
 
-def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, stats) -> tuple:
+def _evaluate(rho, priors, channel: ChannelParams, distances, f, stats) -> tuple:
     """Evaluate each of M ensemble pairs over ``channel`` at each of the D
     ``distances``: M * D rows, pair-major.
 
-    ``alice`` and ``bob`` hold M ensembles each as validated arrays
-    ``(rho, priors)``, ``rho`` (M, 4, 2, 2) and ``priors`` (M, 4); pair m is
-    Alice's m-th ensemble with Bob's m-th.  ``channel`` gives the loss and
+    The pairs are validated arrays with the party axis first, ``rho``
+    (2, M, 4, 2, 2) and ``priors`` (2, M, 4), read as they are (broadcast
+    views included): index 0 is Alice's ensembles, 1 is Bob's, and pair m
+    is Alice's m-th ensemble with Bob's m-th.  ``channel`` gives the loss and
     detector parameters of every row, and the loss is computed once over
     ``distances``, in place of ``channel.distance_km``.  The statistics of
     each row are simulated, or are the injected ``stats`` on every row.
@@ -243,8 +244,6 @@ def _evaluate(alice: tuple, bob: tuple, channel: ChannelParams, distances, f, st
     failed row's values are not a result; an error of a pair's ensembles
     fails that pair's rows.
     """
-    # Party axis first: index 0 is Alice's ensembles, 1 is Bob's.
-    rho, priors = (np.array(arrays) for arrays in zip(alice, bob))
     R = _state_rows(rho, priors)  # the state-matrix factors RA, RB, (2, M, 4, 4)
     cond = _conditioning(R)
     table = np.empty((17, cond.shape[1] * len(distances)))  # the fields, then the diagnostics
@@ -288,11 +287,6 @@ def _result(values: list, diagnostics: list) -> KeyRateResult:
     return KeyRateResult(*values, diagnostics=dict(zip(_DIAGNOSTICS, diagnostics)))
 
 
-def _single(ensemble: SignalEnsemble) -> tuple:
-    """One ensemble as the stack of one that :func:`_evaluate` takes."""
-    return ensemble.rho[None], ensemble.priors[None]
-
-
 def keyrate_point(
     alice: SignalEnsemble,
     bob: SignalEnsemble,
@@ -308,9 +302,9 @@ def keyrate_point(
     and at least 1.
     """
     f = _require_f(f)
-    distances = [channel.distance_km]
     fields, diagnostics, errors = _evaluate(
-        _single(alice), _single(bob), channel, distances, f=f, stats=stats
+        np.array((alice.rho, bob.rho))[:, None], np.array((alice.priors, bob.priors))[:, None],
+        channel, [channel.distance_km], f=f, stats=stats
     )
     if errors[0] is not None:
         raise errors[0]
@@ -323,12 +317,23 @@ def _path_field(doc: dict, name: str) -> str | None:
     value = doc.get(name)
     if value is not None and not (isinstance(value, str) and "\0" not in value):
         raise InvalidParamsError(f"{name} must be a file path string, got {value!r}")
+    try:
+        os.fsencode(value or "")
+    except UnicodeEncodeError as exc:  # a name the file system's encoding cannot write
+        raise InvalidParamsError(f"{name} cannot be encoded as a file name: {exc}") from exc
     return value
+
+
+def _required(doc: dict, name: str, where: str = ""):
+    """Field ``name`` of a config document, or of its object field ``where`` ("priors.")."""
+    if name not in doc:
+        raise InvalidParamsError(f"config missing required field '{where}{name}'")
+    return doc[name]
 
 
 def read_config_doc(path):
     """The parsed JSON document of a config file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
@@ -345,7 +350,8 @@ def _distance_axis(distance):
     a range ``{"min": .., "max": .., "step": ..}`` with its max included."""
     if not isinstance(distance, dict):
         return [_numeric(distance, "distance")]
-    lo, hi, step = (_numeric(distance[k], f"distance {k}") for k in ("min", "max", "step"))
+    lo, hi, step = (_numeric(_required(distance, k, "distance."), f"distance {k}")
+                    for k in ("min", "max", "step"))
     if not (0.0 < step < math.inf and hi >= lo):
         raise InvalidParamsError("distance range needs 0 < step < inf and max >= min")
     try:
@@ -393,7 +399,8 @@ class ScanConfig:
     bob_states: SignalEnsemble | None = None
     stats: DetectionStats | None = None
     out: str | None = None
-    # Alice's and Bob's grid ensembles in scan order, as _evaluate's stacks.
+    # The grid's ensemble pairs in scan order, as _evaluate takes them:
+    # rho (2, M, 4, 2, 2) and priors (2, M, 4), Alice's then Bob's.
     _ensembles: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -431,17 +438,16 @@ class ScanConfig:
             self.channel_for(self.distances[bad.argmax()])
         # Built last, so that a non-finite delta fails as such, not in _check_states.
         if model:
-            grid = np.repeat(self.deltas, len(self.depols)), np.tile(self.depols, len(self.deltas))
+            grid = self._pairs()
             alice = _model_grid(*grid, self.priors_alice)
             same = self.priors_bob == self.priors_alice
             bob = alice if same else _model_grid(*grid, self.priors_bob)
-        else:
-            n = len(self.deltas) * len(self.depols)
-            alice, bob = (
-                (np.broadcast_to(e.rho, (n, 4, 2, 2)), np.broadcast_to(e.priors, (n, 4)))
-                for e in (self.alice_states, self.bob_states)
-            )
-        object.__setattr__(self, "_ensembles", (alice, bob))
+            ensembles = (np.array(arrays) for arrays in zip(alice, bob))
+        else:  # views of the one pair, nothing copied per grid pair
+            a, b, n = self.alice_states, self.bob_states, len(self.deltas) * len(self.depols)
+            ensembles = (np.broadcast_to(np.array(pair)[:, None], (2, n) + pair[0].shape)
+                         for pair in ((a.rho, b.rho), (a.priors, b.priors)))
+        object.__setattr__(self, "_ensembles", tuple(ensembles))
 
     def __eq__(self, other):
         """Field by field, ``distances`` by value (the generated equality
@@ -472,13 +478,11 @@ class ScanConfig:
         """
         if not isinstance(doc, dict):
             raise InvalidParamsError("config document must be a JSON object")
-        try:
-            priors = doc.get("priors", cls.priors_alice)
-            priors = (priors["alice"], priors["bob"]) if isinstance(priors, dict) else (priors,) * 2
-            required = dict(eta=doc["eta"], p_dark=doc["p_dark"],
-                            distances=_distance_axis(doc["distance"]))
-        except KeyError as exc:
-            raise InvalidParamsError(f"config missing required field {exc}") from exc
+        priors = doc.get("priors", cls.priors_alice)
+        priors = ([_required(priors, name, "priors.") for name in ("alice", "bob")]
+                  if isinstance(priors, dict) else (priors,) * 2)
+        required = dict(eta=_required(doc, "eta"), p_dark=_required(doc, "p_dark"),
+                        distances=_distance_axis(_required(doc, "distance")))
         alice_states, bob_states = (
             ensemble_from_dict(doc[name]) if name in doc else None
             for name in ("alice_states", "bob_states")
@@ -502,6 +506,10 @@ class ScanConfig:
     @classmethod
     def from_json_file(cls, path) -> "ScanConfig":
         return cls.from_dict(read_config_doc(path))
+
+    def _pairs(self) -> np.ndarray:
+        """The (delta, depol) of each grid pair in scan order, (2, M)."""
+        return np.array(np.meshgrid(self.deltas, self.depols, indexing="ij")).reshape(2, -1)
 
     def channel_for(self, distance_km: float) -> ChannelParams:
         return ChannelParams(
@@ -545,39 +553,52 @@ SCAN_COLUMNS = (
 )
 
 
-def _evaluate_grid(config: ScanConfig, pairs: slice = slice(None)) -> tuple:
-    """The kernel's columns for the (delta, depol) pairs ``pairs`` of
-    ``config``'s grid, in scan order, at all of its distances."""
-    alice, bob = ((rho[pairs], priors[pairs]) for rho, priors in config._ensembles)
-    return _evaluate(
-        alice, bob, config.channel_for(0.0), config.distances, f=config.f, stats=config.stats
-    )
+# The rows of a chunk of a scan, which holds whole pairs, at least one.
+_CHUNK_ROWS = 4096
+
+
+def _grid_chunks(config: ScanConfig, take) -> list:
+    """``take(labels, fields, diagnostics, errors)`` of each chunk of whole
+    (delta, depol) pairs of ``config``'s grid, in scan order: the delta,
+    depol and distance of each of its n rows (3, n), then the columns of
+    its one kernel call on a slice of the config's ensemble stacks.  A
+    chunk is released when ``take`` returns, before the next one runs."""
+    step = max(1, _CHUNK_ROWS // config.distances.size)
+    pairs, (rho, priors) = config._pairs(), config._ensembles
+    channel = config.channel_for(0.0)
+    return [
+        take(np.array(np.broadcast_arrays(*pairs[:, chunk, None], config.distances)).reshape(3, -1),
+             *_evaluate(rho[:, chunk], priors[:, chunk], channel, config.distances,
+                        f=config.f, stats=config.stats))
+        for chunk in (slice(start, start + step) for start in range(0, pairs.shape[1], step))
+    ]
+
+
+def _scan_rows(labels, fields, diagnostics, errors) -> list[ScanRow]:
+    """The scan rows of a chunk's labels and kernel columns."""
+    return [
+        ScanRow(*point, _result(values, diag), "ok") if error is None
+        else ScanRow(*point, None, type(error).__name__, str(error))
+        for point, values, diag, error in zip(
+            zip(*labels.tolist()), fields.T.tolist(), diagnostics.T.tolist(), errors
+        )
+    ]
 
 
 def scan(config: ScanConfig) -> list[ScanRow]:
     """Evaluate the pipeline over the whole grid.
 
     Grid points are evaluated in deterministic order (delta, then depol,
-    then distance).  The whole grid is one kernel call over its
-    (delta, depol) ensemble pairs at its distances, whose rows are
-    pair-major, in that same order: the work of each pair is done once,
-    and its arrays broadcast over its distances.  The ensembles are the
-    ones the immutable config built and validated at construction; they
-    are read, not built or checked again.  A point therefore fails only in
-    the pipeline: it is recorded in its row with the message of its
-    :class:`~twistqkd.errors.QkdError` and the scan continues; any other
-    exception propagates.  The rows are built straight from the kernel's
-    columns.
+    then distance), in the chunks of whole (delta, depol) pairs that
+    ``twistqkd scan`` streams: one kernel call per chunk, whose rows are
+    pair-major, so the work of each pair is done once and its arrays
+    broadcast over its distances.  The ensembles are the ones the immutable
+    config built and validated at construction.  A point therefore fails
+    only in the pipeline: its row records its
+    :class:`~twistqkd.errors.QkdError`'s message and the scan continues;
+    any other exception propagates.
     """
-    fields, diagnostics, errors = _evaluate_grid(config)
-    grid = itertools.product(config.deltas, config.depols, config.distances.tolist())
-    return [
-        ScanRow(*point, _result(values, diag), "ok") if error is None
-        else ScanRow(*point, None, type(error).__name__, str(error))
-        for point, values, diag, error in zip(
-            grid, fields.T.tolist(), diagnostics.T.tolist(), errors
-        )
-    ]
+    return [row for rows in _grid_chunks(config, _scan_rows) for row in rows]
 
 
 _CSV_HEADER = ",".join(SCAN_COLUMNS) + "\r\n"
@@ -621,52 +642,31 @@ def scan_to_csv(rows: list, path) -> None:
 
     ``error`` holds the message of a failed row and is empty otherwise."""
     lines = _csv_lines((_row_numbers(row), row.error, row.status) for row in rows)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_CSV_HEADER + lines)
-
-
-# The rows of a chunk of a streamed scan, which holds whole pairs, at least one.
-_CHUNK_ROWS = 4096
 
 
 def _scan_csv(config: ScanConfig, path) -> tuple[int, int]:
     """Write ``scan_to_csv(scan(config), path)``'s bytes a chunk at a time
-    and return the number of rows and of failed rows.
-
-    The rows are pair-major, so a chunk of whole (delta, depol) pairs is a
-    slice of the config's ensemble stacks: one kernel call each, whose
-    columns become the chunk's lines, written at once.  What is held is
-    bounded by the chunk, not the grid.  An exception other than a point's
+    and return the number of rows and of failed rows.  Each chunk's lines
+    are written at once, so what is held is bounded by the chunk, not the
+    grid.  An exception other than a point's
     :class:`~twistqkd.errors.QkdError` propagates and leaves the lines of
     the chunks before it.
     """
-    D = config.distances.size
-    step = max(1, _CHUNK_ROWS // D)
-    pairs = np.array(list(itertools.product(config.deltas, config.depols)))
-    with open(path, "w", newline="") as fh:
+
+    def write(labels, fields, diagnostics, errors) -> int:
+        table = np.vstack((labels, fields[_CSV_FIELDS]))  # the numeric columns of the lines
+        bad = [i for i, error in enumerate(errors) if error is not None]
+        table[3:, bad] = math.nan
+        fh.write(_csv_lines(zip(
+            map(tuple, table.T.tolist()),
+            ("" if error is None else str(error) for error in errors),
+            ("ok" if error is None else type(error).__name__ for error in errors),
+        )))
+        return len(bad)
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_CSV_HEADER)
-        failed = sum(
-            _write_chunk(fh, config, pairs, slice(start, start + step))
-            for start in range(0, len(pairs), step)
-        )
-    return len(pairs) * D, failed
-
-
-def _write_chunk(fh, config: ScanConfig, pairs: np.ndarray, chunk: slice) -> int:
-    """Write the lines of the (delta, depol) pairs ``pairs[chunk]`` of
-    ``config``'s grid to ``fh`` and return how many of them failed.  What
-    the chunk allocates is freed on return, before the next chunk runs."""
-    fields, _, errors = _evaluate_grid(config, chunk)
-    D = config.distances.size
-    table = np.empty((10, len(errors)))  # the numeric columns of the lines
-    table[:2] = pairs[chunk].repeat(D, axis=0).T
-    table[2] = np.tile(config.distances, len(errors) // D)
-    table[3:] = fields[_CSV_FIELDS]
-    bad = [i for i, error in enumerate(errors) if error is not None]
-    table[3:, bad] = math.nan
-    fh.write(_csv_lines(zip(
-        map(tuple, table.T.tolist()),
-        ("" if error is None else str(error) for error in errors),
-        ("ok" if error is None else type(error).__name__ for error in errors),
-    )))
-    return len(bad)
+        failed = sum(_grid_chunks(config, write))
+    return len(config.deltas) * len(config.depols) * config.distances.size, failed

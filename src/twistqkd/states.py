@@ -404,10 +404,13 @@ def ensemble_from_json(text: str) -> SignalEnsemble:
 
 def ensemble_from_dict(doc: dict) -> SignalEnsemble:
     """Build an ensemble from the parsed JSON document form."""
+    if not isinstance(doc, dict):
+        raise InvalidParamsError("ensemble document must be a JSON object, got "
+                                 + type(doc).__name__)
     try:
         priors = doc["priors"]
         rhos = doc["rhos"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InvalidParamsError(f"ensemble document missing field: {exc}") from exc
     for name, value in (("priors", priors), ("rhos", rhos)):
         if not isinstance(value, (list, tuple, np.ndarray)):

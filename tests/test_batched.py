@@ -279,9 +279,9 @@ def test_bad_pairs_fail_only_their_own_rows():
     )
     alices = (good, coplanar_ensemble(np.random.default_rng(181)), good)
     bobs = (good, good, zero_prior)
-    stacks = [
-        (np.stack([e.rho for e in ensembles]), np.stack([e.priors for e in ensembles]))
-        for ensembles in (alices, bobs)
+    stacks = [  # rho and priors, each party-first: (2, M, ...)
+        np.array([[getattr(e, name) for e in ensembles] for ensembles in (alices, bobs)])
+        for name in ("rho", "priors")
     ]
     distance_list = [0.0, 40.0, 120.0]
     channel = ChannelParams(eta=ETA, p_dark=P_DARK, distance_km=0.0)
@@ -334,9 +334,9 @@ def test_each_row_keeps_its_first_error_across_stages_and_windows(monkeypatch):
 
     good = model_states(ModelParams(delta=0.1, depol=0.05))
     alices = (good, coplanar_ensemble(np.random.default_rng(181)))
-    stacks = [
-        (np.stack([e.rho for e in ensembles]), np.stack([e.priors for e in ensembles]))
-        for ensembles in (alices, (good, good))
+    stacks = [  # rho and priors, each party-first: (2, M, ...)
+        np.array([[getattr(e, name) for e in ensembles] for ensembles in (alices, (good, good))])
+        for name in ("rho", "priors")
     ]
     stages = {name: getattr(keyrate_module, name) for name in
               ("_detection_rows", "_key_rows", "_phase_error_rows")}
@@ -445,11 +445,11 @@ def test_kernel_columns_are_pinned():
     flat = SignalEnsemble([
         bloch_state(r, 0.25) for r in ((0, 0, 0.9), (0, 0, -0.9), (0.9, 0, 0), (-0.6, 1e-9, 0.3))
     ])
-    stacks = [
-        (np.stack([e.rho for e in ensembles]), np.stack([e.priors for e in ensembles]))
-        for ensembles in (
+    stacks = [  # rho and priors, each party-first: (2, M, ...)
+        np.array([[getattr(e, name) for e in ensembles] for ensembles in (
             (pure, mixed, alice_0, alice_2, flat), (pure, mixed, bob_0, bob_2, mixed)
-        )
+        )])
+        for name in ("rho", "priors")
     ]
     channel = ChannelParams(eta=ETA, p_dark=P_DARK, distance_km=0.0)
     fields, diagnostics, errors = _evaluate(*stacks, channel, [20.0, 110.0], f=1.0, stats=None)

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -427,6 +428,45 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rate_twisted"] > 0
+
+
+def test_text_files_name_their_encoding(tmp_path):
+    # with an EncodingWarning raised as an error, `scan` reads a UTF-8
+    # config and a stats CSV and writes its CSV, and `check-states` reads
+    # the config
+    doc = {"eta": 0.5, "p_dark": 1e-5, "delta": 0.1, "depol": 0.05, "distance": 10,
+           "comment": "résumé", "stats_csv": write_stats(tmp_path, "good")}
+    config = tmp_path / "config.json"
+    config.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    out_csv = tmp_path / "rates.csv"
+    for argv in (["scan", "--config", str(config), "--out", str(out_csv)],
+                 ["check-states", "--config", str(config)]):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "twistqkd.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+    assert out_csv.read_bytes().count(b"\r\n") == 2
+
+
+def test_utf8_config_in_the_c_locale(tmp_path):
+    # the config is UTF-8 whatever the locale; an output name that the file
+    # system's encoding cannot write is refused as a bad field, not a traceback
+    out_csv = tmp_path / "résultats.csv"
+    doc = {"eta": 0.5, "p_dark": 1e-5, "distance": 10, "out": str(out_csv)}
+    config = tmp_path / "config.json"
+    config.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistqkd.cli", "scan", "--config", str(config)],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"),
+    )
+    if proc.returncode == 0:  # a file system encoding that writes it
+        assert out_csv.exists()
+    else:
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: out cannot be encoded as a file name: ")
 
 
 # CLI fuzzing: whatever the arguments or the config, ``main`` ends with one of

@@ -413,6 +413,20 @@ class TestScanConfig:
         with pytest.raises(InvalidParamsError, match=f"^{field} must be numeric, got "):
             ScanConfig.from_dict(base_config(**overrides))
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"p_dark": 1e-5, "distance": 10.0}, "eta"),
+            (base_config(priors={"alice": [0.25] * 4}), "priors.bob"),
+            (base_config(priors={"bob": [0.25] * 4}), "priors.alice"),
+            (base_config(distance={"min": 0, "max": 10}), "distance.step"),
+            (base_config(distance={"max": 10, "step": 1}), "distance.min"),
+        ],
+    )
+    def test_missing_fields_are_named_with_their_parent(self, doc, field):
+        with pytest.raises(InvalidParamsError, match=f"^config missing required field '{field}'$"):
+            ScanConfig.from_dict(doc)
+
     def test_bad_step(self):
         with pytest.raises(InvalidParamsError):
             ScanConfig.from_dict(base_config(distance={"min": 0, "max": 10, "step": 0}))
@@ -516,9 +530,10 @@ class TestScanConfig:
         doc = base_config(alice_states=json.loads(ensemble_to_json(ens)))
         cfg = ScanConfig.from_dict(doc)
         assert cfg.bob_states is cfg.alice_states
-        for rho, priors in cfg._ensembles:
-            np.testing.assert_allclose(rho[0], ens.rho, atol=1e-15)
-            np.testing.assert_array_equal(priors[0], ens.priors)
+        rho, priors = cfg._ensembles
+        for party in range(2):
+            np.testing.assert_allclose(rho[party, 0], ens.rho, atol=1e-15)
+            np.testing.assert_array_equal(priors[party, 0], ens.priors)
 
     def test_stats_csv(self, tmp_path):
         alice, bob, ch = ideal_point()
@@ -609,6 +624,55 @@ class TestScan:
         rows = scan(ScanConfig.from_dict(doc))
         assert calls == [(6, 6, 3)]
         assert [r.status for r in rows] == ["ok"] * 18
+
+    @pytest.mark.parametrize("kind", ["model", "explicit", "stats_csv"])
+    def test_chunks_give_the_one_chunk_rows_bitwise(self, tmp_path, monkeypatch, kind):
+        # nine pairs at six distances: chunks of 13 rows hold two pairs, so
+        # five kernel calls, the last one ragged, give the one call's rows
+        import twistqkd.keyrate as keyrate_module
+
+        doc = base_config(delta=[0.0, 0.05, 0.1], depol=[0.0, 0.02, 0.05],
+                          distance={"min": 0.0, "max": 150.0, "step": 30.0},
+                          priors={"alice": [0.25] * 4, "bob": [0.3, 0.2, 0.25, 0.25]})
+        if kind == "explicit":
+            rng = np.random.default_rng(29)
+            doc["alice_states"], doc["bob_states"] = (
+                json.loads(ensemble_to_json(random_ensemble(rng))) for _ in range(2)
+            )
+        elif kind == "stats_csv":
+            # the statistics of the grid's pair (0.05, 0.02) at 60 km
+            alice, bob = (model_states(ModelParams(delta=0.05, depol=0.02), doc["priors"][name])
+                          for name in ("alice", "bob"))
+            path = tmp_path / "stats.csv"
+            detection_stats(alice, bob, ChannelParams(eta=0.5, p_dark=1e-5, distance_km=60.0)
+                            ).to_csv(path)
+            doc["stats_csv"] = str(path)
+        config = ScanConfig.from_dict(doc)
+
+        def bits(rows):
+            return [
+                (*(v.hex() for v in (r.delta, r.depol, r.distance_km)), r.status, r.error,
+                 None if r.result is None else [
+                     v.hex() for v in (*dataclasses.astuple(r.result)[:-1],
+                                       *r.result.diagnostics.values())
+                 ])
+                for r in rows
+            ]
+
+        whole = bits(scan(config))
+        calls = []
+        kernel = keyrate_module._evaluate
+
+        def counted(rho, priors, *args, **kwargs):
+            calls.append(rho.shape[1])
+            return kernel(rho, priors, *args, **kwargs)
+
+        monkeypatch.setattr(keyrate_module, "_evaluate", counted)
+        monkeypatch.setattr(keyrate_module, "_CHUNK_ROWS", 13)
+        assert bits(scan(config)) == whole
+        assert calls == [2, 2, 2, 2, 1]
+        statuses = {row[3] for row in whole}
+        assert statuses == ({"ok", "UnphysicalStatsError"} if kind == "stats_csv" else {"ok"})
 
     def test_reads_the_grid_built_at_construction(self, monkeypatch):
         import twistqkd.keyrate as keyrate_module

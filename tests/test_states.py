@@ -320,8 +320,11 @@ class TestJsonRoundTrip:
             ("priors", 5, "^ensemble field priors must be a list"),
             ("rhos", 5, "^ensemble field rhos must be a list"),
             (None, None, "^ensemble document is not valid JSON"),
+            ("document", [1, 2], "^ensemble document must be a JSON object, got list$"),
+            ("document", 5, "^ensemble document must be a JSON object, got int$"),
         ],
-        ids=["one-number-entry", "three-number-entry", "scalar-priors", "scalar-rhos", "not-json"],
+        ids=["one-number-entry", "three-number-entry", "scalar-priors", "scalar-rhos", "not-json",
+             "list-document", "number-document"],
     )
     def test_structural_faults_are_typed(self, field, value, match):
         # each fault names its field; none escapes as IndexError, TypeError
@@ -329,6 +332,8 @@ class TestJsonRoundTrip:
         doc = json.loads(ensemble_to_json(model_states(ModelParams(delta=0.1, depol=0.05))))
         if field == "entry":
             doc["rhos"][0][0][0] = value
+        elif field == "document":
+            doc = value
         elif field is not None:
             doc[field] = value
         text = "{'priors': [" if field is None else json.dumps(doc)
