@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .channel import ChannelParams
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     SingularGammaError,
     UnphysicalStatsError,
 )
-from .keyrate import ScanConfig, _scan_csv, keyrate_point, read_config_doc
+from .keyrate import ScanConfig, _path_field, _scan_csv, keyrate_point, read_config_doc
 from .states import ModelParams, _tetrahedra, _usable_pair, model_states
 
 EXIT_OK = 0
@@ -63,16 +64,7 @@ def _point_result(args):
 
 
 def _result_doc(result) -> dict:
-    return {
-        "p_det00": result.p_det00,
-        "e_Z": result.e_z,
-        "e_minus": result.e_minus,
-        "e_plus": result.e_plus,
-        "rate_twisted": result.rate_twisted,
-        "rate_naive": result.rate_naive,
-        "pct_gain": result.pct_gain,
-        "diagnostics": dict(result.diagnostics),
-    }
+    return {"e_Z" if name == "e_z" else name: value for name, value in asdict(result).items()}
 
 
 def _cmd_point(args) -> int:
@@ -87,11 +79,11 @@ def _cmd_point(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    config = ScanConfig.from_json_file(args.config)
-    out = args.out or config.out
+    doc = read_config_doc(args.config)
+    config = ScanConfig.from_dict(doc)
+    out = args.out or _path_field(doc, "out")  # the config's `out` is judged only when used
     if out is None:
         raise InvalidParamsError("no output path: pass --out or set 'out' in the config")
-    open(out, "a", encoding="utf-8").close()  # an unopenable output fails before any row
     rows, failed = _scan_csv(config, out)
     print(f"wrote {rows} rows to {out} ({failed} failed)")
     return EXIT_OK

@@ -398,7 +398,6 @@ class ScanConfig:
     alice_states: SignalEnsemble | None = None
     bob_states: SignalEnsemble | None = None
     stats: DetectionStats | None = None
-    out: str | None = None
     # The grid's ensemble pairs in scan order, as _evaluate takes them:
     # rho (2, M, 4, 2, 2) and priors (2, M, 4), Alice's then Bob's.
     _ensembles: tuple = field(init=False, repr=False, compare=False)
@@ -470,8 +469,8 @@ class ScanConfig:
         four-entry list shared by both parties or
         ``{"alice": [...], "bob": [...]}``.  Optional: ``atten_db_per_km``,
         ``atten_divisor``, ``f``, ``alice_states``/``bob_states`` (explicit
-        ensembles in the JSON schema of :func:`twistqkd.states.ensemble_to_json`),
-        ``stats_csv`` and ``out``.  Only the distance axis is computed here;
+        ensembles in the JSON schema of :func:`twistqkd.states.ensemble_to_json`)
+        and ``stats_csv``.  Only the distance axis is computed here;
         every field is converted and checked once, by the constructor,
         :func:`~twistqkd.states.ensemble_from_dict` or
         :meth:`DetectionStats.from_csv`, and an error names its field.
@@ -500,7 +499,6 @@ class ScanConfig:
             alice_states=alice_states,
             bob_states=bob_states,
             stats=None if stats_csv is None else DetectionStats.from_csv(stats_csv),
-            out=_path_field(doc, "out"),
         )
 
     @classmethod

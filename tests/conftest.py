@@ -262,3 +262,73 @@ def node_stats(alice, bob, M):
 def random_hermitian(rng, dim):
     G = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (G + G.conj().T)
+
+
+def mp_twist_oracle(alice, bob, p_det, f=1.0, dps=40):
+    """Oracle at ``dps`` digits: ``(s_-, 1 - s_+, rate / p_det00)`` of the
+    twist for ensembles ``alice`` and ``bob`` and statistics ``p_det`` (16,).
+
+    It reads the Gram convention from the physics: the node's pass operator
+    ``M`` solves ``p_det[4a+b] = p_a q_b Tr[(rho_a (x) sigma_b) M]``, a
+    16 x 16 linear system in ``M[i, j]`` (index ``4i + j``), and the Gram
+    matrix is ``E[2m+n, 2m'+n'] = <m'n'|M|mn>``, so ``E = M^T``, symmetrized
+    and clipped to PSD.  With ``p_x rho_x = F_x F_x^dag`` from each key
+    state's eigenbasis and ``S_xy = F_x (x) G_y``, the twist is
+    ``s = (2/p_det00) ||S1^T E S2^*||_1``, e_minus pairing (0,1) with (1,0)
+    and e_plus (0,0) with (1,1).  The rate is the six-state formula on the
+    windowed phase errors, with the kernel's branches below ``e_z`` 1e-12.
+    """
+    import mpmath
+
+    with mpmath.mp.workdps(dps):
+        mp = mpmath.mp
+
+        def matrix(array):
+            return mp.matrix([[mp.mpc(complex(v)) for v in row] for row in np.asarray(array)])
+
+        def kron_mp(a, b):
+            return mp.matrix([[a[i // b.rows, j // b.cols] * b[i % b.rows, j % b.cols]
+                               for j in range(a.cols * b.cols)] for i in range(a.rows * b.rows)])
+
+        def h2(x):
+            return sum((-t * mp.log(t, 2) for t in (x, 1 - x) if t > 0), mp.mpf(0))
+
+        states = [[(matrix(rho), mp.mpf(float(p))) for rho, p in zip(e.rho, e.priors)]
+                  for e in (alice, bob)]
+        coefficients = mp.matrix(16, 16)
+        for a, (rho, p) in enumerate(states[0]):
+            for b, (sigma, q) in enumerate(states[1]):
+                joint = kron_mp(rho, sigma)
+                for i in range(4):
+                    for j in range(4):
+                        coefficients[4 * a + b, 4 * i + j] = p * q * joint[j, i]
+        p = [mp.mpf(float(v)) for v in p_det]
+        m = mp.lu_solve(coefficients, mp.matrix(p))
+        E = mp.matrix([[m[4 * j + i] for j in range(4)] for i in range(4)])  # M^T
+        E = (E + E.H) / 2
+        w, V = mp.eighe(E)
+        E = V * mp.diag([max(mp.re(x), 0) for x in w]) * V.H
+
+        def factor(rho, prior):
+            lam, U = mp.eighe(rho)
+            return U * mp.diag([mp.sqrt(prior * max(mp.re(x), 0)) for x in lam])
+
+        F, G = ([factor(*states[party][x]) for x in (0, 1)] for party in (0, 1))
+
+        def trace_norm(left, right):  # the key pairs (x, y) of both sides
+            S1, S2 = kron_mp(F[left[0]], G[left[1]]), kron_mp(F[right[0]], G[right[1]])
+            return sum(mp.svd_c(S1.T * E * S2.conjugate(), compute_uv=False))
+
+        p00 = p[0] + p[1] + p[4] + p[5]
+        s_minus = 2 * trace_norm((0, 1), (1, 0)) / p00
+        bound_plus = 1 - 2 * trace_norm((0, 0), (1, 1)) / p00
+        e_z = min(max((p[1] + p[4]) / p00, 0), 1)
+        e_minus, e_plus = min(max(s_minus, 0), e_z), min(max(bound_plus, e_z), 1)
+        rest = 1 - e_z
+        if e_z < 1e-12:
+            bit_flip, phase = 0, h2(1 - e_plus / 2)
+        else:
+            bit_flip = e_z * h2((1 + e_minus / e_z) / 2)
+            phase = h2(min(max((1 - (e_plus + e_z) / 2) / rest, 0), 1))
+        rate = 1 - f * h2(e_z) - bit_flip - (rest * phase if rest >= 1e-12 else 0)
+        return float(s_minus), float(bound_plus), float(max(rate, 0))

@@ -12,9 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twistqkd.cli as cli
 from conftest import bloch_state, coplanar_ensemble, random_ensemble
 from twistqkd.channel import ChannelParams, DetectionStats, detection_stats
 from twistqkd.cli import main
+from twistqkd.errors import (
+    InvalidPhaseError,
+    NoDetectionsError,
+    QkdError,
+    SingularGammaError,
+    UnphysicalStatsError,
+)
 from twistqkd.keyrate import ScanConfig, keyrate_point, scan, scan_to_csv
 from twistqkd.states import ModelParams, SignalEnsemble, ensemble_to_json, model_states
 
@@ -31,6 +39,18 @@ def run_main(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def error_classes(cls=QkdError):
+    """``cls`` and every subclass of it, depth first."""
+    return [cls, *(c for sub in cls.__subclasses__() for c in error_classes(sub))]
+
+
+# The exit code of each error, from the README's table: 3 for singular or
+# unphysical inputs, 4 for phase errors outside the rate formula's domain,
+# and 2 for every other error, an unreadable file (OSError) included.
+EXIT_CODE = {SingularGammaError: 3, UnphysicalStatsError: 3, NoDetectionsError: 3,
+             InvalidPhaseError: 4}
 
 
 class TestKeyrateCommand:
@@ -75,6 +95,31 @@ class TestKeyrateCommand:
         assert code == 2
         assert out == ""
         assert "f must be finite and >= 1" in err
+
+    @pytest.mark.parametrize("error", [*error_classes(), OSError], ids=lambda c: c.__name__)
+    def test_each_error_exits_with_its_code(self, capsys, monkeypatch, error):
+        # No point of the (delta, depol) model is known to exit 4: 300 random
+        # model grids, 10800 points, gave none.  So code 4 is reached only
+        # through this stand-in for the pipeline.
+        def failed(*args, **kwargs):
+            raise error("the point failed")
+
+        monkeypatch.setattr(cli, "keyrate_point", failed)
+        code, out, err = run_main(["keyrate", *POINT_ARGS], capsys)
+        assert (code, out, err) == (EXIT_CODE.get(error, 2), "", "error: the point failed\n")
+
+    @pytest.mark.parametrize("point, message", [
+        # the loss of 100000 km leaves no detection at all without dark counts
+        ("--delta 0.1 --depol 0.05 --eta 0.5 --dark 0 --distance 100000",
+         "error: key-basis detection probability is zero\n"),
+        # all but fully depolarized states: the state matrix is singular
+        ("--delta 0 --depol 0.999999999 --eta 0.5 --dark 1e-5 --distance 10",
+         "error: Alice's ensemble fails the tetrahedron condition: "),
+    ], ids=["no-detections", "singular"])
+    def test_failing_point_exit_3(self, capsys, point, message):
+        code, out, err = run_main(["keyrate", *point.split()], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(message)
 
 
 class TestCompareCommand:
@@ -159,9 +204,9 @@ class TestScanCommand:
 
     def test_missing_out_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path)
-        code, _, err = run_main(["scan", "--config", str(config)], capsys)
-        assert code == 2
-        assert "output" in err
+        code, out, err = run_main(["scan", "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: no output path: pass --out or set 'out' in the config\n"
 
     def test_missing_config_exit_2(self, tmp_path, capsys):
         code, _, _ = run_main(["scan", "--config", str(tmp_path / "none.json"), "--out", "x.csv"], capsys)
@@ -236,6 +281,22 @@ class TestScanCommand:
         code, _, err = run_main(["scan", "--config", str(config)], capsys)
         assert code == 2
         assert f"{field} must be a file path string" in err
+
+    @pytest.mark.parametrize("command", ["check-states", "scan"])
+    @pytest.mark.parametrize("value", [1, True, ["x.csv"]])
+    def test_unread_out_is_not_judged(self, tmp_path, capsys, command, value):
+        # only `scan` without --out reads the config's `out`
+        config = write_config(tmp_path, out=value)
+        argv = [command, "--config", str(config)]
+        if command == "scan":
+            argv += ["--out", str(tmp_path / "plain.csv")]
+        code, _, err = run_main(argv, capsys)
+        assert (code, err) == (0, "")
+
+    def test_grid_error_comes_before_out_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, depol=1.5, out=1)
+        code, out, err = run_main(["scan", "--config", str(config)], capsys)
+        assert (code, out, err) == (2, "", "error: depol must be in [0, 1), got 1.5\n")
 
     def test_negative_attenuation_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path, atten_db_per_km=-1)
@@ -467,6 +528,26 @@ def test_utf8_config_in_the_c_locale(tmp_path):
     else:
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: out cannot be encoded as a file name: ")
+
+
+@pytest.mark.parametrize("command", ["check-states", "scan"])
+def test_unread_out_in_the_c_locale(tmp_path, command):
+    # an output name that the file system's encoding may not write is no
+    # error where the config's `out` is not read: `check-states`, and
+    # `scan --out`
+    doc = {"eta": 0.5, "p_dark": 1e-5, "distance": 10, "out": str(tmp_path / "résultats.csv")}
+    config = tmp_path / "config.json"
+    config.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    argv = [command, "--config", str(config)]
+    if command == "scan":
+        argv += ["--out", str(tmp_path / "plain.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistqkd.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert not (tmp_path / "résultats.csv").exists()
 
 
 # CLI fuzzing: whatever the arguments or the config, ``main`` ends with one of

@@ -11,17 +11,20 @@ from conftest import (
     _purification_vectors,
     ancilla_gram_block,
     bloch_state,
+    mp_twist_oracle,
     naive_twist_gram,
+    node_stats,
     random_density_matrix,
     random_ensemble,
+    random_pass_operator,
     sampled_twist_values,
     sdp_phase_errors,
     twist_sdps,
 )
-from twistqkd.channel import ChannelParams, build_gamma, detection_stats
-from twistqkd.errors import InvalidParamsError
+from twistqkd.channel import ChannelParams, DetectionStats, build_gamma, detection_stats
+from twistqkd.errors import InvalidParamsError, InvalidPhaseError
 from twistqkd.evegram import EveGram, key_basis_stats, solve_eve
-from twistqkd.keyrate import _PHASE_TOL
+from twistqkd.keyrate import _PHASE_TOL, _evaluate, _result
 from twistqkd.sdp import solve_sdp
 from twistqkd.states import ModelParams, QubitState, SignalEnsemble, _stack, model_states
 import twistqkd.twist as twist_module
@@ -449,6 +452,53 @@ class TestClosedFormOracle:
             )
             converged += matches_oracle(problem)
         assert converged >= 27
+
+
+def oracle_point(kind, seed):
+    """A drawn point: its ensembles, channel and statistics ``p_det``, and
+    the ``stats`` the kernel takes (None: it simulates ``p_det`` itself).
+    ``"model"`` is a (delta, depol) model pair, ``"asym"`` a random pair,
+    each under the honest node, and ``"node"`` a random pair under a random
+    pass operator."""
+    rng = np.random.default_rng(seed)
+    if kind == "model":
+        depol = rng.uniform(1e-4, 0.1) if rng.integers(2) else 0.0
+        alice = bob = model_states(ModelParams(delta=rng.uniform(0.0, 0.2), depol=depol))
+    else:
+        alice, bob = random_ensemble(rng), random_ensemble(rng)
+    if kind == "node":
+        p_det = node_stats(alice, bob, random_pass_operator(rng))
+        channel = ChannelParams(eta=1.0, p_dark=0.0, distance_km=0.0)
+        return alice, bob, channel, p_det, DetectionStats(p_det=p_det)
+    p_dark = 10.0 ** rng.uniform(-7.0, -4.0) if rng.integers(2) else 0.0
+    channel = ChannelParams(eta=rng.uniform(0.05, 1.0), p_dark=p_dark,
+                            distance_km=rng.uniform(0.0, 150.0))
+    return alice, bob, channel, detection_stats(alice, bob, channel).p_det, None
+
+
+class TestMpmathOracle:
+    """The kernel against a 40-digit recomputation that solves for the
+    node's pass operator from its definition (``conftest.mp_twist_oracle``),
+    so the Gram matrix's index convention is checked with the arithmetic."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("kind", ["model", "asym", "node"])
+    def test_kernel_matches_the_oracle(self, kind, seed):
+        # The kernel's columns, so that a row that only its baseline's
+        # windows refuse is compared too.  The baseline itself depends on
+        # eigenvector phases, so its rate is not compared.
+        alice, bob, channel, p_det, stats = oracle_point(kind, seed)
+        fields, diagnostics, errors = _evaluate(
+            np.array((alice.rho, bob.rho))[:, None], np.array((alice.priors, bob.priors))[:, None],
+            channel, [channel.distance_km], f=1.0, stats=stats,
+        )
+        assert errors[0] is None or isinstance(errors[0], InvalidPhaseError)
+        result = _result(fields[:, 0].tolist(), diagnostics[:, 0].tolist())
+        d = result.diagnostics
+        kernel = (d["twist_bound_minus"], d["twist_bound_plus"], result.rate_twisted / result.p_det00)
+        tol = max(1e-12, 1e-16 * d["gamma_cond"])
+        np.testing.assert_allclose(kernel, mp_twist_oracle(alice, bob, p_det), rtol=0.0, atol=tol)
 
 
 class TestNearPure:
