@@ -186,18 +186,19 @@ def _key_rows(p_det: np.ndarray):
 def _key_checks(p_det00: np.ndarray, e_z: np.ndarray):
     """The checks of N rows' key-basis statistics, in pipeline order, for
     :func:`~twistqkd.errors._record`: no key-basis detections, ``p_det00``
-    not positive, ``e_z`` outside [0, 1] by more than 1e-12.  Returns their
-    failure masks (3, N) and the ``error_of(c, i)`` of check ``c`` at row ``i``.
+    not positive and finite, ``e_z`` outside [0, 1] by more than 1e-12.  Returns
+    their failure masks (3, N) and the ``error_of(c, i)`` of check ``c`` at row ``i``.
     """
     failed = np.array((
-        p_det00 < 1e-300, p_det00 <= 0, ~((e_z >= -1e-12) & (e_z <= 1 + 1e-12))
+        p_det00 < 1e-300, ~((p_det00 > 0) & (p_det00 < np.inf)),
+        ~((e_z >= -1e-12) & (e_z <= 1 + 1e-12)),
     ))
 
     def error_of(c, i):
         if c == 0:
             return NoDetectionsError("key-basis detection probability is zero")
         if c == 1:
-            return InvalidParamsError(f"p_det00 must be positive, got {float(p_det00[i])}")
+            return InvalidParamsError(f"p_det00 must be positive and finite, got {float(p_det00[i])}")
         return InvalidParamsError(f"e_z must be in [0, 1], got {float(e_z[i])}")
 
     return failed, error_of

@@ -71,16 +71,14 @@ from .states import (
 from .twist import _pair_factors, _phase_error_rows
 
 _LN2 = math.log(2.0)
-_EZ_FLOOR = 1e-12
 _PHASE_TOL = 1e-9
 _ENTROPY_TOL = 1e-12
 
 
-def _entropy(x):
-    """``h2`` of arguments already within [0, 1], elementwise."""
-    xy = np.array((x, 1.0 - x))
-    logs = np.log(xy, out=np.zeros(xy.shape), where=xy > 0.0)  # 0 log 0 = 0
-    return np.add.reduce(xy * logs, axis=0) / -_LN2
+def _entropy(weights):
+    """Entropy in bits of weights within [0, 1] that run along the first axis."""
+    logs = np.log(weights, out=np.zeros(weights.shape), where=weights > 0.0)  # 0 log 0 = 0
+    return np.add.reduce(weights * logs, axis=0) / -_LN2
 
 
 def _require_f(f) -> float:
@@ -100,7 +98,7 @@ def binary_entropy(x: float) -> float:
     x = _numeric(x, "binary entropy argument")
     if not -_ENTROPY_TOL <= x <= 1.0 + _ENTROPY_TOL:
         raise DomainError(f"binary entropy argument {x} outside [0, 1]")
-    return float(_entropy(min(max(x, 0.0), 1.0)))
+    return float(_entropy(np.clip((x, 1.0 - x), 0.0, 1.0)))
 
 
 # The windows of the rate formula, in the order _rates checks them.
@@ -123,11 +121,13 @@ def _rates(p_det00, e_z, e_minus, e_plus, f, errors):
     All K purifications are evaluated together.  One pass checks the five
     windows of every row and records in ``errors`` the
     :class:`InvalidPhaseError` of its first violation: purification 0's
-    windows in order, then purification 1's, and so on.  The formula is
-    then evaluated once, on ``e_z``, ``e_minus`` and ``e_plus`` clamped to
-    their windows ``[0, 1]``, ``[0, e_z]`` and ``[e_z, 1]``, where every
-    entropy argument lies in [0, 1]; one :func:`_entropy` call takes all
-    of them.  The caller ignores divide and invalid floating-point errors.
+    windows in order, then purification 1's, and so on.  ``e_minus <= e_z``
+    and ``e_plus >= e_z`` keep the Bell-diagonal weights ``lam`` of
+    :func:`six_state_rate` nonnegative; ``e_minus >= 0`` and ``e_plus <= 1``,
+    where the weights allow ``e_minus >= -e_z`` and ``e_plus <= 2 - e_z``,
+    are the package's stricter rule.  The formula is then evaluated once, on
+    the values clamped to their windows, where the four weights lie in [0, 1]
+    and sum to 1.
     """
     K, N = e_minus.shape
     ok = np.empty((K, len(_WINDOWS), N), dtype=bool)
@@ -143,25 +143,14 @@ def _rates(p_det00, e_z, e_minus, e_plus, f, errors):
             p=float(e_plus[c // len(_WINDOWS), i]),
         )
     ))
-    # The entropy arguments: e_z, then per purification the h2 argument of
-    # the bit-flip term (of the phase term where e_z is 0), then the phase term's.
-    h = np.empty((2 * K + 1, N))
     # np.clip's values, signed zeros and NaN included, without its dispatch.
-    e_z = np.minimum(np.maximum(e_z, 0.0), 1.0, out=h[0])
+    e_z = np.minimum(np.maximum(e_z, 0.0), 1.0)
     e_minus = np.minimum(np.maximum(e_minus, 0.0), e_z)
     e_plus = np.minimum(np.maximum(e_plus, e_z), 1.0)
-    low = e_z < _EZ_FLOOR
-    np.divide(1.0 + e_minus / e_z, 2.0, out=h[1:K + 1])
-    np.subtract(1.0, e_plus / 2.0, out=h[1:K + 1], where=low)
-    rest = 1.0 - e_z
-    np.minimum(np.maximum((1.0 - (e_plus + e_z) / 2.0) / rest, 0.0), 1.0, out=h[K + 1:])
-    h = _entropy(h)
-    h_first, h_phase = h[1:K + 1], h[K + 1:]
-    bit_flip = e_z * h_first
-    np.copyto(bit_flip, 0.0, where=low)
-    np.copyto(h_phase, 0.0, where=rest < _EZ_FLOOR)
-    np.copyto(h_phase, h_first, where=low)
-    raw = p_det00 * (1.0 - f * h[0] - bit_flip - rest * h_phase)
+    lam = np.array(((e_z + e_minus) / 2.0, (e_z - e_minus) / 2.0,
+                    1.0 - (e_plus + e_z) / 2.0, (e_plus - e_z) / 2.0))
+    h_z = _entropy(np.array((e_z, 1.0 - e_z)))
+    raw = p_det00 * (1.0 + h_z - _entropy(lam)) - f * p_det00 * h_z
     return np.maximum(raw, 0.0), raw
 
 
@@ -173,19 +162,22 @@ def six_state_rate(
     ``R = p_det00 [1 - f h2(e_Z) - e_Z h2((1 + e_-/e_Z)/2)
                      - (1-e_Z) h2((1 - (e_+ + e_Z)/2)/(1-e_Z))]``
 
-    requires ``0 <= e_minus <= e_Z <= 1`` and ``e_Z <= e_plus <= 1`` within
-    1e-9; ``f``, finite and at least 1, multiplies the error-correction term
-    ``h2(e_Z)``.  For ``e_Z`` below 1e-12 the bit-flip term vanishes and the
-    last term uses its limit ``h2(1 - e_plus/2)``.
+    is evaluated, by entropy's grouping rule, as privacy amplification minus
+    error correction, ``p_det00 [1 + h2(e_Z) - H(lam)] - f p_det00 h2(e_Z)``,
+    which divides by nothing, over the Bell-diagonal weights of the virtual
+    pair ``lam = ((e_Z + e_-)/2, (e_Z - e_-)/2, 1 - (e_+ + e_Z)/2, (e_+ - e_Z)/2)``.
+    It requires ``0 <= e_minus <= e_Z <= 1`` and ``e_Z <= e_plus <= 1`` within
+    1e-9, a finite ``p_det00 >= 0``, and ``f`` finite and at least 1.
     """
     names = ("p_det00", "e_z", "e_minus", "e_plus")
     p_det00, e_z, e_minus, e_plus = (
         np.array([_numeric(v, name)]) for v, name in zip((p_det00, e_z, e_minus, e_plus), names)
     )
+    if not 0.0 <= p_det00[0] < math.inf:
+        raise InvalidParamsError(f"p_det00 must be nonnegative and finite, got {float(p_det00[0])}")
     f = _require_f(f)
     errors = [None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rate, _ = _rates(p_det00, e_z, e_minus[None], e_plus[None], f, errors)
+    rate, _ = _rates(p_det00, e_z, e_minus[None], e_plus[None], f, errors)
     if errors[0] is not None:
         raise errors[0]
     return float(rate[0, 0])
@@ -266,8 +258,8 @@ def _evaluate(rho, priors, channel: ChannelParams, distances, f, stats) -> tuple
         e_minus, e_plus, diagnostics[4], diagnostics[5], naive_signed, naive_plus = (
             _phase_error_rows(factors, E, p00, np.minimum(np.maximum(e_z, 0.0), 1.0))
         )
-        # The rate formula is even in e_minus (h2((1+t)/2) = h2((1-t)/2)),
-        # so the signed baseline value enters through its magnitude.
+        # The rate formula is even in e_minus (its sign swaps the first two
+        # Bell-diagonal weights), so the signed baseline enters through its magnitude.
         naive_minus = np.minimum(np.abs(naive_signed), e_z)
         fields[4:6], diagnostics[6:8] = _rates(
             p00, e_z, np.array((e_minus, naive_minus)), np.array((e_plus, naive_plus)), f, errors

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError, _record
+from .errors import InvalidParamsError, _numeric
 from .evegram import EveGram, _key_checks
 from .qmath import kron
 from .states import _stack
@@ -86,6 +86,16 @@ def _pair_factors(rho: np.ndarray, prob: np.ndarray) -> tuple:
     return S[..., :2, :, :].swapaxes(-1, -2), S[..., 2:, :, :].conj()
 
 
+def _key_scalars(p_det00, e_z=0.0) -> tuple:
+    """``p_det00`` and ``e_z`` as floats that pass the kernel's key-basis
+    checks, all but the no-detections one."""
+    p_det00, e_z = _numeric(p_det00, "p_det00"), _numeric(e_z, "e_z")
+    failed, error_of = _key_checks(np.array([p_det00]), np.array([e_z]))
+    if failed[1:].any():
+        raise error_of(int(failed[1:, 0].argmax()) + 1, 0)
+    return p_det00, e_z
+
+
 @dataclass
 class TwistProblem:
     """Inputs of the two phase-error optimizations for one parameter point.
@@ -102,12 +112,8 @@ class TwistProblem:
     e_z: float
 
     def __post_init__(self):
-        errors = [None]
-        failed, error_of = _key_checks(np.array([self.p_det00]), np.array([self.e_z]))
-        _record(errors, failed[1:], lambda c, i: error_of(c + 1, i))  # all but no detections
-        if errors[0] is not None:
-            raise errors[0]
-        self.e_z = min(max(self.e_z, 0.0), 1.0)
+        self.p_det00, e_z = _key_scalars(self.p_det00, self.e_z)
+        self.e_z = min(max(e_z, 0.0), 1.0)
 
     @classmethod
     def from_key_states(cls, alice_key, bob_key, eve: EveGram, p_det00: float, e_z: float):
@@ -190,6 +196,7 @@ def naive_phase_errors(alice_key, bob_key, eve: EveGram, p_det00: float) -> Phas
     1.95.  The twisted optimum absorbs every such
     phase and does not move.
     """
+    p_det00, _ = _key_scalars(p_det00)
     e_minus, e_plus = _one_pair(alice_key, bob_key, eve, p_det00, 0.0)[4:]
     return PhaseErrors(e_minus=e_minus, e_plus=e_plus)
 

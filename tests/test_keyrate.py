@@ -10,11 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import coplanar_ensemble, random_ensemble
-from twistqkd.channel import ChannelParams, DetectionStats, detection_stats, stats_index
+from twistqkd.channel import (
+    ChannelParams, DetectionStats, build_gamma, detection_stats, stats_index
+)
 from twistqkd.errors import (
     DomainError,
     InvalidParamsError,
@@ -23,10 +25,12 @@ from twistqkd.errors import (
     QkdError,
     SingularGammaError,
 )
+from twistqkd.evegram import key_basis_stats, solve_eve
 from twistqkd.keyrate import (
     SCAN_COLUMNS,
     ScanConfig,
     ScanRow,
+    _rates,
     binary_entropy,
     keyrate_point,
     scan,
@@ -40,6 +44,7 @@ from twistqkd.states import (
     ensemble_to_json,
     model_states,
 )
+from twistqkd.twist import TwistProblem, naive_phase_errors
 
 
 def mp_entropy(x):
@@ -51,6 +56,28 @@ def mp_entropy(x):
     if x == 0 or x == 1:
         return 0.0
     return float(-(x * mpmath.log(x) + (1 - x) * mpmath.log(1 - x)) / mpmath.log(2))
+
+
+def mp_six_state_rate(p_det00, e_z, e_minus, e_plus, f):
+    """The six-state rate formula as written, clamped at zero, at 40 digits:
+    ``p_det00 [1 - f h2(e_Z) - e_Z h2((1 + e_-/e_Z)/2)
+    - (1-e_Z) h2((1 - (e_+ + e_Z)/2)/(1-e_Z))]``, with the exact limit 0 of
+    the bit-flip term at ``e_Z = 0`` and of the phase term at ``e_Z = 1``."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        z, m, p = (mpmath.mpf(v) for v in (e_z, e_minus, e_plus))
+        bit_flip = z * mp_entropy((1 + m / z) / 2) if z > 0 else 0
+        phase = (1 - z) * mp_entropy((1 - (p + z) / 2) / (1 - z)) if z < 1 else 0
+        return max(float(p_det00 * (1 - f * mp_entropy(z) - bit_flip - phase)), 0.0)
+
+
+@st.composite
+def windowed_rate_inputs(draw):
+    """``(p_det00, e_z, e_minus, e_plus, f)`` within the rate formula's windows."""
+    e_z = draw(st.floats(0.0, 1.0))
+    e_minus, e_plus = draw(st.floats(0.0, e_z)), draw(st.floats(e_z, 1.0))
+    return draw(st.floats(0.0, 1.0)), e_z, e_minus, e_plus, draw(st.floats(1.0, 2.0))
 
 
 class TestBinaryEntropy:
@@ -159,6 +186,43 @@ class TestSixStateRate:
     def test_tolerance_snaps(self):
         assert six_state_rate(1.0, 0.0, -1e-10, 1e-10) == pytest.approx(1.0, abs=1e-8)
 
+    @settings(max_examples=200, deadline=None)
+    @given(windowed_rate_inputs())
+    # within 1e-12 of e_z = 0 and of e_z = 1, where a limit taken early is off
+    @example((1.0, 9e-13, 9e-13, 0.3, 1.0))
+    @example((1.0, 9e-13, 0.0, 1.0, 1.5))
+    @example((1.0, 1.0 - 5e-13, 0.4, 1.0, 1.0))
+    @example((0.5, 1.0 - 5e-13, 1.0 - 5e-13, 1.0, 2.0))
+    @example((1.0, 5e-324, 5e-324, 0.5, 1.0))
+    # no detections is a rate of zero, not an error
+    @example((0.0, 0.05, 0.0, 0.1, 1.0))
+    @example((-0.0, 0.05, 0.0, 0.1, 1.0))
+    def test_matches_the_written_formula(self, inputs):
+        # The Bell-diagonal form the package evaluates equals the written
+        # formula by entropy's grouping rule; the oracle evaluates the latter.
+        assert six_state_rate(*inputs) == pytest.approx(
+            mp_six_state_rate(*inputs), rel=0.0, abs=1e-14 * inputs[0]
+        )
+
+    @pytest.mark.parametrize("p_det00", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_bad_detection_probability(self, p_det00):
+        with pytest.raises(InvalidParamsError, match="^p_det00 must be nonnegative and finite"):
+            six_state_rate(p_det00, 0.05, 0.0, 0.1)
+
+    def test_rates_raise_no_floating_point_error(self):
+        # rows at e_z = 0 and 1, and NaN rows, which their windows refuse
+        errors = [None] * 4
+        with np.errstate(all="raise"):
+            rate, raw = _rates(
+                np.ones(4), np.array([0.0, 1.0, math.nan, 0.1]),
+                np.array([[0.0, 0.5, 0.0, math.nan]]), np.array([[0.2, 1.0, 0.5, 0.5]]),
+                1.0, errors,
+            )
+        assert [type(e) for e in errors[2:]] == [InvalidPhaseError] * 2
+        assert errors[:2] == [None, None]
+        np.testing.assert_allclose(rate[0, :2], [1.0 - mp_entropy(0.9), 1.0 - mp_entropy(0.75)],
+                                   rtol=0.0, atol=1e-15)
+
 
 def ideal_point():
     ens = model_states(ModelParams(delta=0.0, depol=0.0))
@@ -265,6 +329,14 @@ def test_swapping_alice_and_bob(seed, distance):
         assert getattr(swapped, name) == pytest.approx(getattr(direct, name), rel=0, abs=1e-10)
 
 
+def stage_inputs(ens):
+    """The twist stage's inputs for ``ens`` paired with itself at 50 km: both
+    parties' key states, the node's Gram matrix, ``p_det00`` and ``e_z``."""
+    stats = detection_stats(ens, ens, ChannelParams(eta=0.5, p_dark=1e-5, distance_km=50.0))
+    eve = solve_eve(build_gamma(ens, ens), stats)
+    return (ens.key_states(), ens.key_states(), eve, *key_basis_stats(stats))
+
+
 def base_config(**overrides):
     doc = {
         "delta": 0.1,
@@ -311,12 +383,17 @@ def ensemble_doc(ens, prior=None, entry=None):
         ("p_det", lambda ens: DetectionStats(p_det=[None] * 16)),
         ("priors", lambda ens: model_states(ModelParams(delta=0.1, depol=0.05),
                                             [0.25, None, 0.25, 0.5])),
+        ("p_det00", lambda ens: TwistProblem(*stage_inputs(ens)[:3], "x", 0.1)),
+        ("p_det00", lambda ens: TwistProblem(*stage_inputs(ens)[:3], None, 0.1)),
+        ("e_z", lambda ens: TwistProblem(*stage_inputs(ens)[:4], "x")),
+        ("p_det00", lambda ens: naive_phase_errors(*stage_inputs(ens)[:3], "x")),
     ],
     ids=["ChannelParams.eta", "ChannelParams.p_dark", "ModelParams.delta", "QubitState.prob",
          "DetectionStats.p_det", "keyrate_point.f", "model_states.priors", "ScanConfig.eta",
          "QubitState.rho", "ensemble_from_json.prior", "ensemble_from_json.rho",
          "six_state_rate", "binary_entropy", "ScanConfig.distances-None",
-         "DetectionStats.p_det-None", "model_states.priors-None"],
+         "DetectionStats.p_det-None", "model_states.priors-None", "TwistProblem.p_det00",
+         "TwistProblem.p_det00-None", "TwistProblem.e_z", "naive_phase_errors.p_det00"],
 )
 def test_non_numeric_parameters_are_typed(name, build):
     ens = model_states(ModelParams(delta=0.1, depol=0.05))

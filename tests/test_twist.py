@@ -1,4 +1,5 @@
 import itertools
+import math
 import subprocess
 import sys
 
@@ -532,6 +533,17 @@ class TestErrors:
         # p_det00 is checked before e_z
         with pytest.raises(InvalidParamsError, match="p_det00 must be positive"):
             TwistProblem.from_key_states(ens.key_states(), ens.key_states(), eve, 0.0, 2.0)
+
+    @pytest.mark.parametrize("p00", [math.nan, math.inf, 0.0, -0.0])
+    @pytest.mark.parametrize("stage", [
+        lambda keys, p00, e_z: TwistProblem.from_key_states(*keys, p00, e_z),
+        lambda keys, p00, e_z: naive_phase_errors(*keys, p00),
+    ], ids=["TwistProblem", "naive_phase_errors"])
+    def test_p00_must_be_positive_and_finite(self, stage, p00):
+        ens, eve, _, e_z = pipeline_inputs(0.1, 0.05)
+        keys = (ens.key_states(), ens.key_states(), eve)
+        with pytest.raises(InvalidParamsError, match="^p_det00 must be positive and finite, got "):
+            stage(keys, p00, e_z)
 
     def test_zero_prior_block_raises(self):
         ens, eve, p00, e_z = pipeline_inputs(0.1, 0.05)
