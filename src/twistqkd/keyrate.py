@@ -26,17 +26,19 @@ broadcast over its D rows.  One row stage (``twist._phase_error_rows``)
 forms one product per row and pairing: the twist is its trace norm, and
 the baseline, the twist at ``K = I``, its real trace.  The
 twisted phase errors and the baseline's are stacked (2, M * D), so one
-pass of the rate formula checks both purifications' windows and evaluates
-both rates.  Every stage makes
-one pass test over its rows, and only once a row fails does it record
+pass of the rate formula evaluates both rates.  Every stage that checks
+makes one pass test over its rows, and only once a row fails does it record
 (:func:`~twistqkd.errors._record`) its checks' failure masks in pipeline
 order and each failed row's first error, the one a point would raise.  The order is
 singular state matrix, a non-finite Gram solve, then an unphysical one (PSD
 repair beyond its bound, then an eigenvalue above 1), no key-basis
-detections, ``p_det00`` and ``e_z`` out of range, then the five windows of
-the twisted rate and the five of the baseline's.  An error of a pair's
-ensembles fails only that pair's rows.  The kernel runs under one
-``np.errstate`` that lets the failed rows' divisions pass.
+detections, then ``p_det00`` and ``e_z`` out of range.  The rate stage
+checks no window of the formula: the twisted phase errors lie in them
+through their min and max with ``e_z``, and the baseline is read by the
+formula's symmetries (``|e_minus|``, and ``2 - e_plus`` for an ``e_plus``
+above 1).  Only :func:`six_state_rate` checks its caller's values.  An
+error of a pair's ensembles fails only that pair's rows.  The kernel runs
+under one ``np.errstate`` that lets the failed rows' divisions pass.
 :func:`keyrate_point` is the kernel with M = D = 1.  A grid, whose
 ensembles an immutable :class:`ScanConfig` built and checked once, is
 evaluated one way (:func:`_grid_chunks`): one kernel call per chunk of
@@ -101,48 +103,19 @@ def binary_entropy(x: float) -> float:
     return float(_entropy(np.clip((x, 1.0 - x), 0.0, 1.0)))
 
 
-# The windows of the rate formula, in the order _rates checks them.
-_WINDOWS = (
-    "e_minus = {m} < 0",
-    "e_minus = {m} > e_z = {z}",
-    "e_z = {z} outside [0, 1]",
-    "e_plus = {p} < e_z = {z}",
-    "e_plus = {p} > 1",
-)
-
-
-def _rates(p_det00, e_z, e_minus, e_plus, f, errors):
+def _rates(p_det00, e_z, e_minus, e_plus, f):
     """Per purification and row: the six-state rate clamped at zero and the
     formula value before that clamp, each (K, N), for N rows of
     ``p_det00`` and ``e_z`` (N,) with the phase errors ``e_minus`` and
     ``e_plus`` (K, N) of K purifications of each row (the kernel stacks the
     twisted one and the baseline, K = 2).
 
-    All K purifications are evaluated together.  One pass checks the five
-    windows of every row and records in ``errors`` the
-    :class:`InvalidPhaseError` of its first violation: purification 0's
-    windows in order, then purification 1's, and so on.  ``e_minus <= e_z``
-    and ``e_plus >= e_z`` keep the Bell-diagonal weights ``lam`` of
-    :func:`six_state_rate` nonnegative; ``e_minus >= 0`` and ``e_plus <= 1``,
-    where the weights allow ``e_minus >= -e_z`` and ``e_plus <= 2 - e_z``,
-    are the package's stricter rule.  The formula is then evaluated once, on
-    the values clamped to their windows, where the four weights lie in [0, 1]
-    and sum to 1.
+    The formula alone, for all K purifications at once; it checks nothing.
+    It projects the values onto the windows ``0 <= e_minus <= e_z <= 1``
+    and ``e_z <= e_plus <= 1``, where the four Bell-diagonal weights ``lam``
+    of :func:`six_state_rate` lie in [0, 1] and sum to 1, and evaluates the
+    formula once on them.  A NaN value gives a NaN rate, and no warning.
     """
-    K, N = e_minus.shape
-    ok = np.empty((K, len(_WINDOWS), N), dtype=bool)
-    np.greater_equal(e_minus, -_PHASE_TOL, out=ok[:, 0])
-    np.less_equal(e_minus, e_z + _PHASE_TOL, out=ok[:, 1])
-    np.logical_and(-_PHASE_TOL <= e_z, e_z <= 1.0 + _PHASE_TOL, out=ok[:, 2])
-    np.greater_equal(e_plus, e_z - _PHASE_TOL, out=ok[:, 3])
-    np.less_equal(e_plus, 1.0 + _PHASE_TOL, out=ok[:, 4])
-    _record(errors, ~ok.reshape(-1, N), lambda c, i: InvalidPhaseError(
-        _WINDOWS[c % len(_WINDOWS)].format(
-            m=float(e_minus[c // len(_WINDOWS), i]),
-            z=float(e_z[i]),
-            p=float(e_plus[c // len(_WINDOWS), i]),
-        )
-    ))
     # np.clip's values, signed zeros and NaN included, without its dispatch.
     e_z = np.minimum(np.maximum(e_z, 0.0), 1.0)
     e_minus = np.minimum(np.maximum(e_minus, 0.0), e_z)
@@ -166,20 +139,34 @@ def six_state_rate(
     error correction, ``p_det00 [1 + h2(e_Z) - H(lam)] - f p_det00 h2(e_Z)``,
     which divides by nothing, over the Bell-diagonal weights of the virtual
     pair ``lam = ((e_Z + e_-)/2, (e_Z - e_-)/2, 1 - (e_+ + e_Z)/2, (e_+ - e_Z)/2)``.
-    It requires ``0 <= e_minus <= e_Z <= 1`` and ``e_Z <= e_plus <= 1`` within
-    1e-9, a finite ``p_det00 >= 0``, and ``f`` finite and at least 1.
+    It requires a finite ``p_det00 >= 0``, ``f`` finite and at least 1, and
+    the formula's windows within 1e-9, checked in this order: ``e_minus >= 0``,
+    ``e_minus <= e_Z``, ``0 <= e_Z <= 1``, ``e_plus >= e_Z`` and
+    ``e_plus <= 1``.  The first that fails, as NaN fails each, raises
+    :class:`InvalidPhaseError`.  ``e_minus <= e_Z`` and ``e_plus >= e_Z``
+    keep ``lam`` nonnegative; ``e_minus >= 0`` and ``e_plus <= 1``, where
+    ``lam`` allows ``e_minus >= -e_Z`` and ``e_plus <= 2 - e_Z``, are the
+    package's stricter rule.  Only this function checks the windows: the
+    pipeline builds its values inside them.
     """
     names = ("p_det00", "e_z", "e_minus", "e_plus")
     p_det00, e_z, e_minus, e_plus = (
-        np.array([_numeric(v, name)]) for v, name in zip((p_det00, e_z, e_minus, e_plus), names)
+        _numeric(v, name) for v, name in zip((p_det00, e_z, e_minus, e_plus), names)
     )
-    if not 0.0 <= p_det00[0] < math.inf:
-        raise InvalidParamsError(f"p_det00 must be nonnegative and finite, got {float(p_det00[0])}")
+    if not 0.0 <= p_det00 < math.inf:
+        raise InvalidParamsError(f"p_det00 must be nonnegative and finite, got {p_det00}")
     f = _require_f(f)
-    errors = [None]
-    rate, _ = _rates(p_det00, e_z, e_minus[None], e_plus[None], f, errors)
-    if errors[0] is not None:
-        raise errors[0]
+    for holds, window in (
+        (e_minus >= -_PHASE_TOL, "e_minus = {m} < 0"),
+        (e_minus <= e_z + _PHASE_TOL, "e_minus = {m} > e_z = {z}"),
+        (-_PHASE_TOL <= e_z <= 1.0 + _PHASE_TOL, "e_z = {z} outside [0, 1]"),
+        (e_plus >= e_z - _PHASE_TOL, "e_plus = {p} < e_z = {z}"),
+        (e_plus <= 1.0 + _PHASE_TOL, "e_plus = {p} > 1"),
+    ):
+        if not holds:
+            raise InvalidPhaseError(window.format(m=e_minus, z=e_z, p=e_plus))
+    rate, _ = _rates(np.array([p_det00]), np.array([e_z]), np.array([[e_minus]]),
+                     np.array([[e_plus]]), f)
     return float(rate[0, 0])
 
 
@@ -190,8 +177,9 @@ class KeyRateResult:
     Rates are clamped at zero for reporting.  ``rate_twisted_raw`` and
     ``rate_naive_raw`` in ``diagnostics`` are the formula on the windowed
     phase errors before that clamp (possibly negative); ``diagnostics``
-    also holds condition numbers, the PSD repair magnitude and the
-    unclamped twist bounds.
+    also holds condition numbers, the PSD repair magnitude, the
+    unclamped twist bounds and the baseline's phase errors as computed,
+    ``e_minus`` signed and ``e_plus`` possibly above 1.
     """
 
     p_det00: float
@@ -258,11 +246,13 @@ def _evaluate(rho, priors, channel: ChannelParams, distances, f, stats) -> tuple
         e_minus, e_plus, diagnostics[4], diagnostics[5], naive_signed, naive_plus = (
             _phase_error_rows(factors, E, p00, np.minimum(np.maximum(e_z, 0.0), 1.0))
         )
-        # The rate formula is even in e_minus (its sign swaps the first two
-        # Bell-diagonal weights), so the signed baseline enters through its magnitude.
-        naive_minus = np.minimum(np.abs(naive_signed), e_z)
+        # The rate formula is even in e_minus and symmetric about e_plus = 1
+        # (each swaps two Bell-diagonal weights), so the baseline, whose signs
+        # follow arbitrary eigenvector phases, enters as |e_minus| and with an
+        # e_plus above 1 reflected.
         fields[4:6], diagnostics[6:8] = _rates(
-            p00, e_z, np.array((e_minus, naive_minus)), np.array((e_plus, naive_plus)), f, errors
+            p00, e_z, np.array((e_minus, np.abs(naive_signed))),
+            np.array((e_plus, np.where(naive_plus > 1.0, 2.0 - naive_plus, naive_plus))), f,
         )
         fields[0], fields[1], fields[2], fields[3] = p00, e_z, e_minus, e_plus
         diagnostics[8], diagnostics[9] = naive_signed, naive_plus

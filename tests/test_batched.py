@@ -11,13 +11,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bloch_state, coplanar_ensemble, random_ensemble
+from conftest import (
+    bloch_state, coplanar_ensemble, node_stats, random_ensemble, random_pass_operator
+)
+from test_keyrate import mp_six_state_raw, mp_six_state_rate
 from twistqkd.channel import (
     ChannelParams,
     DetectionStats,
     _detection_rows,
     build_gamma,
     detection_stats,
+    photon_loss,
 )
 from twistqkd.errors import (
     InvalidParamsError,
@@ -145,14 +149,73 @@ def test_ok_rows_respect_the_rate_windows(delta_list, depol_list, distance_list,
         assert r.rate_twisted >= r.rate_naive - 1e-9
 
 
+def random_pair_rows(seed, distance_list):
+    """The kernel's outcomes for a random ensemble pair drawn from ``seed``:
+    under the honest node at each distance, then under one random pass
+    operator scaled by the two-photon transmission of each distance."""
+    rng = np.random.default_rng(seed)
+    alice, bob = random_ensemble(rng), random_ensemble(rng)
+    stacks = np.array((alice.rho, bob.rho))[:, None], np.array((alice.priors, bob.priors))[:, None]
+    channel = ChannelParams(eta=ETA, p_dark=P_DARK, distance_km=0.0)
+    rows = outcomes(_evaluate(*stacks, channel, distance_list, f=1.0, stats=None))
+    node = random_pass_operator(rng)
+    for distance in distance_list:
+        arm = 1.0 - photon_loss(ChannelParams(eta=ETA, p_dark=P_DARK, distance_km=distance))
+        stats = DetectionStats(p_det=node_stats(alice, bob, arm**2 * node))
+        rows += outcomes(_evaluate(*stacks, channel, [distance], f=1.0, stats=stats))
+    return rows
+
+
+@PROPERTY_SETTINGS
+@given(seeds, distances)
+def test_no_row_leaves_the_rate_windows(seed, distance_list):
+    # The twisted values enter the windows through their min and max with
+    # e_z, and the baseline through the formula's symmetries, so no kernel
+    # row fails a window; the twist dominates the baseline on every row
+    # (||X||_1 >= |Re tr X|), and the rate is monotone in each phase error.
+    for row in random_pair_rows(seed, distance_list):
+        assert not isinstance(row, InvalidPhaseError), row
+        if isinstance(row, KeyRateResult):
+            assert 0.0 <= row.e_minus <= row.e_z <= row.e_plus <= 1.0
+            assert row.rate_twisted >= row.rate_naive
+
+
+def test_a_reflected_baseline_is_the_written_formula_at_its_raw_value():
+    # Where the baseline's e_plus lies in (1, 2 - e_z), the written formula
+    # is defined at that raw value, and by its symmetry about e_plus = 1 it
+    # equals the rate the kernel evaluates at 2 - e_plus; the signed
+    # e_minus enters as computed (the formula is even in it).
+    reflected = []
+
+    @PROPERTY_SETTINGS
+    @given(seeds, distances)
+    def rows_are_the_formula(seed, distance_list):
+        for row in random_pair_rows(seed, distance_list):
+            if not isinstance(row, KeyRateResult):
+                continue
+            d, z = row.diagnostics, row.e_z
+            if not 1.0 < d["naive_e_plus"] < 2.0 - z:
+                continue
+            reflected.append(row)
+            inputs = (row.p_det00, z, min(max(d["naive_e_minus_signed"], -z), z),
+                      d["naive_e_plus"], 1.0)
+            tol = 1e-14 * row.p_det00
+            assert abs(d["rate_naive_raw"] - mp_six_state_raw(*inputs)) <= tol
+            assert abs(row.rate_naive - mp_six_state_rate(*inputs)) <= tol
+
+    rows_are_the_formula()
+    assert reflected
+
+
 @PROPERTY_SETTINGS
 @given(deltas, depols, distances, seeds, st.sampled_from([1.0, 1.16]))
 def test_ok_rows_are_the_six_state_rate_of_their_values(
     delta_list, depol_list, distance_list, seed, f
 ):
-    # the kernel evaluates the twisted and the baseline windows of all rows
+    # the kernel evaluates the twisted and the baseline values of all rows
     # as one stack; each rate is the one-point formula on its row's values,
-    # bit for bit
+    # bit for bit, the baseline's read by the formula's symmetries (|e_minus|,
+    # e_plus above 1 reflected to 2 - e_plus) and moved into the windows
     model = ScanConfig(
         deltas=delta_list, depols=depol_list, distances=distance_list, eta=ETA, p_dark=P_DARK, f=f
     )
@@ -166,8 +229,10 @@ def test_ok_rows_are_the_six_state_rate_of_their_values(
             continue
         r, d = row.result, row.result.diagnostics
         naive_minus = min(abs(d["naive_e_minus_signed"]), r.e_z)
+        plus = d["naive_e_plus"]
+        naive_plus = max(2.0 - plus if plus > 1.0 else plus, r.e_z)
         assert r.rate_twisted == six_state_rate(r.p_det00, r.e_z, r.e_minus, r.e_plus, f)
-        assert r.rate_naive == six_state_rate(r.p_det00, r.e_z, naive_minus, d["naive_e_plus"], f)
+        assert r.rate_naive == six_state_rate(r.p_det00, r.e_z, naive_minus, naive_plus, f)
 
 
 @PROPERTY_SETTINGS
@@ -325,11 +390,14 @@ def test_scan_memory_does_not_grow_with_copies_per_row():
 def test_each_row_keeps_its_first_error_across_stages_and_windows(monkeypatch):
     # One kernel call over a good pair and a coplanar one at eight distances.
     # The stage functions bound in the kernel's module are patched so that
-    # the good pair's rows fail in different stages and rate windows, some
-    # in several at once, the twisted and the baseline window together in
-    # rows 6 and 7; every row keeps the first error of the pipeline order
-    # (singular, Gram solve, key statistics, twisted windows 1-5, baseline
-    # windows 1-5).
+    # the good pair's rows fail in different stages, one in two at once, and
+    # so that rows 4-7 carry phase errors outside the rate windows, the
+    # twisted and the baseline's together in rows 6 and 7.  Every row keeps
+    # the first error of the pipeline order (singular, Gram solve, key
+    # statistics).  The kernel checks no window: rows 4-7 are results, each
+    # rate the formula on its values moved into the windows.  Only
+    # six_state_rate checks windows, and it refuses those values by the
+    # first window in its order.
     import twistqkd.keyrate as keyrate_module
 
     good = model_states(ModelParams(delta=0.1, depol=0.05))
@@ -340,7 +408,6 @@ def test_each_row_keeps_its_first_error_across_stages_and_windows(monkeypatch):
     ]
     stages = {name: getattr(keyrate_module, name) for name in
               ("_detection_rows", "_key_rows", "_phase_error_rows")}
-    seen = {}
 
     def detection_rows(*args):
         p_det = stages["_detection_rows"](*args)
@@ -351,7 +418,6 @@ def test_each_row_keeps_its_first_error_across_stages_and_windows(monkeypatch):
         p00, e_z = stages["_key_rows"](p_det)
         p00[2] = 0.0
         e_z[3] = 1.5
-        seen["e_z"] = e_z
         return p00, e_z
 
     def phase_error_rows(*args):
@@ -360,7 +426,7 @@ def test_each_row_keeps_its_first_error_across_stages_and_windows(monkeypatch):
         e_plus[6] = 1.5
         e_minus[7], e_plus[7] = 0.9, 1.5
         plus[5] = 1.25
-        plus[6] = plus[7] = 0.0  # an earlier window (e_plus >= e_z) than the twisted one's
+        plus[6] = plus[7] = 0.0
         return e_minus, e_plus, bound_minus, bound_plus, signed, plus
 
     for name, patch in (("_detection_rows", detection_rows), ("_key_rows", key_rows),
@@ -370,19 +436,39 @@ def test_each_row_keeps_its_first_error_across_stages_and_windows(monkeypatch):
     rows = outcomes(keyrate_module._evaluate(
         *stacks, channel, np.linspace(0.0, 140.0, 8), f=1.0, stats=None
     ))
-    first = [(type(row), str(row)) for row in rows[2:8]]
-    assert first == [
+    assert [(type(row), str(row)) for row in rows[2:4]] == [
         (NoDetectionsError, "key-basis detection probability is zero"),
         (InvalidParamsError, "e_z must be in [0, 1], got 1.5"),
-        (InvalidPhaseError, "e_minus = -0.1 < 0"),
-        (InvalidPhaseError, "e_plus = 1.25 > 1"),
-        (InvalidPhaseError, "e_plus = 1.5 > 1"),
-        (InvalidPhaseError, f"e_minus = 0.9 > e_z = {float(seen['e_z'][7])}"),
     ]
     assert isinstance(rows[0], KeyRateResult)
     assert type(rows[1]) is UnphysicalStatsError
     assert str(rows[1]).startswith("PSD repair removed eigenvalue mass")
     assert all(type(row) is SingularGammaError for row in rows[8:])
+    assert all(isinstance(row, KeyRateResult) for row in rows[4:8])
+    refused = []
+    for r in rows[4:8]:
+        d = r.diagnostics
+        plus = d["naive_e_plus"]
+        read = 2.0 - plus if plus > 1.0 else plus
+        # each purification's rate, its values, and its e_plus as the rate reads it
+        for rate, e_minus, e_plus, read_plus in (
+            (r.rate_twisted, r.e_minus, r.e_plus, r.e_plus),
+            (r.rate_naive, abs(d["naive_e_minus_signed"]), plus, read),
+        ):
+            try:
+                six_state_rate(r.p_det00, r.e_z, e_minus, e_plus)
+                refused.append(None)
+            except InvalidPhaseError as exc:
+                refused.append(str(exc))
+            inside = min(max(e_minus, 0.0), r.e_z), min(max(read_plus, r.e_z), 1.0)
+            assert rate == six_state_rate(r.p_det00, r.e_z, *inside)
+    z6, z7 = rows[6].e_z, rows[7].e_z
+    assert refused == [
+        "e_minus = -0.1 < 0", None,
+        None, "e_plus = 1.25 > 1",
+        "e_plus = 1.5 > 1", f"e_plus = 0.0 < e_z = {z6}",
+        f"e_minus = 0.9 > e_z = {z7}", f"e_plus = 0.0 < e_z = {z7}",
+    ]
 
 
 # The columns of the ok rows of test_kernel_columns_are_pinned's batch:
@@ -412,15 +498,21 @@ PINNED_OK_ROWS = (
      0.0, 0.0, 534.8244809804412, 13.973230604622492, 38.27493413037323, 0.0,
      0.4751685587115874, 0.50556579513898, -1.2459110727071301e-05, -6.869593096642367e-05,
      -0.12949811483709553, 0.5454604532122814),
+    (0.006294611989032655, 0.4891997810118589, 0.4587637744547226, 0.5089873220700982, 0.0, 0.0,
+     0.0, 409.71625538078075, 22.28697303396669, 18.38366541550297, 0.0, 0.4587637744547226,
+     0.5089873220700982, -0.0010568298151079876, -0.005135945738570835, 0.18743484309248953,
+     1.2947245578380204),
+    (9.993453878255919e-05, 0.48923912200928577, 0.4586747527138667, 0.509159146964965, 0.0,
+     0.0, 0.0, 409.71625538078075, 22.28697303396669, 18.38366541550297, 0.0,
+     0.4586747527138667, 0.509159146964965, -1.6848005385876517e-05, -8.159376984108036e-05,
+     0.18721478353534704, 1.2942802843298193),
 )
 _SINGULAR = (
     "Alice's ensemble fails the tetrahedron condition: state matrix condition number "
     "1.087e+10 is not below 1e+09, so detection statistics cannot determine the Gram matrix"
 )
 # Each row's error, by class and message; None for the ok rows above.
-PINNED_ERRORS = (None,) * 6 + (
-    (InvalidPhaseError, "e_plus = 1.2947245578380204 > 1"),
-    (InvalidPhaseError, "e_plus = 1.2942802843298193 > 1"),
+PINNED_ERRORS = (None,) * 8 + (
     (SingularGammaError, _SINGULAR),
     (SingularGammaError, _SINGULAR),
 )
@@ -430,8 +522,8 @@ _NUMBER = re.compile(r"-?\d+\.?\d*(?:e[+-]\d+)?")
 def test_kernel_columns_are_pinned():
     # One kernel call over five pairs at two distances: a pure model pair,
     # a mixed one, two seeded asymmetric pairs under the honest node (the
-    # statistics point_asym injects), one of which the baseline's window
-    # e_plus <= 1 refuses, and a pair whose Alice's Bloch vectors lie in one
+    # statistics point_asym injects), one of which has a baseline e_plus
+    # above 1, read reflected, and a pair whose Alice's Bloch vectors lie in one
     # plane up to 1e-9, which the tetrahedron test refuses with a condition
     # number that rounding cannot move in its printed digits.  The ok rows'
     # columns must equal the stored ones to 1e-12 relative (the absolute
@@ -456,11 +548,11 @@ def test_kernel_columns_are_pinned():
     assert [None if e is None else type(e) for e in errors] == [
         None if e is None else e[0] for e in PINNED_ERRORS
     ]
-    for error, (_, message) in zip(errors[6:], PINNED_ERRORS[6:]):
+    for error, (_, message) in zip(errors[8:], PINNED_ERRORS[8:]):
         assert _NUMBER.split(str(error)) == _NUMBER.split(message)
         np.testing.assert_allclose(
             [float(x) for x in _NUMBER.findall(str(error))],
             [float(x) for x in _NUMBER.findall(message)], rtol=1e-12,
         )
-    columns = np.vstack((fields, diagnostics))[:, :6].T
+    columns = np.vstack((fields, diagnostics))[:, :8].T
     np.testing.assert_allclose(columns, PINNED_OK_ROWS, rtol=1e-12, atol=1e-13)

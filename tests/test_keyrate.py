@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -58,8 +59,8 @@ def mp_entropy(x):
     return float(-(x * mpmath.log(x) + (1 - x) * mpmath.log(1 - x)) / mpmath.log(2))
 
 
-def mp_six_state_rate(p_det00, e_z, e_minus, e_plus, f):
-    """The six-state rate formula as written, clamped at zero, at 40 digits:
+def mp_six_state_raw(p_det00, e_z, e_minus, e_plus, f):
+    """The six-state rate formula as written, at 40 digits:
     ``p_det00 [1 - f h2(e_Z) - e_Z h2((1 + e_-/e_Z)/2)
     - (1-e_Z) h2((1 - (e_+ + e_Z)/2)/(1-e_Z))]``, with the exact limit 0 of
     the bit-flip term at ``e_Z = 0`` and of the phase term at ``e_Z = 1``."""
@@ -69,7 +70,12 @@ def mp_six_state_rate(p_det00, e_z, e_minus, e_plus, f):
         z, m, p = (mpmath.mpf(v) for v in (e_z, e_minus, e_plus))
         bit_flip = z * mp_entropy((1 + m / z) / 2) if z > 0 else 0
         phase = (1 - z) * mp_entropy((1 - (p + z) / 2) / (1 - z)) if z < 1 else 0
-        return max(float(p_det00 * (1 - f * mp_entropy(z) - bit_flip - phase)), 0.0)
+        return float(p_det00 * (1 - f * mp_entropy(z) - bit_flip - phase))
+
+
+def mp_six_state_rate(*inputs):
+    """:func:`mp_six_state_raw` clamped at zero."""
+    return max(mp_six_state_raw(*inputs), 0.0)
 
 
 @st.composite
@@ -210,18 +216,27 @@ class TestSixStateRate:
             six_state_rate(p_det00, 0.05, 0.0, 0.1)
 
     def test_rates_raise_no_floating_point_error(self):
-        # rows at e_z = 0 and 1, and NaN rows, which their windows refuse
-        errors = [None] * 4
+        # rows at e_z = 0 and 1, and NaN rows: _rates checks no window, and a
+        # NaN row gives a NaN rate, not a floating-point error
         with np.errstate(all="raise"):
             rate, raw = _rates(
                 np.ones(4), np.array([0.0, 1.0, math.nan, 0.1]),
-                np.array([[0.0, 0.5, 0.0, math.nan]]), np.array([[0.2, 1.0, 0.5, 0.5]]),
-                1.0, errors,
+                np.array([[0.0, 0.5, 0.0, math.nan]]), np.array([[0.2, 1.0, 0.5, 0.5]]), 1.0,
             )
-        assert [type(e) for e in errors[2:]] == [InvalidPhaseError] * 2
-        assert errors[:2] == [None, None]
         np.testing.assert_allclose(rate[0, :2], [1.0 - mp_entropy(0.9), 1.0 - mp_entropy(0.75)],
                                    rtol=0.0, atol=1e-15)
+        assert np.isnan(rate[0, 2:]).all() and np.isnan(raw[0, 2:]).all()
+
+    @pytest.mark.parametrize("e_z, e_minus, e_plus, message", [
+        (0.1, math.nan, 0.2, "e_minus = nan < 0"),
+        (math.nan, 0.0, 0.2, "e_minus = 0.0 > e_z = nan"),
+        (0.1, 0.0, math.nan, "e_plus = nan < e_z = 0.1"),
+        (math.nan, math.nan, math.nan, "e_minus = nan < 0"),
+    ])
+    def test_rejects_nan(self, e_z, e_minus, e_plus, message):
+        # NaN fails every window, so the first window that reads it refuses it
+        with pytest.raises(InvalidPhaseError, match=f"^{re.escape(message)}$"):
+            six_state_rate(1.0, e_z, e_minus, e_plus)
 
 
 def ideal_point():
