@@ -32,10 +32,11 @@ class ChannelParams:
     """Loss and detector parameters of the honest channel.
 
     ``eta`` is the overall detection efficiency, ``p_dark`` the dark count
-    probability per detector per pulse, ``distance_km`` the distance from
-    each sender to the measurement node.  The per-photon survival factor is
-    ``eta * 10**(-atten_db_per_km * distance_km / atten_divisor)``; the
-    divisor is configurable (default 20).
+    probability per detector per pulse.  The per-photon survival factor
+    ``eta * 10**(-atten_db_per_km * distance_km / atten_divisor)`` is, at the
+    default divisor 20, the loss of ``distance_km / 2`` of fiber, so
+    ``distance_km`` is the Alice-Bob distance with the node midway (at
+    divisor 10, the distance from each sender to the node).
     """
 
     eta: float

@@ -35,6 +35,10 @@ EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_PHASE = 4
 
+# The exit code of each error class that does not exit EXIT_CONFIG.
+_EXIT_CODES = {SingularGammaError: EXIT_SINGULAR, UnphysicalStatsError: EXIT_SINGULAR,
+               NoDetectionsError: EXIT_SINGULAR, InvalidPhaseError: EXIT_PHASE}
+
 _VERDICTS = ("FAIL", "pass")
 
 
@@ -43,7 +47,9 @@ def _add_point_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--depol", type=float, required=True, help="depolarizing probability")
     parser.add_argument("--eta", type=float, required=True, help="overall detection efficiency")
     parser.add_argument("--dark", type=float, required=True, help="dark count probability per detector")
-    parser.add_argument("--distance", type=float, required=True, help="sender-to-node distance (km)")
+    parser.add_argument("--distance", type=float, required=True,
+                        help="Alice-Bob distance (km) with the node midway; "
+                             "with --divisor 10, the sender-to-node distance")
     parser.add_argument("--divisor", type=float, default=20.0, help="attenuation exponent divisor")
     parser.add_argument("--f", type=float, default=1.0, help="error correction efficiency")
     parser.add_argument("--priors", type=str, default="0.25,0.25,0.25,0.25",
@@ -146,18 +152,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidParamsError, OSError) as exc:
+    except (QkdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SingularGammaError, UnphysicalStatsError, NoDetectionsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except InvalidPhaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PHASE
-    except QkdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _EXIT_CODES.get(type(exc), EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -165,7 +165,8 @@ def solve_eve(gamma: GammaMatrix, stats: DetectionStats) -> EveGram:
     errors = [None]
     cond = np.array([[gamma.cond_alice], [gamma.cond_bob]])
     R_inv = _invert_factors(np.array((gamma.RA, gamma.RB))[:, None], cond, errors)
-    E, clipped, raw = _solve_rows(*R_inv, stats.p_det[None], errors)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused as not finite, silently
+        E, clipped, raw = _solve_rows(*R_inv, stats.p_det[None], errors)
     if errors[0] is not None:
         raise errors[0]
     return EveGram(e_matrix=E[0], clipped_mass=float(clipped[0]), raw=raw[0])

@@ -23,22 +23,22 @@ Everything that depends on the statistics (Gram solve, PSD repair,
 key-basis statistics, phase errors and rates) runs on arrays over the
 M * D rows, which view them as (M, D, ...) so that each pair's arrays
 broadcast over its D rows.  One row stage (``twist._phase_error_rows``)
-forms one product per row and pairing: the twist is its trace norm, and
-the baseline, the twist at ``K = I``, its real trace.  The
-twisted phase errors and the baseline's are stacked (2, M * D), so one
-pass of the rate formula evaluates both rates.  Every stage that checks
-makes one pass test over its rows, and only once a row fails does it record
+forms one product per row and pairing: the twist's raw optima are its
+trace norm, and the baseline, the twist at ``K = I``, its real trace.
+The rate stage (:func:`_rates`) alone owns the formula's domain: it reads
+the twisted values and the baseline's, stacked (2, M * D), by the
+formula's symmetries, projects them onto its windows and evaluates both
+rates in one pass.  Every stage that checks makes one pass test over its
+rows, and only once a row fails does it record
 (:func:`~twistqkd.errors._record`) its checks' failure masks in pipeline
-order and each failed row's first error, the one a point would raise.  The order is
-singular state matrix, a non-finite Gram solve, then an unphysical one (PSD
+order and each failed row's first error, the one a point would raise.  The
+order is singular state matrix, a non-finite Gram solve, then an unphysical one (PSD
 repair beyond its bound, then an eigenvalue above 1), no key-basis
 detections, then ``p_det00`` and ``e_z`` out of range.  The rate stage
-checks no window of the formula: the twisted phase errors lie in them
-through their min and max with ``e_z``, and the baseline is read by the
-formula's symmetries (``|e_minus|``, and ``2 - e_plus`` for an ``e_plus``
-above 1).  Only :func:`six_state_rate` checks its caller's values.  An
-error of a pair's ensembles fails only that pair's rows.  The kernel runs
-under one ``np.errstate`` that lets the failed rows' divisions pass.
+checks no window of the formula: only :func:`six_state_rate` checks its
+caller's values.  An error of a pair's ensembles fails only that pair's
+rows.  The kernel runs under one ``np.errstate`` that lets the failed
+rows' divisions pass.
 :func:`keyrate_point` is the kernel with M = D = 1.  A grid, whose
 ensembles an immutable :class:`ScanConfig` built and checked once, is
 evaluated one way (:func:`_grid_chunks`): one kernel call per chunk of
@@ -104,18 +104,21 @@ def binary_entropy(x: float) -> float:
 
 
 def _rates(p_det00, e_z, e_minus, e_plus, f):
-    """Per purification and row: the six-state rate clamped at zero and the
-    formula value before that clamp, each (K, N), for N rows of
-    ``p_det00`` and ``e_z`` (N,) with the phase errors ``e_minus`` and
-    ``e_plus`` (K, N) of K purifications of each row (the kernel stacks the
-    twisted one and the baseline, K = 2).
+    """Per purification and row: the six-state rate clamped at zero, the
+    formula before that clamp, and the ``e_minus`` and ``e_plus`` it was
+    evaluated at, each (K, N), for N rows of ``p_det00`` and ``e_z`` (N,)
+    and the raw phase errors ``e_minus`` and ``e_plus`` (K, N) of K
+    purifications (the kernel's twisted optima and baseline, K = 2).
 
-    The formula alone, for all K purifications at once; it checks nothing.
-    It projects the values onto the windows ``0 <= e_minus <= e_z <= 1``
-    and ``e_z <= e_plus <= 1``, where the four Bell-diagonal weights ``lam``
-    of :func:`six_state_rate` lie in [0, 1] and sum to 1, and evaluates the
-    formula once on them.  A NaN value gives a NaN rate, and no warning.
+    The formula alone; it checks nothing.  It is even in ``e_minus`` and
+    symmetric about ``e_plus = 1`` (each swaps two weights of ``lam``), so
+    it reads each value as ``|e_minus|`` and, above 1, ``2 - e_plus``, then
+    projects it onto the windows ``0 <= e_minus <= e_z <= 1`` and
+    ``e_z <= e_plus <= 1``, where the four Bell-diagonal weights ``lam`` of
+    :func:`six_state_rate` lie in [0, 1].  A NaN value gives a NaN rate.
     """
+    e_minus = np.abs(e_minus)
+    e_plus = np.where(e_plus > 1.0, 2.0 - e_plus, e_plus)
     # np.clip's values, signed zeros and NaN included, without its dispatch.
     e_z = np.minimum(np.maximum(e_z, 0.0), 1.0)
     e_minus = np.minimum(np.maximum(e_minus, 0.0), e_z)
@@ -124,7 +127,7 @@ def _rates(p_det00, e_z, e_minus, e_plus, f):
                     1.0 - (e_plus + e_z) / 2.0, (e_plus - e_z) / 2.0))
     h_z = _entropy(np.array((e_z, 1.0 - e_z)))
     raw = p_det00 * (1.0 + h_z - _entropy(lam)) - f * p_det00 * h_z
-    return np.maximum(raw, 0.0), raw
+    return np.maximum(raw, 0.0), raw, e_minus, e_plus
 
 
 def six_state_rate(
@@ -146,8 +149,9 @@ def six_state_rate(
     :class:`InvalidPhaseError`.  ``e_minus <= e_Z`` and ``e_plus >= e_Z``
     keep ``lam`` nonnegative; ``e_minus >= 0`` and ``e_plus <= 1``, where
     ``lam`` allows ``e_minus >= -e_Z`` and ``e_plus <= 2 - e_Z``, are the
-    package's stricter rule.  Only this function checks the windows: the
-    pipeline builds its values inside them.
+    package's stricter rule.  Only this function checks the windows; a value
+    that passes is read as :func:`_rates` reads it, at its mirror within the
+    tolerance below ``e_minus = 0`` or above ``e_plus = 1``.
     """
     names = ("p_det00", "e_z", "e_minus", "e_plus")
     p_det00, e_z, e_minus, e_plus = (
@@ -165,8 +169,8 @@ def six_state_rate(
     ):
         if not holds:
             raise InvalidPhaseError(window.format(m=e_minus, z=e_z, p=e_plus))
-    rate, _ = _rates(np.array([p_det00]), np.array([e_z]), np.array([[e_minus]]),
-                     np.array([[e_plus]]), f)
+    rate, *_ = _rates(np.array([p_det00]), np.array([e_z]), np.array([[e_minus]]),
+                      np.array([[e_plus]]), f)
     return float(rate[0, 0])
 
 
@@ -174,12 +178,13 @@ def six_state_rate(
 class KeyRateResult:
     """Key rates and intermediate quantities for one parameter point.
 
-    Rates are clamped at zero for reporting.  ``rate_twisted_raw`` and
-    ``rate_naive_raw`` in ``diagnostics`` are the formula on the windowed
-    phase errors before that clamp (possibly negative); ``diagnostics``
-    also holds condition numbers, the PSD repair magnitude, the
-    unclamped twist bounds and the baseline's phase errors as computed,
-    ``e_minus`` signed and ``e_plus`` possibly above 1.
+    Rates are clamped at zero for reporting; ``e_minus`` and ``e_plus`` are
+    the twisted ones in the rate windows.  ``diagnostics`` holds
+    ``rate_twisted_raw`` and ``rate_naive_raw`` (the formula before that
+    clamp, possibly negative), condition numbers, the PSD repair magnitude,
+    and the row stage's values as computed: the twist bounds ``s_-`` and
+    ``1 - s_+``, and the baseline's ``e_minus`` signed and ``e_plus``
+    possibly above 1.
     """
 
     p_det00: float
@@ -241,21 +246,15 @@ def _evaluate(rho, priors, channel: ChannelParams, distances, f, stats) -> tuple
         E, diagnostics[3], _ = _solve_rows(*R_inv, p_det, errors)  # clipped_mass
         p00, e_z = _key_rows(p_det)
         _record(errors, *_key_checks(p00, e_z))
-        # The key states are a = 0, 1.
-        factors = _pair_factors(rho[:, :, :2], priors[:, :, :2])
-        e_minus, e_plus, diagnostics[4], diagnostics[5], naive_signed, naive_plus = (
-            _phase_error_rows(factors, E, p00, np.minimum(np.maximum(e_z, 0.0), 1.0))
+        # The raw twist_bound_minus, twist_bound_plus, naive_e_minus_signed and
+        # naive_e_plus, from the key states a = 0, 1; rows 4::4 and 5::4 are
+        # each purification's e_minus and e_plus, the twisted one first.
+        diagnostics[4], diagnostics[5], diagnostics[8], diagnostics[9] = _phase_error_rows(
+            _pair_factors(rho[:, :, :2], priors[:, :, :2]), E, p00
         )
-        # The rate formula is even in e_minus and symmetric about e_plus = 1
-        # (each swaps two Bell-diagonal weights), so the baseline, whose signs
-        # follow arbitrary eigenvector phases, enters as |e_minus| and with an
-        # e_plus above 1 reflected.
-        fields[4:6], diagnostics[6:8] = _rates(
-            p00, e_z, np.array((e_minus, np.abs(naive_signed))),
-            np.array((e_plus, np.where(naive_plus > 1.0, 2.0 - naive_plus, naive_plus))), f,
-        )
-        fields[0], fields[1], fields[2], fields[3] = p00, e_z, e_minus, e_plus
-        diagnostics[8], diagnostics[9] = naive_signed, naive_plus
+        rates, raw, e_minus, e_plus = _rates(p00, e_z, diagnostics[4::4], diagnostics[5::4], f)
+        fields[0], fields[1], fields[2], fields[3] = p00, e_z, e_minus[0], e_plus[0]
+        fields[4:6], diagnostics[6:8] = rates, raw
         rate_twisted, rate_naive = fields[4:6]
         np.divide(100.0 * (rate_twisted - rate_naive), rate_naive, out=fields[6])  # pct_gain
         positive = rate_naive > 0.0

@@ -25,9 +25,9 @@ of ``rho``: the fixed eigenbasis purification (Koashi, NJP 11, 045018
 ``|Re tr X| <= ||X||_1`` on every row.  No rank cutoff applies.  One
 ``eigh`` over the key states of a batch of ensemble pairs gives the factors
 (:func:`_pair_factors`), and one product ``X`` per row and pairing gives
-both values (:func:`_phase_error_rows`).  The scalar windows of the rate
-formula act as clamps: ``e_minus = min(s_-, e_z)`` and
-``e_plus = max(1 - s_+, e_z)``.
+both values (:func:`_phase_error_rows`), as computed.  The windows of the
+rate formula are the rate stage's (``keyrate._rates``); a point's phase
+errors are ``e_minus = min(s_-, e_z)`` and ``e_plus = max(1 - s_+, e_z)``.
 
 The twist model is joint: each pairing is optimized over every
 contraction ``K`` on the joint 4-dimensional ancilla space of Alice and
@@ -144,12 +144,11 @@ class PhaseErrors:
         return (self.e_plus - self.e_minus) / 2.0
 
 
-def _phase_error_rows(factors: tuple, E: np.ndarray, p_det00: np.ndarray, e_z: np.ndarray):
-    """Optimized ``(e_minus, e_plus, s_minus, 1 - s_plus)``, then the
-    baseline's signed ``e_minus`` and its ``e_plus``, for the M * D Gram
-    matrices ``E`` (M * D, 4, 4), pair-major, of M ensemble pairs with
-    :func:`_pair_factors` stacked for M pairs, or of one pair's; ``e_z`` is
-    the clamped bit error rate of each row.
+def _phase_error_rows(factors: tuple, E: np.ndarray, p_det00: np.ndarray):
+    """The twist's raw optima ``s_minus`` and ``1 - s_plus``, then the
+    baseline's signed ``e_minus`` and its ``e_plus``, each (M * D,), for the
+    M * D Gram matrices ``E`` (M * D, 4, 4), pair-major, of M ensemble pairs
+    with :func:`_pair_factors` stacked for M pairs, or of one pair's.
 
     Each pair's factors broadcast over its D rows.  Each row forms
     ``X = S1^T E S2^*`` once per pairing: the twist is its trace norm, from
@@ -160,15 +159,12 @@ def _phase_error_rows(factors: tuple, E: np.ndarray, p_det00: np.ndarray, e_z: n
     norms = np.add.reduce(np.linalg.svd(X, compute_uv=False), axis=-1)
     s, naive = (2.0 / p_det00[:, None] * values.reshape(-1, 2)
                 for values in (norms, np.trace(X, axis1=-2, axis2=-1).real))
-    s_minus, bound_plus = s[:, 0], 1.0 - s[:, 1]
-    return (
-        np.minimum(s_minus, e_z), np.maximum(bound_plus, e_z), s_minus, bound_plus,
-        -naive[:, 0], 1.0 - naive[:, 1],
-    )
+    return s[:, 0], 1.0 - s[:, 1], -naive[:, 0], 1.0 - naive[:, 1]
 
 
 def optimize_phase_errors(problem: TwistProblem) -> PhaseErrors:
-    """Optimized phase errors over all twists, in closed form."""
+    """Optimized phase errors over all twists, in closed form, with the raw
+    optima ``s_-`` and ``1 - s_+`` as their bounds."""
     keys = (problem.alice_key, problem.bob_key)
     for party, key in zip(("Alice", "Bob"), keys):
         for x, state in enumerate(key):
@@ -177,7 +173,9 @@ def optimize_phase_errors(problem: TwistProblem) -> PhaseErrors:
                     f"{party}'s key state {x} has prior {state.prob}, so its ancilla "
                     "Gram blocks are zero; check key-state priors"
                 )
-    return PhaseErrors(*_one_pair(*keys, problem.eve_gram, problem.p_det00, problem.e_z)[:4])
+    s_minus, bound_plus = _one_pair(*keys, problem.eve_gram, problem.p_det00)[:2]
+    e_z = problem.e_z
+    return PhaseErrors(min(s_minus, e_z), max(bound_plus, e_z), s_minus, bound_plus)
 
 
 def naive_phase_errors(alice_key, bob_key, eve: EveGram, p_det00: float) -> PhaseErrors:
@@ -197,14 +195,14 @@ def naive_phase_errors(alice_key, bob_key, eve: EveGram, p_det00: float) -> Phas
     phase and does not move.
     """
     p_det00, _ = _key_scalars(p_det00)
-    e_minus, e_plus = _one_pair(alice_key, bob_key, eve, p_det00, 0.0)[4:]
+    e_minus, e_plus = _one_pair(alice_key, bob_key, eve, p_det00)[2:]
     return PhaseErrors(e_minus=e_minus, e_plus=e_plus)
 
 
-def _one_pair(alice_key, bob_key, eve: EveGram, p_det00: float, e_z: float) -> list:
-    """The six values of :func:`_phase_error_rows` for one pair's key states,
+def _one_pair(alice_key, bob_key, eve: EveGram, p_det00: float) -> list:
+    """The four values of :func:`_phase_error_rows` for one pair's key states,
     through the kernel's two stages."""
     rho, prob = _stack((*alice_key, *bob_key))
     factors = _pair_factors(rho.reshape(2, 2, 2, 2), prob.reshape(2, 2))
-    rows = _phase_error_rows(factors, eve.e_matrix[None], np.array([p_det00]), np.array([e_z]))
+    rows = _phase_error_rows(factors, eve.e_matrix[None], np.array([p_det00]))
     return [float(v[0]) for v in rows]

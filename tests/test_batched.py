@@ -391,13 +391,14 @@ def test_each_row_keeps_its_first_error_across_stages_and_windows(monkeypatch):
     # One kernel call over a good pair and a coplanar one at eight distances.
     # The stage functions bound in the kernel's module are patched so that
     # the good pair's rows fail in different stages, one in two at once, and
-    # so that rows 4-7 carry phase errors outside the rate windows, the
+    # so that rows 4-7 carry raw phase errors outside the rate windows, the
     # twisted and the baseline's together in rows 6 and 7.  Every row keeps
     # the first error of the pipeline order (singular, Gram solve, key
     # statistics).  The kernel checks no window: rows 4-7 are results, each
-    # rate the formula on its values moved into the windows.  Only
-    # six_state_rate checks windows, and it refuses those values by the
-    # first window in its order.
+    # rate the formula on its raw values read by the formula's symmetries
+    # and moved into the windows, and the twisted values read so are the
+    # result's phase errors.  Only six_state_rate checks windows, and it
+    # refuses the raw values by the first window in its order.
     import twistqkd.keyrate as keyrate_module
 
     good = model_states(ModelParams(delta=0.1, depol=0.05))
@@ -421,13 +422,13 @@ def test_each_row_keeps_its_first_error_across_stages_and_windows(monkeypatch):
         return p00, e_z
 
     def phase_error_rows(*args):
-        e_minus, e_plus, bound_minus, bound_plus, signed, plus = stages["_phase_error_rows"](*args)
-        e_minus[[1, 2, 3, 4, 8]] = -0.1
-        e_plus[6] = 1.5
-        e_minus[7], e_plus[7] = 0.9, 1.5
+        s_minus, bound_plus, signed, plus = stages["_phase_error_rows"](*args)
+        s_minus[[1, 2, 3, 4, 8]] = -0.1
+        bound_plus[6] = 1.5
+        s_minus[7], bound_plus[7] = 0.9, 1.5
         plus[5] = 1.25
         plus[6] = plus[7] = 0.0
-        return e_minus, e_plus, bound_minus, bound_plus, signed, plus
+        return s_minus, bound_plus, signed, plus
 
     for name, patch in (("_detection_rows", detection_rows), ("_key_rows", key_rows),
                         ("_phase_error_rows", phase_error_rows)):
@@ -448,20 +449,20 @@ def test_each_row_keeps_its_first_error_across_stages_and_windows(monkeypatch):
     refused = []
     for r in rows[4:8]:
         d = r.diagnostics
-        plus = d["naive_e_plus"]
-        read = 2.0 - plus if plus > 1.0 else plus
-        # each purification's rate, its values, and its e_plus as the rate reads it
-        for rate, e_minus, e_plus, read_plus in (
-            (r.rate_twisted, r.e_minus, r.e_plus, r.e_plus),
-            (r.rate_naive, abs(d["naive_e_minus_signed"]), plus, read),
+        # each purification's rate, its raw values, and the result's values
+        for rate, e_minus, e_plus, result in (
+            (r.rate_twisted, d["twist_bound_minus"], d["twist_bound_plus"], (r.e_minus, r.e_plus)),
+            (r.rate_naive, d["naive_e_minus_signed"], d["naive_e_plus"], None),
         ):
             try:
                 six_state_rate(r.p_det00, r.e_z, e_minus, e_plus)
                 refused.append(None)
             except InvalidPhaseError as exc:
                 refused.append(str(exc))
-            inside = min(max(e_minus, 0.0), r.e_z), min(max(read_plus, r.e_z), 1.0)
+            read = abs(e_minus), 2.0 - e_plus if e_plus > 1.0 else e_plus
+            inside = min(max(read[0], 0.0), r.e_z), min(max(read[1], r.e_z), 1.0)
             assert rate == six_state_rate(r.p_det00, r.e_z, *inside)
+            assert result in (None, inside)
     z6, z7 = rows[6].e_z, rows[7].e_z
     assert refused == [
         "e_minus = -0.1 < 0", None,

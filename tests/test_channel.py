@@ -64,6 +64,8 @@ class TestPhotonLoss:
         # a negative attenuation would give a per-photon survival above 1
         with pytest.raises(InvalidParamsError, match="atten_db_per_km must be >= 0, got -1.0"):
             ChannelParams(eta=0.5, p_dark=0.0, distance_km=10.0, atten_db_per_km=-1.0)
+        with pytest.raises(InvalidParamsError, match="^atten_divisor must be > 0, got 0.0$"):
+            ChannelParams(eta=0.5, p_dark=0.0, distance_km=10.0, atten_divisor=0.0)
 
 
 def ideal_ensembles():
@@ -229,12 +231,18 @@ class TestStatsCsv:
         path.write_text("i,j,x,y,p_det\n0,0,0,2,0.5\n")
         with pytest.raises(InvalidParamsError):
             DetectionStats.from_csv(path)
+        path.write_text("i,j,x,y,p_det\n0.5,0,0,0,0.5\n")  # an index that is not an integer
+        with pytest.raises(InvalidParamsError, match="^bad stats row .*invalid literal for int"):
+            DetectionStats.from_csv(path)
 
     def test_stats_validation(self):
         with pytest.raises(InvalidParamsError):
             DetectionStats(p_det=np.full(16, 0.2))  # sums above 1
         with pytest.raises(InvalidParamsError):
             DetectionStats(p_det=np.full(16, -0.1))
+        with pytest.raises(InvalidParamsError,
+                           match=r"^p_det must have shape \(16,\), got \(4, 4\)$"):
+            DetectionStats(p_det=np.full((4, 4), 0.01))
         for bad in (np.nan, np.inf, -np.inf):
             p_det = np.full(16, 0.01)
             p_det[5] = bad

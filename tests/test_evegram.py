@@ -6,8 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import node_stats, random_ensemble, random_pass_operator
-from twistqkd.channel import ChannelParams, DetectionStats, build_gamma, detection_stats, stats_index
-from twistqkd.errors import NoDetectionsError, QkdError, SingularGammaError, UnphysicalStatsError
+from twistqkd.channel import (
+    ChannelParams, DetectionStats, GammaMatrix, build_gamma, detection_stats, stats_index
+)
+from twistqkd.errors import (
+    NoDetectionsError, NotHermitianError, QkdError, SingularGammaError, UnphysicalStatsError
+)
 from twistqkd.evegram import CLIP_ERROR, _matrix_to_vector, key_basis_stats, solve_eve
 from twistqkd.keyrate import ScanConfig, keyrate_point, scan
 from twistqkd.states import ModelParams, model_states
@@ -92,6 +96,18 @@ class TestSolveEve:
         gamma = build_gamma(SignalEnsemble(states=flat), ens)
         with pytest.raises(SingularGammaError):
             solve_eve(gamma, DetectionStats(p_det=np.zeros(16)))
+
+    def test_a_solve_beyond_the_float_range_is_refused_without_a_warning(self):
+        # State-matrix factors scaled by 1e-160 keep their condition numbers,
+        # but their inverses' product with the statistics overflows: the
+        # solve is refused as not finite, and no floating-point warning
+        # comes before the refusal.
+        _, stats, gamma = ideal_setup(eta=0.5, p_dark=1e-5, distance=10.0)
+        tiny = GammaMatrix(1e-160 * gamma.RA, 1e-160 * gamma.RB, gamma.cond_alice, gamma.cond_bob)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitianError, match="^matrix contains NaN or Inf entries$"):
+                solve_eve(tiny, stats)
 
     @staticmethod
     def _entangled_direction_gram(a, b):

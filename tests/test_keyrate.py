@@ -86,6 +86,19 @@ def windowed_rate_inputs(draw):
     return draw(st.floats(0.0, 1.0)), e_z, e_minus, e_plus, draw(st.floats(1.0, 2.0))
 
 
+@st.composite
+def mirrored_rate_inputs(draw):
+    """``(p_det00, e_z, e_minus, e_plus, f)`` for ``_rates``, with K
+    purifications of one row within ``|e_minus| <= e_z`` and
+    ``e_z <= e_plus <= 2 - e_z``."""
+    e_z = draw(st.floats(0.0, 1.0))
+    k = draw(st.integers(1, 3))
+    e_minus = draw(st.lists(st.floats(-e_z, e_z), min_size=k, max_size=k))
+    e_plus = draw(st.lists(st.floats(e_z, 2.0 - e_z), min_size=k, max_size=k))
+    return (draw(st.floats(0.0, 1.0)), np.array([e_z]), np.array(e_minus)[:, None],
+            np.array(e_plus)[:, None], draw(st.floats(1.0, 2.0)))
+
+
 class TestBinaryEntropy:
     def test_endpoints(self):
         assert binary_entropy(0.0) == 0.0
@@ -219,13 +232,29 @@ class TestSixStateRate:
         # rows at e_z = 0 and 1, and NaN rows: _rates checks no window, and a
         # NaN row gives a NaN rate, not a floating-point error
         with np.errstate(all="raise"):
-            rate, raw = _rates(
+            rate, raw, e_minus, e_plus = _rates(
                 np.ones(4), np.array([0.0, 1.0, math.nan, 0.1]),
                 np.array([[0.0, 0.5, 0.0, math.nan]]), np.array([[0.2, 1.0, 0.5, 0.5]]), 1.0,
             )
         np.testing.assert_allclose(rate[0, :2], [1.0 - mp_entropy(0.9), 1.0 - mp_entropy(0.75)],
                                    rtol=0.0, atol=1e-15)
         assert np.isnan(rate[0, 2:]).all() and np.isnan(raw[0, 2:]).all()
+        np.testing.assert_array_equal(e_minus, [[0.0, 0.5, math.nan, math.nan]])
+        np.testing.assert_array_equal(e_plus, [[0.2, 1.0, math.nan, 0.5]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(mirrored_rate_inputs())
+    @example((0.5, np.array([0.1]), np.array([[-0.1, 0.1]]), np.array([[1.9, 1.0]]), 1.0))
+    @example((1.0, np.array([1.0]), np.array([[-1.0]]), np.array([[1.0]]), 2.0))
+    def test_rates_read_each_value_by_the_formulas_symmetries(self, inputs):
+        # The formula is even in e_minus and symmetric about e_plus = 1, and
+        # _rates reads every purification so, the twisted one included: on
+        # the widest windows where lam stays in [0, 1], |e_minus| <= e_z and
+        # e_z <= e_plus <= 2 - e_z, each value gives what its mirror gives.
+        p_det00, e_z, e_minus, e_plus, f = inputs
+        mirrored = np.abs(e_minus), np.where(e_plus > 1.0, 2.0 - e_plus, e_plus)
+        np.testing.assert_array_equal(np.array(_rates(p_det00, e_z, e_minus, e_plus, f)),
+                                      np.array(_rates(p_det00, e_z, *mirrored, f)))
 
     @pytest.mark.parametrize("e_z, e_minus, e_plus, message", [
         (0.1, math.nan, 0.2, "e_minus = nan < 0"),
@@ -517,6 +546,11 @@ class TestScanConfig:
     )
     def test_missing_fields_are_named_with_their_parent(self, doc, field):
         with pytest.raises(InvalidParamsError, match=f"^config missing required field '{field}'$"):
+            ScanConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[base_config()], 5], ids=["list-document", "number-document"])
+    def test_document_that_is_not_an_object(self, doc):
+        with pytest.raises(InvalidParamsError, match="^config document must be a JSON object$"):
             ScanConfig.from_dict(doc)
 
     def test_bad_step(self):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -76,6 +77,17 @@ class TestRequireHermitian:
                 require_hermitian(np.array([hermitian, [[1.0, 1e-3], [0.0, 1.0]]]))
             with pytest.raises(NotHermitianError, match="NaN or Inf"):
                 require_hermitian(np.array([hermitian, [[np.inf, 0.0], [0.0, 1.0]]]))
+            # Hermitian within the tolerance, not exactly: the square of the
+            # asymmetry overflows too, and the scaled norms accept the matrix
+            near = np.array([[1e200, 1e200], [1e200 * (1.0 + 4e-16), 3e200]])
+            assert near[0, 1] != near[1, 0]
+            np.testing.assert_array_equal(require_hermitian(near), near)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), ()], ids=["2x3", "vector", "scalar"])
+    def test_rejects_non_square(self, shape):
+        message = f"matrix must be square, got shape {shape}"
+        with pytest.raises(NotHermitianError, match=f"^{re.escape(message)}$"):
+            require_hermitian(np.zeros(shape))
 
 
 class TestPsdProject:

@@ -188,6 +188,40 @@ class TestCertifiedRandomSuite:
         np.testing.assert_allclose(sol2.X, sol1.X, atol=1e-4)
 
 
+def criterion_4_draw(seed, index):
+    """Draw ``index`` (from 0) of acceptance criterion 4's rule on
+    ``default_rng(seed)``: its ``(n, m, rank)``, problem and known optimum."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        n = int(rng.integers(3, 17))
+        m = int(rng.integers(2, min(n + 3, 12)))
+        rank = int(rng.integers(1, n))
+        problem, expected = certified_random_problem(rng, n, m, rank)
+    return (n, m, rank), problem, expected
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="solve_sdp stops with numerical_trouble ('dual iterate lost positive "
+           "definiteness') on these certified draws, which have no strictly feasible dual point",
+)
+@pytest.mark.parametrize("index, shape", [(44, (16, 6, 7)), (85, (8, 2, 3))],
+                         ids=["draw-44", "draw-85"])
+def test_certified_draws_that_stop_with_numerical_trouble(index, shape):
+    # Criterion 4's rule on default_rng(2026); its own 50 draws from seed
+    # 4096 all pass.  A drifted generator is an error here, not the
+    # expected failure.
+    got, problem, expected = criterion_4_draw(2026, index)
+    if got != shape:
+        raise LookupError(f"draw {index} has (n, m, rank) {got}, not {shape}")
+    sol = solve_sdp(problem, tol=1e-8)
+    assert sol.status == "optimal", sol.message
+    assert sol.objective_value == pytest.approx(expected, abs=1e-6 * (1 + abs(expected)))
+    assert sol.primal_residual <= 1e-8
+    assert sol.dual_residual <= 1e-8
+    assert sol.duality_gap <= 1e-8
+
+
 class TestStatuses:
     def test_infeasible_detected(self):
         # X00 = -1 contradicts PSD

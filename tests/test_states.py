@@ -81,6 +81,15 @@ class TestQubitStateValidation:
         with pytest.raises(InvalidParamsError):
             QubitState(rho=np.diag([1.5, -0.5]), prob=0.25)
 
+    def test_rejects_a_matrix_that_is_not_2x2(self):
+        with pytest.raises(InvalidParamsError, match=r"^rho must be 2x2, got \(3, 3\)$"):
+            QubitState(rho=np.eye(3) / 3.0, prob=0.25)
+
+    def test_ensemble_has_four_states(self):
+        three = model_states(ModelParams(delta=0.0, depol=0.0)).states[:3]
+        with pytest.raises(InvalidParamsError, match="^an ensemble has exactly 4 states, got 3$"):
+            SignalEnsemble(states=three)
+
     def test_ensemble_prob_sum(self):
         good = model_states(ModelParams(delta=0.0, depol=0.0))
         heavy = tuple(QubitState(rho=s.rho, prob=0.3) for s in good.states)
@@ -243,6 +252,22 @@ class TestSinglePhotonProject:
         with pytest.raises(InvalidParamsError, match=match):
             single_photon_project(two_mode_basis_state(1, 0, 2), mu=mu)
 
+    @pytest.mark.parametrize(
+        "state, normalize, match",
+        [
+            (np.eye(3) / 3.0, "trace",
+             "^two_mode_state must act on d\\^2-dimensional space with d >= 2, got 3$"),
+            (np.eye(1), "trace",
+             "^two_mode_state must act on d\\^2-dimensional space with d >= 2, got 1$"),
+            (two_mode_basis_state(1, 0, 2), "unit",
+             "^normalize must be 'poisson' or 'trace', got 'unit'$"),
+        ],
+        ids=["non-square-dimension", "one-mode-dimension", "bad-normalize"],
+    )
+    def test_bad_inputs_are_typed(self, state, normalize, match):
+        with pytest.raises(InvalidParamsError, match=match):
+            single_photon_project(state, mu=1.0, normalize=normalize)
+
 
 class TestPhaseRandomizedCoherent:
     @pytest.mark.parametrize(
@@ -322,9 +347,10 @@ class TestJsonRoundTrip:
             (None, None, "^ensemble document is not valid JSON"),
             ("document", [1, 2], "^ensemble document must be a JSON object, got list$"),
             ("document", 5, "^ensemble document must be a JSON object, got int$"),
+            ("priors", [0.25, 0.25, 0.5], "^ensemble document must list 4 priors and 4 states$"),
         ],
         ids=["one-number-entry", "three-number-entry", "scalar-priors", "scalar-rhos", "not-json",
-             "list-document", "number-document"],
+             "list-document", "number-document", "three-priors"],
     )
     def test_structural_faults_are_typed(self, field, value, match):
         # each fault names its field; none escapes as IndexError, TypeError

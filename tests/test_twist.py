@@ -294,12 +294,11 @@ class TestDominance:
                                              depol=rng.choice((0.0, 0.05))))
             for alice, bob in ((random_ensemble(rng), random_ensemble(rng)), (model, model)):
                 channels = (ChannelParams(eta=0.5, p_dark=1e-5, distance_km=d) for d in distances)
-                eves, p00, e_z = zip(*(pair_inputs(alice, bob, channel) for channel in channels))
+                eves, p00, _ = zip(*(pair_inputs(alice, bob, channel) for channel in channels))
                 rho, prob = _stack((*alice.key_states(), *bob.key_states()))
                 factors = _pair_factors(rho.reshape(2, 2, 2, 2), prob.reshape(2, 2))
-                _, _, s_minus, bound_plus, signed, plus = twist_module._phase_error_rows(
-                    factors, np.stack([eve.e_matrix for eve in eves]), np.array(p00),
-                    np.clip(e_z, 0.0, 1.0),
+                s_minus, bound_plus, signed, plus = twist_module._phase_error_rows(
+                    factors, np.stack([eve.e_matrix for eve in eves]), np.array(p00)
                 )
                 assert np.all(s_minus >= np.abs(signed) - 1e-12)
                 assert np.all(bound_plus <= plus + 1e-12)
